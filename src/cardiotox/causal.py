@@ -6,7 +6,9 @@ probabilities are produced by toggling the dummies while holding covariates at
 observed values; averaging their differences gives the average treatment
 effect (over everyone) and the effect on the treated (over one arm).
 Uncertainty comes from resampling patients with replacement and repeating the
-whole fit.
+whole fit. A resample is fitted as frequency weights on the original rows
+(how often each patient was drawn), and the replicates of one outcome are
+fitted together, in blocks, by ``glm.fit_logistic_counts``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ DEFAULT_COVARIATES: tuple[str, ...] = tuple(
 
 MIN_BOOTSTRAP = 100
 BOOTSTRAP_SUCCESS_FLOOR = 0.95
+# Replicates drawn and fitted together. Working memory grows with it (several
+# arrays of REPLICATE_BLOCK x n floats), so it stays small and fixed.
+REPLICATE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,27 @@ def _require_all_arms(masks: dict[Treatment, np.ndarray]) -> None:
         raise MissingArmError(f"no patients in arm(s): {', '.join(missing)}")
 
 
-def _mean(values: np.ndarray) -> float:
-    # constant vectors (no-covariate models) average to the constant exactly,
-    # keeping ATE == ATT bitwise in that case
-    first = values[0]
-    if np.all(values == first):
-        return float(first)
-    return float(np.mean(values))
+def _counterfactual_diffs(fm: FeatureMatrix, beta: np.ndarray) -> dict[Treatment, np.ndarray]:
+    """Per-row risk difference, treated minus reference, for each treatment.
+
+    ``beta`` is one coefficient vector or a (p, fits) matrix; the result has
+    shape (n, fits), one column per fit.
+    """
+    chemo_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[0])
+    targeted_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[1])
+    X_cf = fm.X.copy()
+    X_cf[:, chemo_col] = 0.0
+    X_cf[:, targeted_col] = 0.0
+    p_ref = glm.predict_beta(beta, X_cf)
+    out = {}
+    for treatment, col in (
+        (Treatment.CHEMOTHERAPY, chemo_col),
+        (Treatment.TARGETED, targeted_col),
+    ):
+        X_cf[:, col] = 1.0
+        out[treatment] = (glm.predict_beta(beta, X_cf) - p_ref).reshape(fm.n, -1)
+        X_cf[:, col] = 0.0
+    return out
 
 
 def effects_from_model(
@@ -106,71 +125,55 @@ def effects_from_model(
     the ATE average to the treated arm plus the reference arm instead of the
     whole cohort.
     """
+    means = _weighted_effects(fm, model.beta, np.ones((1, fm.n)), arms_only)
+    return {key: float(value[0]) for key, value in means.items()}
+
+
+def _weighted_effects(
+    fm: FeatureMatrix, beta: np.ndarray, counts: np.ndarray, arms_only: bool
+) -> dict[tuple[str, str], np.ndarray]:
+    """``effects_from_model`` for one or many fits, as count-weighted means.
+
+    Column b of ``beta`` was fitted with row b of ``counts`` as frequency
+    weights (how often each row was drawn); its effects average over the same
+    weighted rows, which is the plain mean over the resampled patients.
+    """
     masks = _arm_masks(fm)
-    chemo_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[0])
-    targeted_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[1])
-
-    X_ref = fm.X.copy()
-    X_ref[:, chemo_col] = 0.0
-    X_ref[:, targeted_col] = 0.0
-    p_ref = glm.predict_matrix(model, X_ref)
-
-    out: dict[tuple[str, str], float] = {}
-    for treatment, col in (
-        (Treatment.CHEMOTHERAPY, chemo_col),
-        (Treatment.TARGETED, targeted_col),
-    ):
-        X_t = X_ref.copy()
-        X_t[:, col] = 1.0
-        diff = glm.predict_matrix(model, X_t) - p_ref
-        if arms_only:
-            ate_mask = masks[treatment] | masks[Treatment.RADIATION]
-            ate = _mean(diff[ate_mask])
-        else:
-            ate = _mean(diff)
-        att = _mean(diff[masks[treatment]])
-        out[(treatment.value, "ATE")] = ate
-        out[(treatment.value, "ATT")] = att
+    out: dict[tuple[str, str], np.ndarray] = {}
+    for treatment, diff in _counterfactual_diffs(fm, beta).items():
+        ate_rows = masks[treatment] | masks[Treatment.RADIATION] if arms_only else slice(None)
+        for estimand, rows in (("ATE", ate_rows), ("ATT", masks[treatment])):
+            out[(treatment.value, estimand)] = _weighted_mean(diff[rows].T, counts[:, rows])
     return out
 
 
+def _weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row-wise count-weighted means of (fits, rows) values.
+
+    A row whose drawn values (positive count) are all equal averages to that
+    value exactly: no-covariate models then keep ATE == ATT bitwise.
+    """
+    means = np.sum(counts * values, axis=1) / np.sum(counts, axis=1)
+    drawn = counts > 0
+    low = np.min(values, axis=1, where=drawn, initial=np.inf)
+    high = np.max(values, axis=1, where=drawn, initial=-np.inf)
+    return np.where(low == high, low, means)
+
+
 def _fit_and_estimate(
-    fm: FeatureMatrix,
-    arms_only: bool,
-    eliminate_alpha: float | None,
-    start: np.ndarray | None = None,
+    fm: FeatureMatrix, arms_only: bool, eliminate_alpha: float | None
 ) -> dict[tuple[str, str], float]:
     masks = _arm_masks(fm)
     _require_all_arms(masks)
     if eliminate_alpha is None:
-        model = glm.fit_logistic(fm, start=start)
+        model = glm.fit_logistic(fm)
         return effects_from_model(model, fm, arms_only)
     # Elimination prunes covariates only: the estimand needs the dummies.
-    model = _eliminate_keeping_dummies(fm, eliminate_alpha)
+    model = glm.backward_eliminate(
+        fm, eliminate_alpha, protected=frozenset({"intercept", *TREATMENT_DUMMY_COLUMNS})
+    ).final_model
     reduced = fm.select_columns(model.column_names)
     return effects_from_model(model, reduced, arms_only)
-
-
-def _eliminate_keeping_dummies(fm: FeatureMatrix, alpha_stay: float) -> glm.LogisticModel:
-    protected = {"intercept", *TREATMENT_DUMMY_COLUMNS}
-    current = fm
-    model = glm.fit_logistic(current)
-    while True:
-        worst_j, worst_p = -1, -1.0
-        for j, name in enumerate(current.column_names):
-            if name in protected:
-                continue
-            _, p_value = glm.wald(model, j)
-            if p_value >= worst_p:
-                worst_p = p_value
-                worst_j = j
-        if worst_j < 0 or worst_p <= alpha_stay:
-            return model
-        kept = tuple(
-            n for i, n in enumerate(current.column_names) if i != worst_j
-        )
-        current = current.select_columns(kept)
-        model = glm.fit_logistic(current)
 
 
 def estimate_effects(
@@ -205,8 +208,14 @@ def bootstrap_effects(
 ) -> list[EffectEstimate]:
     """Point estimates plus percentile CIs from patient-level resampling.
 
-    All resample index vectors are drawn up front from the seed, so replicate
-    order (or any future parallel execution) cannot change the results.
+    Replicate b resamples n patients with replacement: the b-th block of n
+    draws from the seed's stream, whatever the block size, so the results do
+    not depend on how replicates are grouped. A replicate is fitted as
+    frequency weights on the original rows (how often each patient was drawn),
+    which is the fit on the resampled rows; blocks of replicates are fitted
+    together in lockstep from the full-sample optimum, and their effects are
+    count-weighted means. With elimination each replicate's column set
+    differs, so those replicates are refitted one at a time on resampled rows.
     Replicates that fail statistically are skipped and counted; more than 5%
     failures abort with the failure taxonomy.
     """
@@ -216,34 +225,36 @@ def bootstrap_effects(
     masks = _arm_masks(fm)
     _require_all_arms(masks)
 
-    full_points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
-    # Warm-starting replicates at the full-sample optimum roughly halves IRLS
-    # iterations without affecting the optimum; only valid without elimination
-    # because eliminated replicates refit different column sets.
-    start = None
     if eliminate_alpha is None:
-        start = glm.fit_logistic(fm).beta
+        full_model = glm.fit_logistic(fm)
+        full_points = effects_from_model(full_model, fm, arms_only)
+        products = glm.pairwise_products(fm.X)
+    else:
+        full_points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
 
     rng = SplitMix64(seed)
-    index_matrix = rng.integers(fm.n, n_boot * fm.n).reshape(n_boot, fm.n)
-
-    draws: dict[tuple[str, str], list[float]] = {key: [] for key in full_points}
+    draws: dict[tuple[str, str], list[np.ndarray]] = {key: [] for key in full_points}
     failures: dict[str, int] = {}
     succeeded = 0
-    empty_ids = ("",) * fm.n  # resampled rows lose their identities anyway
-    for b in range(n_boot):
-        idx = index_matrix[b]
-        resampled = FeatureMatrix(
-            fm.column_names, fm.X[idx], fm.y[idx], empty_ids, fm.outcome
-        )
-        try:
-            points = _fit_and_estimate(resampled, arms_only, eliminate_alpha, start=start)
-        except StatisticalError as err:
-            failures[err.code] = failures.get(err.code, 0) + 1
-            continue
-        succeeded += 1
-        for key, value in points.items():
-            draws[key].append(value)
+    for first in range(0, n_boot, REPLICATE_BLOCK):
+        block = min(REPLICATE_BLOCK, n_boot - first)
+        index = rng.integers(fm.n, block * fm.n).reshape(block, fm.n)
+        if eliminate_alpha is not None:
+            points, codes = _eliminated_replicates(fm, index, arms_only, eliminate_alpha)
+        else:
+            index += np.arange(block)[:, None] * fm.n
+            counts = np.bincount(index.ravel(), minlength=block * fm.n)
+            del index
+            counts = counts.reshape(block, fm.n).astype(np.float64)
+            points, codes = _weighted_replicates(
+                fm, counts, masks, full_model.beta, products, arms_only
+            )
+        for code in codes:
+            if code is not None:
+                failures[code] = failures.get(code, 0) + 1
+        succeeded += codes.count(None)
+        for key, values in points.items():
+            draws[key].append(values)
 
     if succeeded < BOOTSTRAP_SUCCESS_FLOOR * n_boot:
         raise TooManyBootFailuresError(n_boot, succeeded, failures)
@@ -251,7 +262,7 @@ def bootstrap_effects(
     estimates = []
     for t in EFFECT_TREATMENTS:
         for est in ESTIMANDS:
-            values = np.asarray(draws[(t.value, est)])
+            values = np.concatenate(draws[(t.value, est)])
             ci_low, ci_high = np.percentile(values, [2.5, 97.5], method="linear")
             estimates.append(
                 EffectEstimate(
@@ -268,6 +279,49 @@ def bootstrap_effects(
                 )
             )
     return estimates
+
+
+def _weighted_replicates(
+    fm: FeatureMatrix,
+    counts: np.ndarray,
+    masks: dict[Treatment, np.ndarray],
+    start: np.ndarray,
+    products: np.ndarray,
+    arms_only: bool,
+) -> tuple[dict[tuple[str, str], np.ndarray], list[str | None]]:
+    """Effects of the successful replicates in one block, and each one's error code."""
+    codes: list[str | None] = [None] * len(counts)
+    arm_counts = np.column_stack([counts @ masks[t] for t in Treatment])
+    for b in np.flatnonzero(np.any(arm_counts == 0.0, axis=1)):
+        codes[b] = MissingArmError.code
+    fitted = np.array([b for b, code in enumerate(codes) if code is None], dtype=np.int64)
+    if len(fitted) < len(counts):
+        counts = counts[fitted]
+    betas, fit_codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+    for b, code in zip(fitted, fit_codes):
+        codes[b] = code
+    ok = np.array([code is None for code in fit_codes], dtype=bool)
+    return _weighted_effects(fm, betas[ok].T, counts[ok], arms_only), codes
+
+
+def _eliminated_replicates(
+    fm: FeatureMatrix, index: np.ndarray, arms_only: bool, eliminate_alpha: float
+) -> tuple[dict[tuple[str, str], np.ndarray], list[str | None]]:
+    """Per-replicate refits with elimination on resampled rows, for one block."""
+    empty_ids = ("",) * fm.n  # resampled rows lose their identities anyway
+    values: dict[tuple[str, str], list[float]] = {}
+    codes: list[str | None] = []
+    for idx in index:
+        resampled = FeatureMatrix(fm.column_names, fm.X[idx], fm.y[idx], empty_ids, fm.outcome)
+        try:
+            points = _fit_and_estimate(resampled, arms_only, eliminate_alpha)
+        except StatisticalError as err:
+            codes.append(err.code)
+            continue
+        codes.append(None)
+        for key, value in points.items():
+            values.setdefault(key, []).append(value)
+    return {key: np.asarray(v) for key, v in values.items()}, codes
 
 
 def write_effects_csv(path, estimates: list[EffectEstimate]) -> None:

@@ -184,9 +184,10 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None)
 
 
 def _load_features(cfg: RunConfig):
-    cohort = load_cohort(cfg.inputs, cfg.code_map())
+    code_map = cfg.code_map()
+    cohort = load_cohort(cfg.inputs, code_map)
     return preprocess.compute_features(
-        cohort, cfg.code_map(), cfg.end_of_data, cfg.preprocess_config()
+        cohort, code_map, cfg.end_of_data, cfg.preprocess_config()
     )
 
 
@@ -195,8 +196,9 @@ def _load_features(cfg: RunConfig):
 
 
 def cmd_validate(cfg: RunConfig, outdir: Path) -> int:
-    cohort = load_cohort(cfg.inputs, cfg.code_map())
-    report = preprocess.apply_eligibility(cohort, cfg.code_map(), cfg.end_of_data)
+    code_map = cfg.code_map()
+    cohort = load_cohort(cfg.inputs, code_map)
+    report = preprocess.apply_eligibility(cohort, code_map, cfg.end_of_data)
     preprocess.write_exclusions_csv(outdir / "exclusions.csv", report)
     _write_manifest(outdir, "validate", cfg.config_sha256, cfg.seed)
     print(f"loaded {len(cohort)} patients: {len(report.included)} included, "
@@ -218,9 +220,10 @@ def cmd_fit(cfg: RunConfig, outdir: Path, outcome: str | None) -> int:
     outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
     for oc in outcomes:
         fm = preprocess.build_matrix(features, "OUTCOME_MODEL", oc, cfg.feature_sets)
-        full_model = glm.fit_logistic(fm)
-        glm.write_coefficient_report(outdir / f"coefficients_full_{oc}.csv", full_model, fm)
         trace = glm.backward_eliminate(fm, cfg.alpha_stay)
+        glm.write_coefficient_report(
+            outdir / f"coefficients_full_{oc}.csv", trace.full_model, fm
+        )
         reduced = fm.select_columns(trace.final_model.column_names)
         glm.write_coefficient_report(
             outdir / f"coefficients_eliminated_{oc}.csv", trace.final_model, reduced
@@ -280,10 +283,9 @@ def cmd_effects(cfg: RunConfig, outdir: Path) -> int:
 def cmd_compare(cfg: RunConfig, outdir: Path, contrast: str, feature_set: str) -> int:
     features, _ = _load_features(cfg)
     fm = preprocess.build_matrix(features, feature_set, contrast, cfg.feature_sets)
-    full_model = glm.fit_logistic(fm)
     stem = f"compare_{contrast}_{feature_set}"
-    glm.write_coefficient_report(outdir / f"{stem}_full.csv", full_model, fm)
     trace = glm.backward_eliminate(fm, cfg.alpha_stay)
+    glm.write_coefficient_report(outdir / f"{stem}_full.csv", trace.full_model, fm)
     reduced = fm.select_columns(trace.final_model.column_names)
     glm.write_coefficient_report(outdir / f"{stem}_eliminated.csv", trace.final_model, reduced)
     glm.write_elimination_trace(outdir / f"{stem}_trace.csv", trace)

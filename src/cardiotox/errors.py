@@ -119,6 +119,10 @@ class OneClassError(StatisticalError):
     code = "ONE_CLASS_ONLY"
 
 
+class NonFiniteScoreError(StatisticalError):
+    code = "NON_FINITE_SCORE"
+
+
 class BadKError(StatisticalError):
     code = "BAD_K"
 

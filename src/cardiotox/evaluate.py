@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glm
-from .errors import BadKError, DegenerateOutcomeError, OneClassError
+from .errors import (
+    BadKError,
+    DegenerateOutcomeError,
+    DimensionMismatchError,
+    NonFiniteScoreError,
+    OneClassError,
+)
 from .preprocess import FeatureMatrix
 from .rng import SplitMix64
 from .tableio import write_csv
@@ -41,12 +47,19 @@ def _check_two_classes(labels: np.ndarray) -> tuple[int, int]:
     return n_pos, n_neg
 
 
-def auc(scores, labels) -> float:
-    """Probability a random positive outranks a random negative, ties at 1/2."""
+def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise DimensionMismatchError("scores and labels must have equal length")
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteScoreError("scores must be finite to be ranked")
+    return scores, labels
+
+
+def auc(scores, labels) -> float:
+    """Probability a random positive outranks a random negative, ties at 1/2."""
+    scores, labels = _scores_and_labels(scores, labels)
     n_pos, n_neg = _check_two_classes(labels)
 
     order = np.argsort(scores, kind="stable")
@@ -68,8 +81,7 @@ def auc(scores, labels) -> float:
 
 def roc_curve(scores, labels) -> RocCurve:
     """Threshold sweep over distinct scores, descending; includes (0,0) and (1,1)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    scores, labels = _scores_and_labels(scores, labels)
     n_pos, n_neg = _check_two_classes(labels)
 
     order = np.argsort(-scores, kind="stable")

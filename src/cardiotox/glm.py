@@ -4,6 +4,8 @@ Fitting is Newton-type iteratively reweighted least squares with step-halving
 when the deviance would increase. Standard errors come from the inverse
 observed information at the optimum. Backward elimination repeatedly drops the
 least significant predictor until everything left clears the stay threshold.
+``fit_logistic_counts`` runs many frequency-weighted fits of one design matrix
+in lockstep (bootstrap replicates), with the same checks as ``fit_logistic``.
 """
 
 from __future__ import annotations
@@ -54,17 +56,15 @@ class LogisticModel:
 class EliminationTrace:
     steps: tuple[tuple[str, float], ...]
     final_model: LogisticModel
+    full_model: LogisticModel
 
 
 def sigmoid(eta: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable standard logistic function."""
     eta = np.asarray(eta, dtype=np.float64)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    exp_eta = np.exp(eta[~pos])
-    out[~pos] = exp_eta / (1.0 + exp_eta)
-    return out
+    # exp(-eta) where eta >= 0 and exp(eta) elsewhere: never overflows
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
@@ -212,6 +212,160 @@ def _invert_information(info: np.ndarray, X: np.ndarray, names: tuple[str, ...])
     return (cov + cov.T) / 2.0
 
 
+def pairwise_products(X: np.ndarray) -> np.ndarray:
+    """Column products ``X[:, i] * X[:, j]`` for i <= j, in ``np.triu_indices`` order.
+
+    A weight row times this matrix is the upper triangle of ``X.T @ diag(w) @ X``,
+    so one matrix product gives the information matrices of many fits.
+    Columns are written one at a time into one array to keep peak memory at
+    the size of the result.
+    """
+    n, p = X.shape
+    rows, cols = np.triu_indices(p)
+    X = np.asfortranarray(X)
+    products = np.empty((n, len(rows)), order="F")
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(X[:, i], X[:, j], out=products[:, k])
+    return products
+
+
+def fit_logistic_counts(
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    start: np.ndarray,
+    products: np.ndarray,
+) -> tuple[np.ndarray, list[str | None]]:
+    """Fit one model per row of ``counts``, all in lockstep on the same ``X``.
+
+    ``counts[b, i]`` is how often row i enters fit b, so fit b is the fit of
+    ``fit_logistic`` on the matrix that repeats each row that often (a
+    bootstrap replicate drawn with replacement). Every fit starts from
+    ``start`` and has its own step-halving and convergence test, and every
+    failure rule of ``fit_logistic`` applies to each fit in the same order.
+    Separation is judged on rows with a positive count only. ``products`` is
+    ``pairwise_products(X)``, which callers build once for all their fits.
+
+    Returns the coefficients, shape (fits, p) with NaN rows for failed fits,
+    and per fit the code of the error ``fit_logistic`` would raise, or None.
+    """
+    p = X.shape[1]
+    rows, cols = np.triu_indices(p)
+    counts = np.asarray(counts, dtype=np.float64)
+    beta_out = np.full((len(counts), p), np.nan)
+    codes: list[str | None] = [None] * len(counts)
+
+    totals = counts.sum(axis=1)
+    positives = counts @ y
+    for b in range(len(counts)):
+        if totals[b] <= p:
+            codes[b] = SingularInformationError.code
+        elif positives[b] == 0.0 or positives[b] == totals[b]:
+            codes[b] = DegenerateOutcomeError.code
+
+    # State of the fits still running; `fit` maps each to its row of `counts`.
+    fit = np.array([b for b, code in enumerate(codes) if code is None], dtype=np.int64)
+    C = counts if len(fit) == len(counts) else counts[fit]
+    beta = np.tile(np.asarray(start, dtype=np.float64), (len(fit), 1))
+    eta = beta @ X.T
+    ll = _weighted_log_likelihood(eta, y, C)
+    done = np.zeros(len(fit), dtype=bool)
+
+    for iteration in range(MAX_ITERATIONS + 1):
+        # A fit marked done stepped to its optimum last round; the checks below
+        # are then fit_logistic's checks at the optimum.
+        alive = np.ones(len(fit), dtype=bool)
+        if iteration == MAX_ITERATIONS:
+            _fail(codes, fit, alive, ~done, NotConvergedError.code)
+        prob = sigmoid(eta)
+        pinned = np.any(
+            ((prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)) & (C > 0.0),
+            axis=1,
+        )
+        diverging = np.max(np.abs(beta), axis=1) > SEPARATION_BETA_BOUND
+        _fail(codes, fit, alive, pinned & diverging, SeparationError.code)
+        weights = 1.0 - prob
+        weights *= prob
+        weights *= C
+        info = np.empty((len(fit), p, p))
+        upper = weights @ products
+        del weights
+        info[:, rows, cols] = upper
+        info[:, cols, rows] = upper
+        chol, singular = _cholesky_each(info)
+        eigvals = np.linalg.eigvalsh(info[~singular])
+        singular[~singular] = (eigvals[:, -1] <= 0.0) | (
+            eigvals[:, 0] <= eigvals[:, -1] * SINGULAR_RTOL
+        )
+        _fail(codes, fit, alive, singular, SingularInformationError.code)
+
+        beta_out[fit[alive & done]] = beta[alive & done]
+        keep = alive & ~done
+        if not keep.any():
+            break
+        fit, C, beta, eta, ll = fit[keep], C[keep], beta[keep], eta[keep], ll[keep]
+        chol, prob = chol[keep], prob[keep]
+
+        score = (C * (y - prob)) @ X
+        del prob
+        z = np.linalg.solve(chol, score[:, :, None])
+        delta = np.linalg.solve(np.swapaxes(chol, 1, 2), z)[:, :, 0]
+
+        step = np.ones(len(fit))
+        new_beta = beta + delta
+        new_eta = new_beta @ X.T
+        new_ll = _weighted_log_likelihood(new_eta, y, C)
+        halvings = 0
+        while halvings < MAX_STEP_HALVINGS:
+            retry = ~np.isfinite(new_ll) | (new_ll < ll)
+            if not retry.any():
+                break
+            step[retry] *= 0.5
+            halvings += 1
+            new_beta[retry] = beta[retry] + step[retry, None] * delta[retry]
+            new_eta[retry] = new_beta[retry] @ X.T
+            new_ll[retry] = _weighted_log_likelihood(new_eta[retry], y, C[retry])
+
+        beta_change = np.max(np.abs(new_beta - beta), axis=1)
+        dev_change = np.abs(-2.0 * new_ll - (-2.0 * ll)) / (np.abs(-2.0 * ll) + 1.0)
+        beta, eta, ll = new_beta, new_eta, new_ll
+        done = (beta_change < BETA_TOL) | (dev_change < DEVIANCE_TOL)
+
+    return beta_out, codes
+
+
+def _weighted_log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # log(1 + exp(eta)) as in _log_likelihood, from one exp and one log1p per
+    # element, which costs less than logaddexp
+    softplus = np.log1p(np.exp(-np.abs(eta)))
+    softplus += np.maximum(eta, 0.0)
+    return np.sum(counts * (y * eta - softplus), axis=1)
+
+
+def _fail(codes: list, fit: np.ndarray, alive: np.ndarray, mask: np.ndarray, code: str) -> None:
+    """Record ``code`` for the live fits in ``mask`` and mark them failed."""
+    hit = alive & mask
+    for k in np.flatnonzero(hit):
+        codes[fit[k]] = code
+    alive &= ~hit
+
+
+def _cholesky_each(info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of matrices, and which of them do not exist."""
+    try:
+        return np.linalg.cholesky(info), np.zeros(len(info), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.zeros_like(info)
+    failed = np.zeros(len(info), dtype=bool)
+    for b, matrix in enumerate(info):
+        try:
+            chol[b] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            failed[b] = True
+    return chol, failed
+
+
 def predict_prob(model: LogisticModel, x: np.ndarray) -> float:
     """Event probability for one feature row, clipped inside (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
@@ -229,8 +383,13 @@ def predict_matrix(model: LogisticModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix has {X.shape[1]} columns, model has {len(model.beta)}"
         )
-    p = sigmoid(X @ model.beta)
-    return np.clip(p, _PROB_FLOOR, _PROB_CEIL)
+    return predict_beta(model.beta, X)
+
+
+def predict_beta(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``predict_matrix`` for bare coefficients; a (p, fits) ``beta`` gives one column per fit."""
+    prob = sigmoid(X @ beta)
+    return np.clip(prob, _PROB_FLOOR, _PROB_CEIL, out=prob)
 
 
 def normal_two_sided_p(z: float) -> float:
@@ -249,20 +408,23 @@ def wald(model: LogisticModel, j: int | str) -> tuple[float, float]:
     return z, normal_two_sided_p(z)
 
 
-def backward_eliminate(fm: FeatureMatrix, alpha_stay: float) -> EliminationTrace:
+def backward_eliminate(
+    fm: FeatureMatrix, alpha_stay: float, protected: frozenset[str] = frozenset({"intercept"})
+) -> EliminationTrace:
     """Drop the largest-p predictor until all remaining p-values <= alpha_stay.
 
-    The intercept is never a candidate. Exact p-value ties are broken by
-    removing the column declared later.
+    Columns named in ``protected`` (by default the intercept) are never
+    candidates. Exact p-value ties are broken by removing the column declared
+    later. The trace keeps the first fit, on all columns, as ``full_model``.
     """
     current = fm
     steps: list[tuple[str, float]] = []
-    model = fit_logistic(current)
+    model = full_model = fit_logistic(current)
     while True:
         worst_j = -1
         worst_p = -1.0
         for j, name in enumerate(current.column_names):
-            if name == "intercept":
+            if name in protected:
                 continue
             _, p_value = wald(model, j)
             if p_value >= worst_p:  # >= keeps the later column on ties
@@ -275,7 +437,7 @@ def backward_eliminate(fm: FeatureMatrix, alpha_stay: float) -> EliminationTrace
         kept = tuple(n for n in current.column_names if n != removed)
         current = current.select_columns(kept)
         model = fit_logistic(current)
-    return EliminationTrace(steps=tuple(steps), final_model=model)
+    return EliminationTrace(steps=tuple(steps), final_model=model, full_model=full_model)
 
 
 def column_std(fm: FeatureMatrix) -> np.ndarray:

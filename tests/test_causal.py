@@ -1,12 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cardiotox import causal, glm, synth
 from cardiotox.cohort import Treatment
-from cardiotox.errors import ConfigError, MissingArmError, TooManyBootFailuresError
+from cardiotox.errors import (
+    ConfigError,
+    MissingArmError,
+    SeparationError,
+    StatisticalError,
+    TooManyBootFailuresError,
+)
+from cardiotox.preprocess import FeatureMatrix
 from cardiotox.preprocess import Treatment as PTreatment
+from cardiotox.rng import SplitMix64
 
 
 def sigmoid(x):
@@ -157,13 +166,165 @@ class TestBootstrap:
             causal.bootstrap_effects(feats, "CHF", ("hba1c",), n_boot=50, seed=1)
 
     def test_too_many_failures_reports_taxonomy(self):
-        # a 3-patient targeted arm vanishes from most resamples
-        _, feats = cohort_features(seed=4014, n=600)
-        chemo = [f for f in feats if f.treatment is PTreatment.CHEMOTHERAPY]
-        radiation = [f for f in feats if f.treatment is PTreatment.RADIATION]
-        targeted = [f for f in feats if f.treatment is PTreatment.TARGETED][:1]
-        pruned = chemo + radiation + targeted
+        pruned = pruned_targeted_features()
         with pytest.raises(TooManyBootFailuresError) as err:
             causal.bootstrap_effects(pruned, "CHF", ("hba1c",), n_boot=120, seed=17)
         assert err.value.failures.get("MISSING_ARM", 0) > 0
         assert err.value.succeeded < 0.95 * 120
+
+
+def rowcopy_bootstrap(feats, outcome, covariates, n_boot, seed, arms_only=False):
+    """Reference bootstrap: copy each replicate's rows and fit them on their own."""
+    fm = causal.build_causal_matrix(feats, outcome, covariates)
+    full = glm.fit_logistic(fm)
+    points = causal.effects_from_model(full, fm, arms_only)
+    index = SplitMix64(seed).integers(fm.n, n_boot * fm.n).reshape(n_boot, fm.n)
+    draws = {key: [] for key in points}
+    failures = {}
+    for idx in index:
+        resampled = FeatureMatrix(
+            fm.column_names, fm.X[idx], fm.y[idx], ("",) * fm.n, fm.outcome
+        )
+        try:
+            if not all(np.any(m) for m in causal._arm_masks(resampled).values()):
+                raise MissingArmError("arm not drawn")
+            model = glm.fit_logistic(resampled, start=full.beta)
+        except StatisticalError as err:
+            failures[err.code] = failures.get(err.code, 0) + 1
+            continue
+        for key, value in causal.effects_from_model(model, resampled, arms_only).items():
+            draws[key].append(value)
+    return points, draws, failures
+
+
+def rare_outcome_features(seed=4121):
+    # ~5 events in 260 patients: replicates fail by separation and degeneracy
+    spec = synth.parse_spec({
+        "n": 260, "seed": seed,
+        "covariates": [{"name": "hba1c", "dist": "normal", "mu": 6.0, "sigma": 1.0}],
+        "treatment_model": {"kind": "randomized", "p_chemo": 0.4, "p_targeted": 0.3},
+        "outcome_models": {"CHF": {"intercept": -4.0, "CHEMOTHERAPY": 1.0, "TARGETED": 0.5}},
+    })
+    return synth.to_features(synth.generate(spec))
+
+
+def pruned_targeted_features():
+    # a 1-patient targeted arm vanishes from most resamples
+    _, feats = cohort_features(seed=4014, n=600)
+    chemo = [f for f in feats if f.treatment is PTreatment.CHEMOTHERAPY]
+    radiation = [f for f in feats if f.treatment is PTreatment.RADIATION]
+    targeted = [f for f in feats if f.treatment is PTreatment.TARGETED][:1]
+    return chemo + radiation + targeted
+
+
+class TestLockstepMatchesRowCopies:
+    CASES = {
+        "plain": (lambda: cohort_features(seed=4010, n=800)[1], ("hba1c",), 150, 99, False),
+        "arms_only": (lambda: cohort_features(seed=4007, n=1200, confounded=True)[1],
+                      ("hba1c",), 120, 11, True),
+        "no_covariates": (lambda: cohort_features(seed=4002, n=900)[1], (), 120, 23, False),
+        "rare_outcome": (rare_outcome_features, ("hba1c",), 130, 5, False),
+        "pruned_targeted_arm": (pruned_targeted_features, ("hba1c",), 120, 17, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_draws_failures_and_estimates(self, case, monkeypatch):
+        make, covariates, n_boot, seed, arms_only = self.CASES[case]
+        feats = make()
+        points, draws, failures = rowcopy_bootstrap(
+            feats, "CHF", covariates, n_boot, seed, arms_only)
+        succeeded = len(draws[("CHEMOTHERAPY", "ATE")])
+
+        # a floor above 1 makes every run report its failure taxonomy
+        monkeypatch.setattr(causal, "BOOTSTRAP_SUCCESS_FLOOR", 1.01)
+        with pytest.raises(TooManyBootFailuresError) as err:
+            causal.bootstrap_effects(feats, "CHF", covariates, n_boot=n_boot, seed=seed,
+                                     arms_only=arms_only)
+        assert err.value.failures == failures
+        assert err.value.succeeded == succeeded
+        if case == "rare_outcome":
+            assert set(failures) == {"SEPARATION_DETECTED", "DEGENERATE_OUTCOME"}
+        if case == "pruned_targeted_arm":
+            # the lone targeted patient is either undrawn or alone in its arm
+            assert set(failures) == {"MISSING_ARM", "SINGULAR_INFORMATION"}
+            assert succeeded == 0
+            return
+
+        monkeypatch.setattr(causal, "BOOTSTRAP_SUCCESS_FLOOR", 0.0)
+        ests = causal.bootstrap_effects(feats, "CHF", covariates, n_boot=n_boot, seed=seed,
+                                        arms_only=arms_only)
+        for e in ests:
+            values = np.asarray(draws[(e.treatment, e.estimand)])
+            ci_low, ci_high = np.percentile(values, [2.5, 97.5], method="linear")
+            assert e.point == points[(e.treatment, e.estimand)]
+            assert e.n_boot_succeeded == succeeded
+            assert abs(e.boot_se - np.std(values, ddof=1)) <= 1e-9
+            # When a replicate's last Newton step changes the log-likelihood by
+            # less than its rounding error, whether that step is kept or halved
+            # away is rounding noise in either path, so the two fits can end up
+            # to ~5e-8 apart in beta. A CI bound is one replicate's value, and
+            # "plain" shows such a gap of 1.2e-9; the SE averages it out.
+            assert abs(e.ci_low - ci_low) <= 1e-8
+            assert abs(e.ci_high - ci_high) <= 1e-8
+        if case == "no_covariates":
+            by_key = {(e.treatment, e.estimand): e for e in ests}
+            for t in ("CHEMOTHERAPY", "TARGETED"):
+                ate, att = by_key[(t, "ATE")], by_key[(t, "ATT")]
+                assert (ate.boot_se, ate.ci_low, ate.ci_high) == (
+                    att.boot_se, att.ci_low, att.ci_high)
+
+    def test_undrawn_row_cannot_trip_separation(self):
+        # x/100 needs a coefficient far above the separation bound; one extra
+        # row at x = 1000 is pinned at probability 1 whenever it is drawn
+        g = SplitMix64(4200)
+        x = g.normal(300)
+        y = (g.uniform(300) < 1.0 / (1.0 + np.exp(0.5 - x))).astype(float)
+        X = np.column_stack([np.ones(301), np.append(x, 1000.0) / 100.0])
+        y = np.append(y, 1.0)
+        start = glm.fit_logistic(FeatureMatrix(
+            ("intercept", "x"), X[:300], y[:300], ("",) * 300, "CHF")).beta
+        assert np.max(np.abs(start)) > glm.SEPARATION_BETA_BOUND
+        counts = np.ones((2, 301))
+        counts[0, 300] = 0.0
+        betas, codes = glm.fit_logistic_counts(X, y, counts, start, glm.pairwise_products(X))
+        assert codes == [None, SeparationError.code]
+        assert np.max(np.abs(betas[0] - start)) < 1e-9
+        with pytest.raises(SeparationError):
+            glm.fit_logistic(FeatureMatrix(("intercept", "x"), X, y, ("",) * 301, "CHF"),
+                             start=start)
+
+
+def test_eliminated_replicates_match_row_copy_elimination():
+    _, feats = cohort_features(seed=4016, n=600)  # hba1c has no effect: mostly dropped
+    fm = causal.build_causal_matrix(feats, "CHF", ("hba1c",))
+    protected = frozenset({"intercept", "treatment_chemotherapy", "treatment_targeted"})
+    index = SplitMix64(31).integers(fm.n, 100 * fm.n).reshape(100, fm.n)
+    draws, kept_hba1c = [], 0
+    for idx in index:
+        resampled = fm.subset_rows(idx)
+        model = glm.backward_eliminate(resampled, 0.15, protected=protected).final_model
+        reduced = resampled.select_columns(model.column_names)
+        draws.append(causal.effects_from_model(model, reduced)[("CHEMOTHERAPY", "ATE")])
+        kept_hba1c += "hba1c" in model.column_names
+    assert 0 < kept_hba1c < 50  # column sets differ between replicates
+    ests = causal.bootstrap_effects(feats, "CHF", ("hba1c",), n_boot=100, seed=31,
+                                    eliminate_alpha=0.15)
+    e = next(x for x in ests if (x.treatment, x.estimand) == ("CHEMOTHERAPY", "ATE"))
+    assert e.n_boot_succeeded == 100
+    assert e.boot_se == float(np.std(draws, ddof=1))
+    assert e.point == causal.estimate_effects(
+        feats, "CHF", ("hba1c",), eliminate_alpha=0.15)[0].point
+
+
+def test_bootstrap_memory_does_not_grow_with_b():
+    _, feats = cohort_features(seed=4015, n=800)
+    peaks = {}
+    for n_boot in (200, 1000):
+        tracemalloc.start()
+        try:
+            causal.bootstrap_effects(feats, "CHF", ("hba1c",), n_boot=n_boot, seed=8)
+            peaks[n_boot] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # B x n int64 indices alone would add 800 * 800 * 8 bytes = 5 MB at B=1000
+    assert peaks[1000] < 1.1 * peaks[200]

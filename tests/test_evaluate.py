@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardiotox import evaluate, glm
-from cardiotox.errors import BadKError, DegenerateOutcomeError, OneClassError
+from cardiotox.errors import (
+    BadKError,
+    DegenerateOutcomeError,
+    DimensionMismatchError,
+    NonFiniteScoreError,
+    OneClassError,
+)
 from cardiotox.preprocess import FeatureMatrix
 from cardiotox.rng import SplitMix64
 
@@ -31,6 +37,19 @@ class TestAuc:
     def test_one_class_only(self):
         with pytest.raises(OneClassError):
             evaluate.auc([0.1, 0.2], [1, 1])
+
+    def test_length_mismatch_is_typed(self):
+        with pytest.raises(DimensionMismatchError):
+            evaluate.auc([0.1, 0.2, 0.3], [0, 1])
+        with pytest.raises(DimensionMismatchError):
+            evaluate.roc_curve([0.1, 0.2, 0.3], [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_typed(self, bad):
+        with pytest.raises(NonFiniteScoreError):
+            evaluate.auc([bad, 0.2, 0.3, bad], [1, 0, 0, 1])
+        with pytest.raises(NonFiniteScoreError):
+            evaluate.roc_curve([0.1, 0.2, bad, 0.4], [1, 0, 0, 1])
 
     def test_matches_brute_force_with_ties(self):
         g = SplitMix64(101)

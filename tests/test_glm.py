@@ -239,6 +239,73 @@ class TestEliminate:
         assert trace.steps[1][0] == "x1"
         assert trace.final_model.column_names == ("intercept",)
 
+    def test_protected_columns_are_never_removed(self):
+        fm = simulate(34, 3000, (-0.5, 0.9), extra_null=3)
+        plain = glm.backward_eliminate(fm, 0.15)
+        dropped = [name for name, _ in plain.steps]
+        assert dropped  # some null column goes without protection
+        trace = glm.backward_eliminate(fm, 0.15, protected=frozenset({"intercept", *dropped}))
+        assert set(dropped) <= set(trace.final_model.column_names)
+        assert not set(dropped) & {name for name, _ in trace.steps}
+
+    def test_trace_keeps_the_full_model(self):
+        fm = simulate(35, 2000, (-0.5, 0.9), extra_null=2)
+        trace = glm.backward_eliminate(fm, 0.15)
+        full = glm.fit_logistic(fm)
+        assert trace.full_model.column_names == fm.column_names
+        assert np.array_equal(trace.full_model.beta, full.beta)
+        assert np.array_equal(trace.full_model.se, full.se)
+
+
+class TestFitCounts:
+    def test_matches_fits_on_repeated_rows(self):
+        fm = simulate(41, 400, (-0.7, 0.8, -0.4), extra_null=1)
+        g = SplitMix64(42)
+        index = g.integers(fm.n, 5 * fm.n).reshape(5, fm.n)
+        counts = np.stack([np.bincount(idx, minlength=fm.n) for idx in index])
+        start = glm.fit_logistic(fm).beta
+        products = glm.pairwise_products(fm.X)
+        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+        assert codes == [None] * 5
+        for idx, beta in zip(index, betas):
+            expected = glm.fit_logistic(fm.subset_rows(idx), start=start).beta
+            assert np.max(np.abs(beta - expected)) < 1e-9
+
+    def test_failure_codes_follow_fit_logistic(self):
+        fm = simulate(43, 300, (-0.5, 0.6))
+        ones = np.ones(fm.n)
+        only_negatives = np.where(fm.y == 0.0, 2.0, 0.0)
+        x = np.linspace(-2, 2, fm.n)
+        separable = matrix(np.column_stack([np.ones(fm.n), x]), (x > 0).astype(float))
+        products = glm.pairwise_products(fm.X)
+        _, codes = glm.fit_logistic_counts(
+            fm.X, fm.y, np.stack([ones, only_negatives, ones]), np.zeros(2), products
+        )
+        assert codes == [None, DegenerateOutcomeError.code, None]
+        betas, codes = glm.fit_logistic_counts(
+            fm.X, fm.y, only_negatives[None, :], np.zeros(2), products
+        )
+        assert codes == [DegenerateOutcomeError.code] and np.isnan(betas).all()
+        _, codes = glm.fit_logistic_counts(
+            separable.X, separable.y, ones[None, :], np.zeros(2),
+            glm.pairwise_products(separable.X),
+        )
+        assert codes == [SeparationError.code]
+        with pytest.raises(SeparationError):
+            glm.fit_logistic(separable)
+        # a column that is zero on every drawn row leaves only that fit singular
+        rare = np.zeros(fm.n)
+        rare[:40] = SplitMix64(44).normal(40)
+        X = np.column_stack([fm.X, rare])
+        undrawn = np.where(rare == 0.0, 1.0, 0.0)
+        betas, codes = glm.fit_logistic_counts(
+            X, fm.y, np.stack([ones, undrawn, ones]), np.zeros(3), glm.pairwise_products(X)
+        )
+        assert codes == [None, SingularInformationError.code, None]
+        assert np.isnan(betas[1]).all() and np.array_equal(betas[0], betas[2])
+        with pytest.raises(SingularInformationError):
+            glm.fit_logistic(matrix(X[rare == 0.0], fm.y[rare == 0.0]))
+
 
 class TestNormalized:
     def build(self, beta, column):
