@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import date
@@ -30,7 +31,6 @@ from .cohort import (
 from .errors import ConfigError, PipelineError
 from .preprocess import OUTCOME_NAMES, PreprocessConfig
 from .rng import derive_seed
-from .tableio import write_csv
 
 _CONTRAST_NAMES = ("CHEMO_VS_RADIATION", "TARGETED_VS_RADIATION")
 _COMPARE_SETS = ("BASELINE_HEALTH", "MEDICATION_MODEL")
@@ -72,6 +72,43 @@ class RunConfig:
             return default_code_map()
         return load_code_map(self.code_map_path)
 
+    def validate(self) -> None:
+        """Raise ConfigError unless every setting has its type and range.
+
+        ``load_config`` calls it on the values read from JSON, and ``main`` again
+        after the command-line overrides.
+        """
+        _check("alpha_stay", self.alpha_stay, float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+        _check("k", self.k, int, lambda v: v >= 2, ">= 2")
+        _check("B", self.n_boot, int, lambda v: v >= causal.MIN_BOOTSTRAP,
+               f">= {causal.MIN_BOOTSTRAP}")
+        _check("eliminate_in_causal", self.eliminate_in_causal, bool)
+        _check("arms_only_ate", self.arms_only_ate, bool)
+        if self.seed is not None:
+            _check("seed", self.seed, int)
+        if self.outcome_horizon_days is not None:
+            _check("outcome_horizon_days", self.outcome_horizon_days, int)
+        if self.troponin_threshold is not None:
+            _check("troponin_threshold", self.troponin_threshold, float, math.isfinite, "finite")
+        if not isinstance(self.feature_sets, dict) or not all(
+            isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
+            for names in self.feature_sets.values()
+        ):
+            raise ConfigError("feature_sets must map names to lists of feature names")
+
+
+def _check(name: str, value, kind: type, ok=lambda v: True, expected: str = "") -> None:
+    """Raise ConfigError unless ``value`` is of type ``kind`` and ``ok(value)`` holds.
+
+    Booleans are not numbers here, and a float setting also takes an integer.
+    """
+    kinds = (int, float) if kind is float else (kind,)
+    typed = isinstance(value, kinds) and (kind is bool or not isinstance(value, bool))
+    if not typed:
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if not ok(value):
+        raise ConfigError(f"{name} must be {expected}, got {value}")
+
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
@@ -108,45 +145,31 @@ def load_config(path: str | Path) -> RunConfig:
     except (TypeError, ValueError):
         raise ConfigError(f"bad end_of_data '{raw['end_of_data']}'") from None
 
+    out = raw.get("out", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
     cfg = RunConfig(
         inputs=paths,
         end_of_data=end_of_data,
         code_map_path=_resolve(base, raw["code_map"]) if raw.get("code_map") else None,
-        out=Path(raw.get("out", "out")),
-        alpha_stay=float(raw.get("alpha_stay", 0.15)),
-        k=int(raw.get("k", 5)),
-        n_boot=int(raw.get("B", 1000)),
-        seed=int(raw["seed"]) if "seed" in raw and raw["seed"] is not None else None,
-        eliminate_in_causal=bool(raw.get("eliminate_in_causal", False)),
-        arms_only_ate=bool(raw.get("arms_only_ate", False)),
-        outcome_horizon_days=(
-            int(raw["outcome_horizon_days"])
-            if raw.get("outcome_horizon_days") is not None
-            else None
-        ),
-        troponin_threshold=(
-            float(raw["troponin_threshold"])
-            if raw.get("troponin_threshold") is not None
-            else None
-        ),
+        out=Path(out),
+        alpha_stay=raw.get("alpha_stay", 0.15),
+        k=raw.get("k", 5),
+        n_boot=raw.get("B", 1000),
+        seed=raw.get("seed"),
+        eliminate_in_causal=raw.get("eliminate_in_causal", False),
+        arms_only_ate=raw.get("arms_only_ate", False),
+        outcome_horizon_days=raw.get("outcome_horizon_days"),
+        troponin_threshold=raw.get("troponin_threshold"),
+        feature_sets=raw.get("feature_sets", {}),
         config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
-
-    for name, names in raw.get("feature_sets", {}).items():
-        if not isinstance(names, list):
-            raise ConfigError(f"feature set '{name}' must be a list of feature names")
-        cfg.feature_sets[name] = tuple(names)
+    cfg.validate()
+    cfg.feature_sets = {name: tuple(names) for name, names in cfg.feature_sets.items()}
     if "antihypertensive_classes" in raw:
         cfg.antihypertensive_classes = _parse_classes(raw["antihypertensive_classes"])
     if "antihyperlipidemia_classes" in raw:
         cfg.antihyperlipidemia_classes = _parse_classes(raw["antihyperlipidemia_classes"])
-
-    if not 0.0 < cfg.alpha_stay < 1.0:
-        raise ConfigError(f"alpha_stay must be in (0, 1), got {cfg.alpha_stay}")
-    if cfg.k < 2:
-        raise ConfigError(f"k must be >= 2, got {cfg.k}")
-    if cfg.n_boot < causal.MIN_BOOTSTRAP:
-        raise ConfigError(f"B must be >= {causal.MIN_BOOTSTRAP}, got {cfg.n_boot}")
     return cfg
 
 
@@ -156,6 +179,8 @@ def _resolve(base: Path, value) -> Path:
 
 
 def _parse_classes(raw) -> frozenset[DrugClass]:
+    if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
+        raise ConfigError(f"drug classes must be a list of names, got {raw!r}")
     try:
         return frozenset(DrugClass(name) for name in raw)
     except ValueError as err:
@@ -185,7 +210,7 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None)
 
 def _load_features(cfg: RunConfig):
     code_map = cfg.code_map()
-    cohort = load_cohort(cfg.inputs, code_map)
+    cohort = load_cohort(cfg.inputs)
     return preprocess.compute_features(
         cohort, code_map, cfg.end_of_data, cfg.preprocess_config()
     )
@@ -197,7 +222,7 @@ def _load_features(cfg: RunConfig):
 
 def cmd_validate(cfg: RunConfig, outdir: Path) -> int:
     code_map = cfg.code_map()
-    cohort = load_cohort(cfg.inputs, code_map)
+    cohort = load_cohort(cfg.inputs)
     report = preprocess.apply_eligibility(cohort, code_map, cfg.end_of_data)
     preprocess.write_exclusions_csv(outdir / "exclusions.csv", report)
     _write_manifest(outdir, "validate", cfg.config_sha256, cfg.seed)
@@ -237,25 +262,18 @@ def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = 
     seed = _require_seed(cfg)
     features, _ = _load_features(cfg)
     outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
-    rows: list[tuple] = []
+    reports: list[tuple[str, evaluate.CvReport]] = []
     for oc in outcomes:
         fm = preprocess.build_matrix(features, "OUTCOME_MODEL", oc, cfg.feature_sets)
         oc_seed = derive_seed(seed, OUTCOME_NAMES.index(oc))
         report, scores = evaluate.cv_report_and_scores(
             fm, cfg.k, oc_seed, cfg.alpha_stay if eliminate else None
         )
-        evaluate.append_cv_rows(rows, oc, report)
+        reports.append((oc, report))
         # pooled held-out scores drive the published ROC points
         curve = evaluate.roc_curve(scores, fm.y)
         evaluate.write_roc_points(outdir / f"roc_points_{oc}.csv", oc, curve)
-    write_csv(
-        outdir / "cv_report.csv",
-        ("outcome", "fold", "auc"),
-        rows,
-        footer_comments=(
-            "imputation means are computed on the full included cohort before fold assignment",
-        ),
-    )
+    evaluate.write_cv_report(outdir / "cv_report.csv", reports)
     _write_manifest(outdir, "cv", cfg.config_sha256, seed)
     return 0
 
@@ -379,16 +397,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         if args.alpha_stay is not None:
             cfg.alpha_stay = args.alpha_stay
-            if not 0.0 < cfg.alpha_stay < 1.0:
-                raise ConfigError(f"alpha_stay must be in (0, 1), got {cfg.alpha_stay}")
         if args.k is not None:
             cfg.k = args.k
-            if cfg.k < 2:
-                raise ConfigError(f"k must be >= 2, got {cfg.k}")
         if args.b is not None:
             cfg.n_boot = args.b
-            if cfg.n_boot < causal.MIN_BOOTSTRAP:
-                raise ConfigError(f"B must be >= {causal.MIN_BOOTSTRAP}, got {cfg.n_boot}")
+        cfg.validate()
         outdir = Path(args.out) if args.out else cfg.out
         outdir.mkdir(parents=True, exist_ok=True)
 

@@ -229,16 +229,14 @@ class CohortPaths:
         )
 
 
-def load_cohort(paths: CohortPaths, code_map: CodeMap | None = None) -> list[PatientRecord]:
+def load_cohort(paths: CohortPaths) -> list[PatientRecord]:
     """Materialize the five event tables into a canonically sorted cohort.
 
-    ``code_map`` rides along for call sites that bundle the full input set;
-    loading itself does not consult it (codes are classified downstream).
+    Codes are not classified here; that happens downstream with a code map.
     Patients are returned sorted by patient_id with events sorted by
     (date, kind, value)-style keys, so any permutation of input rows yields an
     identical cohort.
     """
-    del code_map  # classification happens downstream
     patients: dict[str, dict] = {}
 
     for line_no, row in _read_rows(paths.patients, ("patient_id", "birth_date", "sex")):

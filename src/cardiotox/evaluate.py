@@ -57,22 +57,24 @@ def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
+def _tie_groups(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of equal values in a sorted array."""
+    first = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    first = np.concatenate(([0], first))
+    last = np.append(first[1:], len(sorted_scores)) - 1
+    return first, last
+
+
 def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative, ties at 1/2."""
     scores, labels = _scores_and_labels(scores, labels)
     n_pos, n_neg = _check_two_classes(labels)
 
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    first, last = _tie_groups(scores[order])
     ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average rank for the tie group, 1-based
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # average rank for each tie group, 1-based
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
 
     rank_sum_pos = float(np.sum(ranks[labels == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
@@ -87,21 +89,12 @@ def roc_curve(scores, labels) -> RocCurve:
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
+    first, last = _tie_groups(sorted_scores)
+    tp = np.cumsum(sorted_labels == 1)[last]
+    fp = np.cumsum(sorted_labels == 0)[last]
 
     points: list[tuple[float, float, float]] = [(0.0, 0.0, float("inf"))]
-    tp = 0
-    fp = 0
-    i = 0
-    n = len(sorted_scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        group = sorted_labels[i : j + 1]
-        tp += int(np.sum(group == 1))
-        fp += int(np.sum(group == 0))
-        points.append((fp / n_neg, tp / n_pos, float(sorted_scores[i])))
-        i = j + 1
+    points.extend(zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), sorted_scores[first].tolist()))
 
     area = 0.0
     for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
@@ -180,13 +173,14 @@ def cross_validated_auc(
     return cv_report_and_scores(fm, k, seed, alpha_stay)[0]
 
 
-def write_cv_report(path, outcome: str, report: CvReport) -> None:
-    rows: list[tuple] = [
-        (outcome, str(fold), a if a is not None else "NA")
-        for fold, a in enumerate(report.per_fold_auc)
-    ]
-    rows.append((outcome, "MEAN", report.mean_auc))
-    rows.append((outcome, "POOLED", report.pooled_auc))
+def write_cv_report(path, reports: list[tuple[str, CvReport]]) -> None:
+    """One row per fold (NA when undefined), then MEAN and POOLED, per outcome."""
+    rows: list[tuple] = []
+    for outcome, report in reports:
+        for fold, a in enumerate(report.per_fold_auc):
+            rows.append((outcome, str(fold), a if a is not None else "NA"))
+        rows.append((outcome, "MEAN", report.mean_auc))
+        rows.append((outcome, "POOLED", report.pooled_auc))
     write_csv(
         path,
         ("outcome", "fold", "auc"),
@@ -195,13 +189,6 @@ def write_cv_report(path, outcome: str, report: CvReport) -> None:
             "imputation means are computed on the full included cohort before fold assignment",
         ),
     )
-
-
-def append_cv_rows(rows: list, outcome: str, report: CvReport) -> None:
-    for fold, a in enumerate(report.per_fold_auc):
-        rows.append((outcome, str(fold), a if a is not None else "NA"))
-    rows.append((outcome, "MEAN", report.mean_auc))
-    rows.append((outcome, "POOLED", report.pooled_auc))
 
 
 def write_roc_points(path, outcome: str, curve: RocCurve) -> None:

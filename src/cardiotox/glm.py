@@ -49,7 +49,6 @@ class LogisticModel:
     iterations: int
     converged: bool
     n: int
-    ridge: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,13 @@ def find_collinear_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[str, 
     return tuple(offenders)
 
 
-def fit_logistic(
-    fm: FeatureMatrix, *, ridge: float = 0.0, start: np.ndarray | None = None
-) -> LogisticModel:
+def fit_logistic(fm: FeatureMatrix, *, start: np.ndarray | None = None) -> LogisticModel:
     """Fit by IRLS; raises instead of returning a bad model.
 
-    ``ridge`` adds a diagnostic penalty to the information matrix when
-    chasing near-collinearity and is never applied implicitly. ``start``
-    warm-starts the iteration (used by resampling loops); the optimum does
-    not depend on it.
+    ``start`` warm-starts the iteration (used by resampling loops); the
+    optimum does not depend on it. Each pass checks for separation and a
+    singular or ill-conditioned information matrix before it steps; the pass
+    after convergence makes the same checks at the optimum.
     """
     X, y = fm.X, fm.y
     n, p = X.shape
@@ -112,9 +109,10 @@ def fit_logistic(
     eta = X @ beta
     ll = _log_likelihood(eta, y)
     converged = False
-    iterations = 0
-
-    for iterations in range(1, MAX_ITERATIONS + 1):
+    # `iterations` counts the Newton steps taken before this pass
+    for iterations in range(MAX_ITERATIONS + 1):
+        if iterations == MAX_ITERATIONS and not converged:
+            raise NotConvergedError(f"no convergence after {MAX_ITERATIONS} iterations")
         prob = sigmoid(eta)
         if np.any((prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)):
             if np.max(np.abs(beta)) > SEPARATION_BETA_BOUND:
@@ -123,11 +121,12 @@ def fit_logistic(
                 )
         weights = prob * (1.0 - prob)
         info = (X * weights[:, None]).T @ X
-        if ridge > 0.0:
-            info = info + ridge * np.eye(p)
-        score = X.T @ (y - prob)
-        delta = _solve_information(info, score, X, fm.column_names)
+        chol = _cholesky_checked(info, X, fm.column_names)
+        if converged:
+            break
 
+        score = X.T @ (y - prob)
+        delta = np.linalg.solve(chol.T, np.linalg.solve(chol, score))
         step = 1.0
         new_beta = beta + delta
         new_eta = X @ new_beta
@@ -143,25 +142,10 @@ def fit_logistic(
         beta_change = float(np.max(np.abs(new_beta - beta)))
         dev_change = abs(-2.0 * new_ll - (-2.0 * ll)) / (abs(-2.0 * ll) + 1.0)
         beta, eta, ll = new_beta, new_eta, new_ll
-        if beta_change < BETA_TOL or dev_change < DEVIANCE_TOL:
-            converged = True
-            break
+        converged = beta_change < BETA_TOL or dev_change < DEVIANCE_TOL
 
-    if not converged:
-        raise NotConvergedError(f"no convergence after {MAX_ITERATIONS} iterations")
-
-    prob = sigmoid(eta)
-    if np.any((prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)):
-        if np.max(np.abs(beta)) > SEPARATION_BETA_BOUND:
-            raise SeparationError(
-                "fitted probabilities pinned at 0/1 with diverging coefficients"
-            )
-    weights = prob * (1.0 - prob)
-    info = (X * weights[:, None]).T @ X
-    if ridge > 0.0:
-        info = info + ridge * np.eye(p)
-    covariance = _invert_information(info, X, fm.column_names)
-
+    covariance = np.linalg.inv(info)
+    covariance = (covariance + covariance.T) / 2.0
     return LogisticModel(
         column_names=fm.column_names,
         beta=beta,
@@ -171,22 +155,11 @@ def fit_logistic(
         iterations=iterations,
         converged=True,
         n=n,
-        ridge=ridge,
     )
 
 
-def _check_conditioning(info: np.ndarray, X: np.ndarray, names: tuple[str, ...]) -> None:
-    eigvals = np.linalg.eigvalsh(info)
-    if eigvals[-1] <= 0.0 or eigvals[0] <= eigvals[-1] * SINGULAR_RTOL:
-        raise SingularInformationError(
-            "information matrix is singular at working tolerance",
-            find_collinear_columns(X, names),
-        )
-
-
-def _solve_information(
-    info: np.ndarray, rhs: np.ndarray, X: np.ndarray, names: tuple[str, ...]
-) -> np.ndarray:
+def _cholesky_checked(info: np.ndarray, X: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """Cholesky factor of the information matrix; raises if it is singular or ill-conditioned."""
     try:
         chol = np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
@@ -194,22 +167,13 @@ def _solve_information(
             "information matrix is not positive definite",
             find_collinear_columns(X, names),
         ) from None
-    _check_conditioning(info, X, names)
-    z = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, z)
-
-
-def _invert_information(info: np.ndarray, X: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
+    eigvals = np.linalg.eigvalsh(info)
+    if eigvals[-1] <= 0.0 or eigvals[0] <= eigvals[-1] * SINGULAR_RTOL:
         raise SingularInformationError(
-            "information matrix is not positive definite",
+            "information matrix is singular at working tolerance",
             find_collinear_columns(X, names),
-        ) from None
-    _check_conditioning(info, X, names)
-    cov = np.linalg.inv(info)
-    return (cov + cov.T) / 2.0
+        )
+    return chol
 
 
 def pairwise_products(X: np.ndarray) -> np.ndarray:

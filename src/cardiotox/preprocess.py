@@ -15,11 +15,13 @@ looks into follow-up and outcomes never look into baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +72,11 @@ CONTINUOUS_KINDS = (
     ObservationKind.TRIGLYCERIDE,
 )
 
+# Feature names of the continuous kinds, in CONTINUOUS_KINDS order.
+LAB_FIELDS = tuple(kind.value.lower() for kind in CONTINUOUS_KINDS)
+
 MEAN_IMPUTED_FIELDS = ("triglyceride", "bmi", "dbp", "sbp")
+_CONSTANT_IMPUTE = {"hdl": HDL_IMPUTE, "ldl": LDL_IMPUTE, "hba1c": HBA1C_IMPUTE}
 
 DEFAULT_ANTIHYPERTENSIVE_CLASSES = frozenset(
     {
@@ -131,8 +137,6 @@ class RawBaseline:
     diabetes: bool
     hyperlipidemia: bool
     medication_flags: dict[DrugClass, bool]
-    antihypertensive_medication: bool
-    antihyperlipidemia_medication: bool
     treatment: Treatment
     outcomes: dict[str, bool]
 
@@ -298,12 +302,6 @@ def summarize_baseline(
         diabetes=conditions["diabetes"],
         hyperlipidemia=conditions["hyperlipidemia"],
         medication_flags=med_flags,
-        antihypertensive_medication=any(
-            med_flags[cls] for cls in config.antihypertensive_classes
-        ),
-        antihyperlipidemia_medication=any(
-            med_flags[cls] for cls in config.antihyperlipidemia_classes
-        ),
         treatment=p.treatments[0].treatment,
         outcomes=outcome_flags,
     )
@@ -319,73 +317,87 @@ def cohort_means(raws: list[RawBaseline]) -> dict[str, float]:
     return means
 
 
-def impute(raw: RawBaseline, means: dict[str, float]) -> BaselineFeatures:
-    """Fill missing continuous fields and derive the abnormality flags.
+def impute(
+    raw: RawBaseline, means: dict[str, float], config: PreprocessConfig = PreprocessConfig()
+) -> BaselineFeatures:
+    """Fill missing continuous fields, then derive the features from them.
 
     Triglyceride, BMI, DBP and SBP fall back to the cohort mean; HDL, LDL and
     HbA1c to the constants 55, 115 and 6.0. The derived flags are evaluated on
     post-imputation values, so imputation is idempotent.
     """
     imputed: set[str] = set()
-
-    def fill(name: str, constant: float | None = None) -> float:
+    labs: list[float] = []
+    for name in LAB_FIELDS:
         value = getattr(raw, name)
-        if value is not None:
-            return float(value)
-        imputed.add(name)
-        if constant is not None:
-            return constant
-        if name not in means or not math.isfinite(means[name]):
-            raise EmptyCohortMeanError(name)
-        return means[name]
+        if value is None:
+            imputed.add(name)
+            if name in _CONSTANT_IMPUTE:
+                value = _CONSTANT_IMPUTE[name]
+            elif name not in means or not math.isfinite(means[name]):
+                raise EmptyCohortMeanError(name)
+            else:
+                value = means[name]
+        labs.append(float(value))
 
-    sbp = fill("sbp")
-    dbp = fill("dbp")
-    bmi = fill("bmi")
-    triglyceride = fill("triglyceride")
-    hdl = fill("hdl", HDL_IMPUTE)
-    ldl = fill("ldl", LDL_IMPUTE)
-    hba1c = fill("hba1c", HBA1C_IMPUTE)
-
-    return BaselineFeatures(
-        patient_id=raw.patient_id,
-        age=raw.age,
-        sbp=sbp,
-        dbp=dbp,
-        bmi=bmi,
-        hdl=hdl,
-        ldl=ldl,
-        hba1c=hba1c,
-        triglyceride=triglyceride,
-        troponin_flag=raw.troponin_flag,
-        abnormal_blood_pressure=(sbp > 130.0 or dbp > 80.0),
-        abnormal_blood_lipid=(ldl > 130.0 or hdl < 50.0 or triglyceride > 150.0),
-        hypertension=raw.hypertension,
-        diabetes=raw.diabetes,
-        hyperlipidemia=raw.hyperlipidemia,
-        insulin=raw.medication_flags[DrugClass.INSULIN],
-        metformin=raw.medication_flags[DrugClass.METFORMIN],
-        statin=raw.medication_flags[DrugClass.STATIN],
-        ace_inhibitor=raw.medication_flags[DrugClass.ACE_INHIBITOR],
-        arb=raw.medication_flags[DrugClass.ARB],
-        antihypertensive_combination=raw.medication_flags[
-            DrugClass.ANTIHYPERTENSIVE_COMBINATION
-        ],
-        vasodilator=raw.medication_flags[DrugClass.VASODILATOR],
-        antiarrhythmic=raw.medication_flags[DrugClass.ANTIARRHYTHMIC],
-        beta_blocker=raw.medication_flags[DrugClass.BETA_BLOCKER],
-        calcium_blocker=raw.medication_flags[DrugClass.CALCIUM_BLOCKER],
-        diuretic=raw.medication_flags[DrugClass.DIURETIC],
-        antihyperlipidemic_other=raw.medication_flags[DrugClass.ANTIHYPERLIPIDEMIC_OTHER],
-        antihypertensive_medication=raw.antihypertensive_medication,
-        antihyperlipidemia_medication=raw.antihyperlipidemia_medication,
-        treatment=raw.treatment,
-        chf=raw.outcomes["CHF"],
-        cad=raw.outcomes["CAD"],
-        cm=raw.outcomes["CM"],
-        mi=raw.outcomes["MI"],
-        imputed=frozenset(imputed),
+    return baseline_features(
+        raw.patient_id,
+        raw.age,
+        labs,
+        raw.troponin_flag,
+        (raw.hypertension, raw.diabetes, raw.hyperlipidemia),
+        [raw.medication_flags[cls] for cls in DrugClass],
+        raw.treatment,
+        [raw.outcomes[name] for name in OUTCOME_NAMES],
+        config,
+        frozenset(imputed),
     )
+
+
+def baseline_features(
+    patient_id: str,
+    age: float,
+    labs: Sequence[float],
+    troponin_flag: bool,
+    conditions: Sequence[bool],
+    medications: Sequence[bool],
+    treatment: Treatment,
+    outcomes: Sequence[bool],
+    config: PreprocessConfig = PreprocessConfig(),
+    imputed: frozenset[str] = frozenset(),
+) -> BaselineFeatures:
+    """One feature row from complete baseline values.
+
+    ``labs`` holds the values of ``LAB_FIELDS``, ``conditions`` the
+    hypertension, diabetes and hyperlipidemia flags, ``medications`` one flag
+    per ``DrugClass`` and ``outcomes`` one flag per ``OUTCOME_NAMES`` entry,
+    each in that order. This is the one place that derives the abnormality
+    flags and the aggregate medication flags, for preprocessing and for
+    synthetic cohorts alike. Fields are filled by position (half the cost of
+    keywords), in the declaration order of ``BaselineFeatures``, where each
+    drug class has the medication field of its lower-cased name.
+    """
+    sbp, dbp, bmi, hdl, ldl, hba1c, triglyceride = labs
+    return BaselineFeatures(
+        patient_id,
+        age,
+        *labs,
+        troponin_flag,
+        sbp > 130.0 or dbp > 80.0,
+        ldl > 130.0 or hdl < 50.0 or triglyceride > 150.0,
+        *conditions,
+        *medications,
+        any([medications[i] for i in _class_positions(config.antihypertensive_classes)]),
+        any([medications[i] for i in _class_positions(config.antihyperlipidemia_classes)]),
+        treatment,
+        *outcomes,
+        imputed,
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _class_positions(classes: frozenset[DrugClass]) -> tuple[int, ...]:
+    return tuple(i for i, cls in enumerate(DrugClass) if cls in classes)
 
 
 def compute_features(
@@ -404,7 +416,7 @@ def compute_features(
         assert index is not None
         raws.append(summarize_baseline(p, index, code_map, config))
     means = cohort_means(raws)
-    features = [impute(r, means) for r in raws]
+    features = [impute(r, means, config) for r in raws]
     features.sort(key=lambda f: f.patient_id)
     return features, report
 
@@ -442,37 +454,11 @@ class FeatureMatrix:
 
 TREATMENT_DUMMY_COLUMNS = ("treatment_chemotherapy", "treatment_targeted")
 
-# Scalar fields usable as predictors (booleans become 0/1 columns).
-_SCALAR_FEATURES = (
-    "age",
-    "sbp",
-    "dbp",
-    "bmi",
-    "hdl",
-    "ldl",
-    "hba1c",
-    "triglyceride",
-    "troponin_flag",
-    "abnormal_blood_pressure",
-    "abnormal_blood_lipid",
-    "hypertension",
-    "diabetes",
-    "hyperlipidemia",
-    "insulin",
-    "metformin",
-    "statin",
-    "ace_inhibitor",
-    "arb",
-    "antihypertensive_combination",
-    "vasodilator",
-    "antiarrhythmic",
-    "beta_blocker",
-    "calcium_blocker",
-    "diuretic",
-    "antihyperlipidemic_other",
-    "antihypertensive_medication",
-    "antihyperlipidemia_medication",
-)
+# Scalar fields usable as predictors (booleans become 0/1 columns): every
+# float or bool field of BaselineFeatures except the outcome flags.
+_SCALAR_FEATURES = frozenset(
+    f.name for f in dataclass_fields(BaselineFeatures) if f.type in ("float", "bool")
+) - {name.lower() for name in OUTCOME_NAMES}
 
 # Built-in predictor lists. "treatment" expands to the two dummy columns with
 # radiation as the reference arm.

@@ -38,17 +38,18 @@ import numpy as np
 from . import evaluate
 from .cohort import DrugClass, ObservationKind, Treatment, default_code_map_rows
 from .errors import InvalidSpecError
+from .glm import sigmoid
+from .preprocess import LAB_FIELDS, OUTCOME_NAMES, BaselineFeatures, baseline_features
 from .rng import SplitMix64, derive_seed
 from .tableio import write_csv
 
-OUTCOME_NAMES = ("CHF", "CAD", "CM", "MI")
 TREATMENT_KEYS = ("CHEMOTHERAPY", "TARGETED")
 
 AGE_MIN = 18
 AGE_MAX = 100
 TROPONIN_OBS_VALUE = 0.05
 
-_OBSERVATION_SLOTS = ("sbp", "dbp", "bmi", "hdl", "ldl", "hba1c", "triglyceride")
+_OBSERVATION_SLOTS = LAB_FIELDS
 _CONDITION_SLOTS = ("hypertension", "diabetes", "hyperlipidemia")
 _MEDICATION_SLOTS = tuple(cls.value.lower() for cls in DrugClass)
 _BINARY_SLOTS = frozenset(("troponin",) + _CONDITION_SLOTS + _MEDICATION_SLOTS)
@@ -341,15 +342,6 @@ def _linear_predictor(
     return eta
 
 
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=np.float64)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _sample_treatments(
     model: TreatmentModel, values: dict[str, np.ndarray], rng: SplitMix64, n: int
 ) -> np.ndarray:
@@ -360,8 +352,8 @@ def _sample_treatments(
         arms[u < model.p_chemo + model.p_targeted] = Treatment.TARGETED
         arms[u < model.p_chemo] = Treatment.CHEMOTHERAPY
         return arms
-    p_chemo = _sigmoid(_linear_predictor(model.chemo_vs_rest, values, n))
-    p_targeted = _sigmoid(_linear_predictor(model.targeted_vs_radiation, values, n))
+    p_chemo = sigmoid(_linear_predictor(model.chemo_vs_rest, values, n))
+    p_targeted = sigmoid(_linear_predictor(model.targeted_vs_radiation, values, n))
     u1 = rng.uniform(n)
     u2 = rng.uniform(n)
     arms[:] = Treatment.RADIATION
@@ -379,8 +371,8 @@ def _arm_probabilities(
             Treatment.TARGETED: np.full(n, model.p_targeted),
             Treatment.RADIATION: np.full(n, 1.0 - model.p_chemo - model.p_targeted),
         }
-    p_chemo = _sigmoid(_linear_predictor(model.chemo_vs_rest, values, n))
-    p_targ_given_rest = _sigmoid(_linear_predictor(model.targeted_vs_radiation, values, n))
+    p_chemo = sigmoid(_linear_predictor(model.chemo_vs_rest, values, n))
+    p_targ_given_rest = sigmoid(_linear_predictor(model.targeted_vs_radiation, values, n))
     p_targeted = (1.0 - p_chemo) * p_targ_given_rest
     return {
         Treatment.CHEMOTHERAPY: p_chemo,
@@ -412,7 +404,7 @@ def generate(spec: SyntheticSpec) -> SyntheticCohort:
     for outcome in OUTCOME_NAMES:
         if outcome in spec.outcome_models:
             eta = _outcome_eta(spec.outcome_models[outcome], values, treatments, n)
-            outcomes[outcome] = rng.uniform(n) < _sigmoid(eta)
+            outcomes[outcome] = rng.uniform(n) < sigmoid(eta)
         else:
             outcomes[outcome] = np.zeros(n, dtype=bool)
 
@@ -505,14 +497,14 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
     )
 
 
-def to_features(sc: SyntheticCohort):
+def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
     """Baseline feature rows straight from the sampled values.
 
     Bypasses file emission for simulation loops; must stay exactly equivalent
     to generate -> write_cohort -> load_cohort -> compute_features, which the
-    test suite asserts. Requires a fully filled cohort.
+    test suite asserts. Features are derived by ``preprocess.baseline_features``,
+    as in preprocessing. Requires a fully filled cohort.
     """
-    from .preprocess import BaselineFeatures
 
     def col(name: str) -> np.ndarray:
         column = sc.slot(name)
@@ -520,69 +512,18 @@ def to_features(sc: SyntheticCohort):
             raise InvalidSpecError(f"cohort has no values for slot '{name}'")
         return column
 
-    n = sc.spec.n
-    ages = col("age")
-    obs = {name: col(name) for name in _OBSERVATION_SLOTS}
-    troponin = col("troponin")
-    conditions = {name: col(name) for name in _CONDITION_SLOTS}
-    meds = {name: col(name) for name in _MEDICATION_SLOTS}
-
-    anti_htn = (
-        "ace_inhibitor",
-        "arb",
-        "beta_blocker",
-        "calcium_blocker",
-        "diuretic",
-        "vasodilator",
-        "antihypertensive_combination",
-    )
-    anti_lipid = ("statin", "antihyperlipidemic_other")
-
-    features = []
-    for i in range(n):
-        sbp, dbp = obs["sbp"][i], obs["dbp"][i]
-        hdl, ldl = obs["hdl"][i], obs["ldl"][i]
-        trig = obs["triglyceride"][i]
-        features.append(
-            BaselineFeatures(
-                patient_id=sc.patient_ids[i],
-                age=float(ages[i]),
-                sbp=float(sbp),
-                dbp=float(dbp),
-                bmi=float(obs["bmi"][i]),
-                hdl=float(hdl),
-                ldl=float(ldl),
-                hba1c=float(obs["hba1c"][i]),
-                triglyceride=float(trig),
-                troponin_flag=bool(troponin[i]),
-                abnormal_blood_pressure=bool(sbp > 130.0 or dbp > 80.0),
-                abnormal_blood_lipid=bool(ldl > 130.0 or hdl < 50.0 or trig > 150.0),
-                hypertension=bool(conditions["hypertension"][i]),
-                diabetes=bool(conditions["diabetes"][i]),
-                hyperlipidemia=bool(conditions["hyperlipidemia"][i]),
-                insulin=bool(meds["insulin"][i]),
-                metformin=bool(meds["metformin"][i]),
-                statin=bool(meds["statin"][i]),
-                ace_inhibitor=bool(meds["ace_inhibitor"][i]),
-                arb=bool(meds["arb"][i]),
-                antihypertensive_combination=bool(meds["antihypertensive_combination"][i]),
-                vasodilator=bool(meds["vasodilator"][i]),
-                antiarrhythmic=bool(meds["antiarrhythmic"][i]),
-                beta_blocker=bool(meds["beta_blocker"][i]),
-                calcium_blocker=bool(meds["calcium_blocker"][i]),
-                diuretic=bool(meds["diuretic"][i]),
-                antihyperlipidemic_other=bool(meds["antihyperlipidemic_other"][i]),
-                antihypertensive_medication=any(bool(meds[m][i]) for m in anti_htn),
-                antihyperlipidemia_medication=any(bool(meds[m][i]) for m in anti_lipid),
-                treatment=sc.treatments[i],
-                chf=bool(sc.outcomes["CHF"][i]),
-                cad=bool(sc.outcomes["CAD"][i]),
-                cm=bool(sc.outcomes["CM"][i]),
-                mi=bool(sc.outcomes["MI"][i]),
-                imputed=frozenset(),
-            )
+    ages = col("age").tolist()
+    labs = zip(*(col(name).tolist() for name in _OBSERVATION_SLOTS))
+    troponin = (col("troponin") != 0.0).tolist()
+    conditions = zip(*((col(name) != 0.0).tolist() for name in _CONDITION_SLOTS))
+    meds = zip(*((col(name) != 0.0).tolist() for name in _MEDICATION_SLOTS))
+    outcomes = zip(*(sc.outcomes[name].tolist() for name in OUTCOME_NAMES))
+    return [
+        baseline_features(*row)
+        for row in zip(
+            sc.patient_ids, ages, labs, troponin, conditions, meds, sc.treatments, outcomes
         )
-    return features
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +554,13 @@ def _mc_effect(
     b_t = coefs.get(treatment, 0.0)
     b_0 = coefs.get("intercept", 0.0)
     if _is_closed_form(coefs):
-        value = float(_sigmoid(np.array([b_0 + b_t]))[0] - _sigmoid(np.array([b_0]))[0])
+        value = float(sigmoid(np.array([b_0 + b_t]))[0] - sigmoid(np.array([b_0]))[0])
         return value, 0.0
 
     rng = SplitMix64(derive_seed(spec.seed, _TRUTH_COV_TAG))
     values = _sample_covariates(spec, rng, n_mc)
     eta_base = _linear_predictor(coefs, values, n_mc)
-    diff = _sigmoid(eta_base + b_t) - _sigmoid(eta_base)
+    diff = sigmoid(eta_base + b_t) - sigmoid(eta_base)
 
     if estimand == "ATE":
         return float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(n_mc))
@@ -659,7 +600,7 @@ def _mc_auc(spec: SyntheticSpec, outcome: str, n_mc: int) -> tuple[float, float]
     values = _sample_covariates(spec, rng, n_mc)
     treatments = _sample_treatments(spec.treatment_model, values, rng, n_mc)
     eta = _outcome_eta(coefs, values, treatments, n_mc)
-    y = rng.uniform(n_mc) < _sigmoid(eta)
+    y = rng.uniform(n_mc) < sigmoid(eta)
     value = evaluate.auc(eta, y.astype(np.int64))
     n1 = int(np.sum(y))
     n0 = n_mc - n1

@@ -216,7 +216,7 @@ def test_c06_cv_sanity(tmp_path):
     oracle = synth.true_auc(spec, "CHF", 1_000_000)
     synth.write_cohort(synth.generate(spec), tmp_path)
     cmap = cohort.load_code_map(tmp_path / "code_map.csv")
-    patients = cohort.load_cohort(cohort.CohortPaths.in_dir(tmp_path), cmap)
+    patients = cohort.load_cohort(cohort.CohortPaths.in_dir(tmp_path))
     feats, _ = preprocess.compute_features(patients, cmap, spec.layout.end_of_data)
     fm = preprocess.build_matrix(feats, "OUTCOME_MODEL", "CHF")
     report = evaluate.cross_validated_auc(fm, 5, seed=777, alpha_stay=None)
@@ -421,7 +421,7 @@ GOLDEN_MATRIX = np.array([
 
 def test_c09_preprocessing_golden_fixture():
     cmap = cohort.load_code_map(DATA / "golden" / "code_map.csv")
-    patients = cohort.load_cohort(cohort.CohortPaths.in_dir(DATA / "golden"), cmap)
+    patients = cohort.load_cohort(cohort.CohortPaths.in_dir(DATA / "golden"))
     feats, report = preprocess.compute_features(
         patients, cmap, date(2020, 12, 31))
 

@@ -2,8 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cardiotox import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 SPEC = {
     "n": 500, "seed": 4242,
@@ -207,3 +210,65 @@ def test_manifest_contents(synth_dir, tmp_path):
     assert manifest["seed"] == 4242
     assert set(manifest) == {"command", "config_sha256", "seed", "package_version",
                              "numpy_version", "python_version"}
+
+
+def golden_config(**overrides):
+    config = {
+        "inputs": {name: str(GOLDEN / f"{name}.csv") for name in
+                   ("patients", "observations", "diagnoses", "medications", "treatments")},
+        "code_map": str(GOLDEN / "code_map.csv"),
+        "end_of_data": "2020-12-31",
+        "seed": 5,
+    }
+    config.update(overrides)
+    return config
+
+
+def run_validate(config, root):
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return cli.main(["validate", "--config", str(cfg_path), "--out", str(root / "o")])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("k", "abc"),
+    ("alpha_stay", "x"),
+    ("seed", "s"),
+    ("feature_sets", ["a"]),
+    ("feature_sets", {"MINE": "age"}),
+    ("eliminate_in_causal", "false"),
+    ("arms_only_ate", 0),
+    ("B", 1000.7),
+    ("k", True),
+    ("troponin_threshold", float("nan")),
+    ("antihypertensive_classes", 5),
+    ("out", 7),
+])
+def test_mistyped_config_value_exits_4(tmp_path, capsys, key, value):
+    assert run_validate(golden_config(**{key: value}), tmp_path) == 4
+    assert "error[CONFIG]" in capsys.readouterr().err
+
+
+def test_well_typed_config_values_pass(tmp_path):
+    config = golden_config(k=3, alpha_stay=0.2, B=100, seed=-3, eliminate_in_causal=True,
+                           arms_only_ate=False, outcome_horizon_days=365,
+                           troponin_threshold=1, feature_sets={"MINE": ["age", "sbp"]})
+    assert run_validate(config, tmp_path) == 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@given(key=st.sampled_from(["k", "alpha_stay", "seed", "B", "feature_sets",
+                            "eliminate_in_causal", "arms_only_ate"]),
+       value=JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_any_json_config_value_exits_0_or_4(tmp_path_factory, key, value):
+    # cli.main turns only PipelineErrors into exit codes, so a traceback fails here
+    code = run_validate(golden_config(**{key: value}), tmp_path_factory.mktemp("cfg"))
+    assert code in (0, 4)

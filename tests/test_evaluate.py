@@ -24,6 +24,83 @@ def brute_force_auc(scores, labels):
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def while_loop_auc(scores, labels):
+    """The earlier rank-by-while-loop ``auc``, kept as a bit-exact reference."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum_pos = float(np.sum(ranks[labels == 1]))
+    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def while_loop_roc(scores, labels):
+    """The earlier while-loop ``roc_curve``: (points, trapezoid area)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    i = 0
+    n = len(sorted_scores)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        group = sorted_labels[i : j + 1]
+        tp += int(np.sum(group == 1))
+        fp += int(np.sum(group == 0))
+        points.append((fp / n_neg, tp / n_pos, float(sorted_scores[i])))
+        i = j + 1
+    area = 0.0
+    for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
+        area += (fpr1 - fpr0) * (tpr1 + tpr0) / 2.0
+    return tuple(points), area
+
+
+class TestTieGroupingMatchesWhileLoops:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_on_heavy_ties(self, data):
+        n = data.draw(st.integers(2, 80))
+        levels = data.draw(st.integers(1, 6))
+        scores = np.array(data.draw(st.lists(
+            st.integers(0, levels), min_size=n, max_size=n))) / 3.0
+        if data.draw(st.booleans()):  # signed zeros and a spread scale
+            scores = (scores - scores.mean()) * data.draw(st.sampled_from([1.0, -1e-3, 7e5]))
+            zero = scores == 0.0
+            negative = data.draw(st.lists(st.booleans(), min_size=int(zero.sum()),
+                                          max_size=int(zero.sum())))
+            scores[zero] = np.where(negative, -0.0, 0.0)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        if labels.sum() in (0, n):
+            return
+        assert evaluate.auc(scores, labels) == while_loop_auc(scores, labels)
+        points, area = while_loop_roc(scores, labels)
+        curve = evaluate.roc_curve(scores, labels)
+        assert curve.auc == area
+        assert len(curve.points) == len(points)
+        for got, want in zip(curve.points, points):
+            assert got == want
+            assert [type(v) for v in got] == [float, float, float]
+            assert [np.copysign(1.0, v) for v in got] == [np.copysign(1.0, v) for v in want]
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert evaluate.auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0

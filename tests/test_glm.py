@@ -7,6 +7,7 @@ from cardiotox import glm
 from cardiotox.errors import (
     DegenerateOutcomeError,
     DimensionMismatchError,
+    NotConvergedError,
     SeparationError,
     SingularInformationError,
     ZeroSeError,
@@ -115,18 +116,6 @@ class TestFit:
         cold = glm.fit_logistic(fm)
         warm = glm.fit_logistic(fm, start=cold.beta + 0.05)
         assert np.max(np.abs(cold.beta - warm.beta)) < 1e-7
-
-    def test_ridge_flag_diagnoses_collinearity(self):
-        g = SplitMix64(27)
-        x = g.normal(300)
-        X = np.column_stack([np.ones(300), x, x])
-        y = (g.uniform(300) < 0.4).astype(float)
-        fm = matrix(X, y, ("intercept", "a", "a_copy"))
-        with pytest.raises(SingularInformationError):
-            glm.fit_logistic(fm)
-        m = glm.fit_logistic(fm, ridge=1e-8)
-        assert m.ridge == 1e-8  # penalty is recorded, never silent
-        assert m.converged
 
 
 class TestPredict:
@@ -305,6 +294,17 @@ class TestFitCounts:
         assert np.isnan(betas[1]).all() and np.array_equal(betas[0], betas[2])
         with pytest.raises(SingularInformationError):
             glm.fit_logistic(matrix(X[rare == 0.0], fm.y[rare == 0.0]))
+
+    def test_not_converged_when_iterations_run_out(self, monkeypatch):
+        fm = simulate(45, 500, (-1.5, 1.2, -0.8))
+        assert glm.fit_logistic(fm).iterations > 2
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", 2)
+        with pytest.raises(NotConvergedError):
+            glm.fit_logistic(fm)
+        betas, codes = glm.fit_logistic_counts(
+            fm.X, fm.y, np.ones((1, fm.n)), np.zeros(fm.p), glm.pairwise_products(fm.X)
+        )
+        assert codes == [NotConvergedError.code] and np.isnan(betas).all()
 
 
 class TestNormalized:

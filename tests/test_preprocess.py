@@ -18,10 +18,16 @@ from cardiotox.cohort import (
 )
 from cardiotox.errors import EmptyCohortMeanError, UnknownFeatureError
 from cardiotox.preprocess import (
+    DEFAULT_ANTIHYPERLIPIDEMIA_CLASSES,
+    DEFAULT_ANTIHYPERTENSIVE_CLASSES,
+    FEATURE_COLUMNS,
+    LAB_FIELDS,
+    OUTCOME_NAMES,
     BaselineFeatures,
     ExclusionReason,
     PreprocessConfig,
     apply_eligibility,
+    baseline_features,
     build_matrix,
     cohort_means,
     compute_features,
@@ -209,7 +215,8 @@ class TestSummarize:
         raw = summarize_baseline(p, INDEX, CMAP)
         assert raw.medication_flags[DrugClass.ARB] is True
         assert raw.medication_flags[DrugClass.INSULIN] is False
-        assert raw.antihypertensive_medication is True
+        means = {"sbp": 120.0, "dbp": 70.0, "bmi": 25.0, "triglyceride": 110.0}
+        assert impute(raw, means).antihypertensive_medication is True
 
     def test_outcome_strictly_after_index(self):
         dx_on = DiagnosisEvent(INDEX, CodeSystem.ICD10, "I25.1")
@@ -233,7 +240,6 @@ def raw_features(**overrides):
         ldl=100.0, hba1c=5.5, triglyceride=110.0, troponin_flag=False,
         hypertension=False, diabetes=False, hyperlipidemia=False,
         medication_flags={cls: False for cls in DrugClass},
-        antihypertensive_medication=False, antihyperlipidemia_medication=False,
         treatment=Treatment.RADIATION,
         outcomes={"CHF": False, "CAD": False, "CM": False, "MI": False},
     )
@@ -294,6 +300,53 @@ class TestImpute:
         raws = [raw_features(sbp=120.0), raw_features(patient_id="P2", sbp=None),
                 raw_features(patient_id="P3", sbp=132.0)]
         assert cohort_means(raws)["sbp"] == 126.0
+
+
+class TestBaselineFeatures:
+    def test_every_field_lands_under_its_name(self):
+        # baseline_features fills BaselineFeatures by position; distinct values,
+        # and one flag set at a time, show that each reaches the field of its name
+        labs = (131.0, 79.0, 27.5, 51.0, 129.5, 6.1, 149.0)  # only BP abnormal
+        flags = {
+            "troponin_flag": ("troponin_flag",),
+            "conditions": ("hypertension", "diabetes", "hyperlipidemia"),
+            "medications": tuple(cls.value.lower() for cls in DrugClass),
+            "outcomes": tuple(name.lower() for name in OUTCOME_NAMES),
+        }
+
+        def build(**set_flags):
+            args = {key: tuple(False for _ in names) for key, names in flags.items()}
+            args.update(set_flags)
+            return baseline_features("P9", 44.0, labs, args["troponin_flag"][0],
+                                     args["conditions"], args["medications"],
+                                     Treatment.TARGETED, args["outcomes"],
+                                     imputed=frozenset({"hdl"}))
+
+        bf = build()
+        assert (bf.patient_id, bf.age, bf.treatment, bf.imputed) == (
+            "P9", 44.0, Treatment.TARGETED, {"hdl"})
+        assert [getattr(bf, name) for name in LAB_FIELDS] == list(labs)
+        aggregates = {
+            "antihypertensive_medication": DEFAULT_ANTIHYPERTENSIVE_CLASSES,
+            "antihyperlipidemia_medication": DEFAULT_ANTIHYPERLIPIDEMIA_CLASSES,
+        }
+        for key, names in flags.items():
+            for k, name in enumerate(names):
+                row = build(**{key: tuple(i == k for i in range(len(names)))})
+                expected = {name, "abnormal_blood_pressure"}
+                if key == "medications":
+                    cls = list(DrugClass)[k]
+                    expected |= {flag for flag, classes in aggregates.items() if cls in classes}
+                assert {f for f in FEATURE_COLUMNS if getattr(row, f) is True} == expected
+
+    def test_aggregate_flags_follow_configured_classes(self):
+        raw = raw_features(medication_flags={cls: cls is DrugClass.INSULIN for cls in DrugClass})
+        assert impute(raw, {}).antihypertensive_medication is False
+        cfg = PreprocessConfig(antihypertensive_classes=frozenset({DrugClass.INSULIN}),
+                               antihyperlipidemia_classes=frozenset())
+        bf = impute(raw, {}, cfg)
+        assert bf.antihypertensive_medication is True
+        assert bf.antihyperlipidemia_medication is False
 
 
 def features_fixture(pid, treatment, **overrides):

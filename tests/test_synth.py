@@ -49,7 +49,7 @@ class TestGenerate:
         sc = synth.generate(spec)
         synth.write_cohort(sc, tmp_path)
         cmap = cohort.load_code_map(tmp_path / "code_map.csv")
-        patients = cohort.load_cohort(cohort.CohortPaths.in_dir(tmp_path), cmap)
+        patients = cohort.load_cohort(cohort.CohortPaths.in_dir(tmp_path))
         assert len(patients) == 100
         index = spec.layout.index_date
         for p in patients:
@@ -88,7 +88,7 @@ class TestGenerate:
         direct = synth.to_features(sc)
         synth.write_cohort(sc, tmp_path)
         cmap = cohort.load_code_map(tmp_path / "code_map.csv")
-        patients = cohort.load_cohort(cohort.CohortPaths.in_dir(tmp_path), cmap)
+        patients = cohort.load_cohort(cohort.CohortPaths.in_dir(tmp_path))
         via_files, report = preprocess.compute_features(
             patients, cmap, spec.layout.end_of_data
         )
