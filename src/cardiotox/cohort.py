@@ -194,10 +194,11 @@ def load_code_map(path: str | Path) -> CodeMap:
     """Load a code map from a CSV of (code_system, code_prefix, category)."""
     path = Path(path)
     entries: dict[CodeSystem, dict[str, DiagnosisCategory]] = {}
-    for line_no, row in _read_rows(path, ("code_system", "code_prefix", "category")):
-        system = _parse_enum(CodeSystem, row["code_system"], path, line_no, "code_system")
-        category = _parse_enum(DiagnosisCategory, row["category"], path, line_no, "category")
-        prefix = row["code_prefix"]
+    for line_no, (system, prefix, category) in _read_rows(
+        path, ("code_system", "code_prefix", "category")
+    ):
+        system = _parse_enum(CodeSystem, system, path, line_no, "code_system")
+        category = _parse_enum(DiagnosisCategory, category, path, line_no, "category")
         if not prefix:
             raise MalformedRowError(str(path), line_no, "code_prefix", "empty prefix")
         table = entries.setdefault(system, {})
@@ -229,6 +230,62 @@ class CohortPaths:
         )
 
 
+# Event row parsers. The caller has checked patient_id; each parser checks the
+# other fields in a fixed order (an observation's value comes first), so a row
+# with several faults always reports the same one.
+
+
+def _observation(row: list[str], path: Path, line_no: int) -> Observation:
+    _, day, kind, value = row
+    number = _parse_value(value, path, line_no)
+    return Observation(
+        _parse_date(day, path, line_no, "date"),
+        _parse_enum(ObservationKind, kind, path, line_no, "kind"),
+        number,
+    )
+
+
+def _diagnosis(row: list[str], path: Path, line_no: int) -> DiagnosisEvent:
+    _, day, system, code = row
+    if not code:
+        raise MalformedRowError(str(path), line_no, "code", "empty code")
+    return DiagnosisEvent(
+        _parse_date(day, path, line_no, "date"),
+        _parse_enum(CodeSystem, system, path, line_no, "code_system"),
+        code,
+    )
+
+
+def _medication(row: list[str], path: Path, line_no: int) -> MedicationEvent:
+    _, day, drug_class = row
+    return MedicationEvent(
+        _parse_date(day, path, line_no, "date"),
+        _parse_enum(DrugClass, drug_class, path, line_no, "drug_class"),
+    )
+
+
+def _treatment(row: list[str], path: Path, line_no: int) -> TreatmentEvent:
+    _, day, treatment = row
+    return TreatmentEvent(
+        _parse_date(day, path, line_no, "date"),
+        _parse_enum(Treatment, treatment, path, line_no, "treatment"),
+    )
+
+
+# The event tables in PatientRecord field order: the field name (also the
+# CohortPaths field), the header, the row parser and the canonical sort key.
+_EVENT_TABLES = (
+    ("observations", ("patient_id", "date", "kind", "value"), _observation,
+     lambda o: (o.date, o.kind.value, o.value)),
+    ("diagnoses", ("patient_id", "date", "code_system", "code"), _diagnosis,
+     lambda d: (d.date, d.code_system.value, d.code)),
+    ("medications", ("patient_id", "date", "drug_class"), _medication,
+     lambda m: (m.date, m.drug_class.value)),
+    ("treatments", ("patient_id", "date", "treatment"), _treatment,
+     lambda t: (t.date, t.treatment.value)),
+)
+
+
 def load_cohort(paths: CohortPaths) -> list[PatientRecord]:
     """Materialize the five event tables into a canonically sorted cohort.
 
@@ -237,101 +294,38 @@ def load_cohort(paths: CohortPaths) -> list[PatientRecord]:
     (date, kind, value)-style keys, so any permutation of input rows yields an
     identical cohort.
     """
-    patients: dict[str, dict] = {}
-
-    for line_no, row in _read_rows(paths.patients, ("patient_id", "birth_date", "sex")):
-        pid = row["patient_id"]
+    demographics: dict[str, tuple[date, Sex]] = {}
+    for line_no, (pid, birth_date, sex) in _read_rows(
+        paths.patients, ("patient_id", "birth_date", "sex")
+    ):
         if not pid:
             raise MalformedRowError(str(paths.patients), line_no, "patient_id", "empty id")
-        if pid in patients:
+        if pid in demographics:
             raise DuplicatePatientError(pid)
-        patients[pid] = {
-            "birth_date": _parse_date(row["birth_date"], paths.patients, line_no, "birth_date"),
-            "sex": _parse_enum(Sex, row["sex"], paths.patients, line_no, "sex"),
-            "observations": [],
-            "diagnoses": [],
-            "medications": [],
-            "treatments": [],
-        }
-
-    def owner(pid: str, path: Path, line_no: int) -> dict:
-        if pid not in patients:
-            raise UnknownPatientError(pid, str(path), line_no)
-        return patients[pid]
-
-    for line_no, row in _read_rows(paths.observations, ("patient_id", "date", "kind", "value")):
-        rec = owner(row["patient_id"], paths.observations, line_no)
-        value = _parse_value(row["value"], paths.observations, line_no)
-        rec["observations"].append(
-            Observation(
-                date=_parse_date(row["date"], paths.observations, line_no, "date"),
-                kind=_parse_enum(ObservationKind, row["kind"], paths.observations, line_no, "kind"),
-                value=value,
-            )
+        demographics[pid] = (
+            _parse_date(birth_date, paths.patients, line_no, "birth_date"),
+            _parse_enum(Sex, sex, paths.patients, line_no, "sex"),
         )
 
-    for line_no, row in _read_rows(paths.diagnoses, ("patient_id", "date", "code_system", "code")):
-        rec = owner(row["patient_id"], paths.diagnoses, line_no)
-        if not row["code"]:
-            raise MalformedRowError(str(paths.diagnoses), line_no, "code", "empty code")
-        rec["diagnoses"].append(
-            DiagnosisEvent(
-                date=_parse_date(row["date"], paths.diagnoses, line_no, "date"),
-                code_system=_parse_enum(
-                    CodeSystem, row["code_system"], paths.diagnoses, line_no, "code_system"
-                ),
-                code=row["code"],
-            )
-        )
-
-    for line_no, row in _read_rows(paths.medications, ("patient_id", "date", "drug_class")):
-        rec = owner(row["patient_id"], paths.medications, line_no)
-        rec["medications"].append(
-            MedicationEvent(
-                date=_parse_date(row["date"], paths.medications, line_no, "date"),
-                drug_class=_parse_enum(
-                    DrugClass, row["drug_class"], paths.medications, line_no, "drug_class"
-                ),
-            )
-        )
-
-    for line_no, row in _read_rows(paths.treatments, ("patient_id", "date", "treatment")):
-        rec = owner(row["patient_id"], paths.treatments, line_no)
-        rec["treatments"].append(
-            TreatmentEvent(
-                date=_parse_date(row["date"], paths.treatments, line_no, "date"),
-                treatment=_parse_enum(
-                    Treatment, row["treatment"], paths.treatments, line_no, "treatment"
-                ),
-            )
-        )
+    events = {pid: tuple([] for _ in _EVENT_TABLES) for pid in demographics}
+    for slot, (name, columns, parse, _) in enumerate(_EVENT_TABLES):
+        path = getattr(paths, name)
+        for line_no, row in _read_rows(path, columns):
+            owned = events.get(row[0])
+            if owned is None:
+                raise UnknownPatientError(row[0], str(path), line_no)
+            owned[slot].append(parse(row, path, line_no))
 
     cohort = []
-    for pid in sorted(patients):
-        rec = patients[pid]
-        cohort.append(
-            PatientRecord(
-                patient_id=pid,
-                birth_date=rec["birth_date"],
-                sex=rec["sex"],
-                observations=tuple(
-                    sorted(rec["observations"], key=lambda o: (o.date, o.kind.value, o.value))
-                ),
-                diagnoses=tuple(
-                    sorted(rec["diagnoses"], key=lambda d: (d.date, d.code_system.value, d.code))
-                ),
-                medications=tuple(
-                    sorted(rec["medications"], key=lambda m: (m.date, m.drug_class.value))
-                ),
-                treatments=tuple(
-                    sorted(rec["treatments"], key=lambda t: (t.date, t.treatment.value))
-                ),
-            )
-        )
+    for pid in sorted(demographics):
+        tables = zip(events[pid], _EVENT_TABLES)
+        sorted_events = (tuple(sorted(rows, key=table[3])) for rows, table in tables)
+        cohort.append(PatientRecord(pid, *demographics[pid], *sorted_events))
     return cohort
 
 
 def _read_rows(path: str | Path, columns: Sequence[str]):
+    """Yield (line number, fields) per data row, fields in ``columns`` order."""
     path = Path(path)
     if not path.exists():
         raise MalformedRowError(str(path), 0, "", "file does not exist")
@@ -352,7 +346,7 @@ def _read_rows(path: str | Path, columns: Sequence[str]):
                 raise MalformedRowError(
                     str(path), line_no, "", f"expected {len(columns)} fields, got {len(raw)}"
                 )
-            yield line_no, dict(zip(columns, raw))
+            yield line_no, raw
 
 
 def _parse_date(text: str, path: Path, line_no: int, column: str) -> date:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -48,18 +48,22 @@ HBA1C_IMPUTE = 6.0
 
 OUTCOME_NAMES = ("CHF", "CAD", "CM", "MI")
 
-_OUTCOME_CATEGORY = {
-    "CHF": DiagnosisCategory.CHF,
-    "CAD": DiagnosisCategory.CAD,
-    "CM": DiagnosisCategory.CM,
-    "MI": DiagnosisCategory.MI,
+_CONDITION_CATEGORIES = (
+    DiagnosisCategory.HYPERTENSION,
+    DiagnosisCategory.DIABETES,
+    DiagnosisCategory.HYPERLIPIDEMIA,
+)
+
+# The slot of each diagnosis flag's category: the conditions first, then the
+# outcomes in OUTCOME_NAMES order.
+_FLAG_SLOT = {
+    category: slot
+    for slot, category in enumerate(
+        _CONDITION_CATEGORIES + tuple(DiagnosisCategory(name) for name in OUTCOME_NAMES)
+    )
 }
 
-_CONDITION_CATEGORY = {
-    "hypertension": DiagnosisCategory.HYPERTENSION,
-    "diabetes": DiagnosisCategory.DIABETES,
-    "hyperlipidemia": DiagnosisCategory.HYPERLIPIDEMIA,
-}
+_DRUG_SLOT = {cls: slot for slot, cls in enumerate(DrugClass)}
 
 # Kinds summarized to a continuous baseline value (troponin becomes a flag).
 CONTINUOUS_KINDS = (
@@ -136,9 +140,9 @@ class RawBaseline:
     hypertension: bool
     diabetes: bool
     hyperlipidemia: bool
-    medication_flags: dict[DrugClass, bool]
+    medications: tuple[bool, ...]  # one flag per DrugClass, in its order
     treatment: Treatment
-    outcomes: dict[str, bool]
+    outcomes: tuple[bool, ...]  # one flag per OUTCOME_NAMES entry, in its order
 
 
 @dataclass(frozen=True)
@@ -228,12 +232,12 @@ def _exclusion_reason(
         return ExclusionReason.NOT_FEMALE_ADULT
     if len({t.treatment for t in p.treatments}) > 1:
         return ExclusionReason.MULTIPLE_TREATMENT_TYPES
-    for d in p.diagnoses:
-        if d.date < index and classify_diagnosis(d, code_map) is DiagnosisCategory.PRIOR_CANCER_EXCLUDING:
-            return ExclusionReason.PRIOR_CANCER
-    for d in p.diagnoses:
-        if d.date <= index and classify_diagnosis(d, code_map) in HEART_DISEASE_CATEGORIES:
-            return ExclusionReason.PRIOR_HEART_DISEASE
+    prior = [(d.date, classify_diagnosis(d, code_map)) for d in p.diagnoses if d.date <= index]
+    if any(on < index and category is DiagnosisCategory.PRIOR_CANCER_EXCLUDING
+           for on, category in prior):
+        return ExclusionReason.PRIOR_CANCER
+    if any(category in HEART_DISEASE_CATEGORIES for _, category in prior):
+        return ExclusionReason.PRIOR_HEART_DISEASE
     if (end_of_data - index).days < MIN_FOLLOWUP_DAYS:
         return ExclusionReason.INSUFFICIENT_FOLLOWUP
     return None
@@ -245,65 +249,58 @@ def summarize_baseline(
     code_map: CodeMap,
     config: PreprocessConfig = PreprocessConfig(),
 ) -> RawBaseline:
-    """Collapse one patient's record into a pre-imputation baseline summary."""
-    values: dict[ObservationKind, float | None] = {}
+    """Collapse one patient's record into a pre-imputation baseline summary.
+
+    One pass over each event list. The records need not be sorted: for each
+    lab kind the pass keeps the latest date before the index and that date's
+    values in record order, whose mean is the baseline value.
+    """
+    latest: dict[ObservationKind, tuple[date, list[float]]] = {}
+    troponin_flag = False
+    threshold = config.troponin_threshold
+    for o in p.observations:
+        if o.date >= index:
+            continue
+        if o.kind is ObservationKind.TROPONIN:
+            troponin_flag = troponin_flag or threshold is None or o.value > threshold
+            continue
+        kept = latest.get(o.kind)
+        if kept is None or o.date > kept[0]:
+            latest[o.kind] = (o.date, [o.value])
+        elif o.date == kept[0]:
+            kept[1].append(o.value)
+    labs = []
     for kind in CONTINUOUS_KINDS:
-        pre = [o for o in p.observations if o.kind is kind and o.date < index]
-        if not pre:
-            values[kind] = None
-            continue
-        last = max(o.date for o in pre)
-        same_day = [o.value for o in pre if o.date == last]
-        values[kind] = sum(same_day) / len(same_day)
+        kept = latest.get(kind)
+        labs.append(None if kept is None else sum(kept[1]) / len(kept[1]))
 
-    troponin_obs = [
-        o for o in p.observations if o.kind is ObservationKind.TROPONIN and o.date < index
-    ]
-    if config.troponin_threshold is None:
-        troponin_flag = bool(troponin_obs)
-    else:
-        troponin_flag = any(o.value > config.troponin_threshold for o in troponin_obs)
-
-    conditions = {name: False for name in _CONDITION_CATEGORY}
-    outcome_flags = {name: False for name in OUTCOME_NAMES}
-    horizon_end: date | None = None
-    if config.outcome_horizon_days is not None:
-        horizon_end = index + timedelta(days=config.outcome_horizon_days)
+    flags = [False] * len(_FLAG_SLOT)
+    # the horizon is compared in days: index + horizon may not be a valid date
+    horizon = config.outcome_horizon_days
     for d in p.diagnoses:
-        category = classify_diagnosis(d, code_map)
-        if category is None:
+        slot = _FLAG_SLOT.get(classify_diagnosis(d, code_map))
+        if slot is None:
             continue
-        if d.date < index:
-            for name, cond_cat in _CONDITION_CATEGORY.items():
-                if category is cond_cat:
-                    conditions[name] = True
-        if d.date > index and (horizon_end is None or d.date <= horizon_end):
-            for name, out_cat in _OUTCOME_CATEGORY.items():
-                if category is out_cat:
-                    outcome_flags[name] = True
+        days = (d.date - index).days
+        if slot < len(_CONDITION_CATEGORIES):
+            flags[slot] = flags[slot] or days < 0
+        else:
+            flags[slot] = flags[slot] or (days > 0 and (horizon is None or days <= horizon))
 
-    med_flags = {cls: False for cls in DrugClass}
+    medications = [False] * len(_DRUG_SLOT)
     for m in p.medications:
         if m.date >= index:
-            med_flags[m.drug_class] = True
+            medications[_DRUG_SLOT[m.drug_class]] = True
 
     return RawBaseline(
-        patient_id=p.patient_id,
-        age=float(age_at(p, index)),
-        sbp=values[ObservationKind.SBP],
-        dbp=values[ObservationKind.DBP],
-        bmi=values[ObservationKind.BMI],
-        hdl=values[ObservationKind.HDL],
-        ldl=values[ObservationKind.LDL],
-        hba1c=values[ObservationKind.HBA1C],
-        triglyceride=values[ObservationKind.TRIGLYCERIDE],
-        troponin_flag=troponin_flag,
-        hypertension=conditions["hypertension"],
-        diabetes=conditions["diabetes"],
-        hyperlipidemia=conditions["hyperlipidemia"],
-        medication_flags=med_flags,
-        treatment=p.treatments[0].treatment,
-        outcomes=outcome_flags,
+        p.patient_id,
+        float(age_at(p, index)),
+        *labs,
+        troponin_flag,
+        *flags[: len(_CONDITION_CATEGORIES)],
+        tuple(medications),
+        p.treatments[0].treatment,
+        tuple(flags[len(_CONDITION_CATEGORIES):]),
     )
 
 
@@ -346,9 +343,9 @@ def impute(
         labs,
         raw.troponin_flag,
         (raw.hypertension, raw.diabetes, raw.hyperlipidemia),
-        [raw.medication_flags[cls] for cls in DrugClass],
+        raw.medications,
         raw.treatment,
-        [raw.outcomes[name] for name in OUTCOME_NAMES],
+        raw.outcomes,
         config,
         frozenset(imputed),
     )
@@ -408,13 +405,12 @@ def compute_features(
 ) -> tuple[list[BaselineFeatures], EligibilityReport]:
     """Full preprocessing pass: eligibility, summarization, imputation."""
     report = apply_eligibility(cohort, code_map, end_of_data)
-    by_id = {p.patient_id: p for p in cohort}
-    raws = []
-    for pid in report.included:
-        p = by_id[pid]
-        index = index_date(p)
-        assert index is not None
-        raws.append(summarize_baseline(p, index, code_map, config))
+    included = set(report.included)
+    raws = [
+        summarize_baseline(p, index_date(p), code_map, config)
+        for p in cohort
+        if p.patient_id in included
+    ]
     means = cohort_means(raws)
     features = [impute(r, means, config) for r in raws]
     features.sort(key=lambda f: f.patient_id)
@@ -586,28 +582,19 @@ def build_matrix(
         raise UnknownFeatureError(outcome)
 
     columns: list[str] = ["intercept"]
+    values: list[list[float]] = [[1.0] * len(rows)]
     for name in names:
         if name == "treatment":
             columns.extend(TREATMENT_DUMMY_COLUMNS)
+            for arm in (Treatment.CHEMOTHERAPY, Treatment.TARGETED):
+                values.append([1.0 if f.treatment is arm else 0.0 for f in rows])
         else:
             columns.append(name)
-
-    X = np.empty((len(rows), len(columns)), dtype=np.float64)
-    for i, f in enumerate(rows):
-        X[i, 0] = 1.0
-        j = 1
-        for name in names:
-            if name == "treatment":
-                X[i, j] = 1.0 if f.treatment is Treatment.CHEMOTHERAPY else 0.0
-                X[i, j + 1] = 1.0 if f.treatment is Treatment.TARGETED else 0.0
-                j += 2
-            else:
-                X[i, j] = float(getattr(f, name))
-                j += 1
+            values.append([float(getattr(f, name)) for f in rows])
 
     return FeatureMatrix(
         column_names=tuple(columns),
-        X=X,
+        X=np.ascontiguousarray(np.array(values, dtype=np.float64).T),
         y=np.asarray(labels, dtype=np.float64),
         row_ids=tuple(f.patient_id for f in rows),
         outcome=outcome,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -160,18 +160,31 @@ class SyntheticCohort:
 # Spec parsing and validation
 
 
+def _typed(name: str, value, kind: type):
+    """``value`` as ``kind``, or InvalidSpecError unless it has that JSON type.
+
+    Booleans are not numbers here, and a float value also takes an integer.
+    """
+    kinds = (int, float) if kind is float else (kind,)
+    if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
+        raise InvalidSpecError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidSpecError(f"{name} is out of range, got {value!r}") from None
+
+
 def parse_spec(raw: dict) -> SyntheticSpec:
     if not isinstance(raw, dict):
         raise InvalidSpecError("spec must be a JSON object")
-    try:
-        n = int(raw["n"])
-        seed = int(raw["seed"])
-    except (KeyError, TypeError, ValueError):
-        raise InvalidSpecError("spec needs integer 'n' and 'seed'") from None
+    n = _typed("n", raw.get("n"), int)
+    seed = _typed("seed", raw.get("seed"), int)
     if n < 1:
         raise InvalidSpecError(f"n must be positive, got {n}")
 
-    covariates = tuple(_parse_covariate(c) for c in raw.get("covariates", []))
+    covariates = tuple(
+        _parse_covariate(c) for c in _typed("covariates", raw.get("covariates", []), list)
+    )
     names = [c.name for c in covariates]
     if len(set(names)) != len(names):
         raise InvalidSpecError("covariate names must be unique")
@@ -179,7 +192,7 @@ def parse_spec(raw: dict) -> SyntheticSpec:
     treatment_model = _parse_treatment_model(raw.get("treatment_model"), names)
 
     outcome_models: dict[str, dict[str, float]] = {}
-    for outcome, coefs in raw.get("outcome_models", {}).items():
+    for outcome, coefs in _typed("outcome_models", raw.get("outcome_models", {}), dict).items():
         if outcome not in OUTCOME_NAMES:
             raise InvalidSpecError(f"unknown outcome '{outcome}'")
         outcome_models[outcome] = _parse_coefs(
@@ -224,12 +237,12 @@ def _parse_covariate(raw: dict) -> CovariateSpec:
         raise InvalidSpecError(f"continuous slot '{name}' must be normal or lognormal")
 
     if dist == "bernoulli":
-        p = float(raw.get("p", 0.5))
+        p = _typed(f"bernoulli p for '{name}'", raw.get("p", 0.5), float)
         if not 0.0 <= p <= 1.0:
             raise InvalidSpecError(f"bernoulli p for '{name}' must be in [0, 1], got {p}")
         return CovariateSpec(name=name, dist=dist, p=p)
-    mu = float(raw.get("mu", 0.0))
-    sigma = float(raw.get("sigma", 1.0))
+    mu = _typed(f"mu for '{name}'", raw.get("mu", 0.0), float)
+    sigma = _typed(f"sigma for '{name}'", raw.get("sigma", 1.0), float)
     if sigma < 0:
         raise InvalidSpecError(f"sigma for '{name}' must be >= 0")
     return CovariateSpec(name=name, dist=dist, mu=mu, sigma=sigma)
@@ -242,7 +255,7 @@ def _parse_coefs(raw, allowed: set[str], label: str) -> dict[str, float]:
     for key, value in raw.items():
         if key != "intercept" and key not in allowed:
             raise InvalidSpecError(f"{label} references undeclared name '{key}'")
-        coefs[key] = float(value)
+        coefs[key] = _typed(f"{label} coefficient '{key}'", value, float)
     return coefs
 
 
@@ -251,8 +264,8 @@ def _parse_treatment_model(raw, covariate_names: list[str]) -> TreatmentModel:
         raise InvalidSpecError("treatment_model needs a 'kind'")
     kind = str(raw["kind"]).lower()
     if kind == "randomized":
-        p_chemo = float(raw.get("p_chemo", 0.0))
-        p_targeted = float(raw.get("p_targeted", 0.0))
+        p_chemo = _typed("p_chemo", raw.get("p_chemo", 0.0), float)
+        p_targeted = _typed("p_targeted", raw.get("p_targeted", 0.0), float)
         if min(p_chemo, p_targeted) < 0 or p_chemo + p_targeted > 1.0:
             raise InvalidSpecError("randomized arm probabilities must be >= 0 and sum <= 1")
         return TreatmentModel(kind="randomized", p_chemo=p_chemo, p_targeted=p_targeted)
@@ -282,16 +295,18 @@ def _parse_layout(raw: dict) -> EventLayout:
             if "end_of_data" in raw
             else index + timedelta(days=730)
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise InvalidSpecError(f"bad date in event_layout: {err}") from None
+    offsets = {  # the day offsets, every int field
+        f.name: _typed(f.name, raw.get(f.name, f.default), int)
+        for f in dataclass_fields(EventLayout)
+        if f.type == "int"
+    }
     layout = EventLayout(
         index_date=index,
         end_of_data=end,
-        observation_days_before=int(raw.get("observation_days_before", 30)),
-        diagnosis_days_before=int(raw.get("diagnosis_days_before", 60)),
-        medication_days_after=int(raw.get("medication_days_after", 30)),
-        outcome_days_after=int(raw.get("outcome_days_after", 180)),
-        fill_defaults=bool(raw.get("fill_defaults", True)),
+        fill_defaults=_typed("fill_defaults", raw.get("fill_defaults", True), bool),
+        **offsets,
     )
     if layout.observation_days_before <= 0 or layout.diagnosis_days_before <= 0:
         raise InvalidSpecError("pre-index offsets must be positive")

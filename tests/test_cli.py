@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardiotox import cli
+from cardiotox.preprocess import OUTCOME_NAMES
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -210,6 +213,33 @@ def test_manifest_contents(synth_dir, tmp_path):
     assert manifest["seed"] == 4242
     assert set(manifest) == {"command", "config_sha256", "seed", "package_version",
                              "numpy_version", "python_version"}
+
+
+def features_csv(synth_dir, root, **overrides):
+    """features.csv of the synthetic cohort, with settings added to its config."""
+    config = json.loads((synth_dir / "run_config.json").read_text())
+    config["inputs"] = {name: str(synth_dir / f) for name, f in config["inputs"].items()}
+    config["code_map"] = str(synth_dir / config["code_map"])
+    config.update(overrides)
+    root.mkdir()
+    (root / "config.json").write_text(json.dumps(config))
+    assert cli.main(["features", "--config", str(root / "config.json"),
+                     "--out", str(root / "o")]) == 0
+    return (root / "o" / "features.csv").read_text()
+
+
+def test_outcome_horizon_beyond_the_date_range(synth_dir, tmp_path):
+    # index + horizon lies outside the representable dates either way
+    plain = features_csv(synth_dir, tmp_path / "plain")
+    assert features_csv(synth_dir, tmp_path / "far", outcome_horizon_days=3_000_000) == plain
+
+    def outcome_flags(text):
+        rows = list(csv.DictReader(io.StringIO(text)))
+        return {row[name.lower()] for row in rows for name in OUTCOME_NAMES}
+
+    assert outcome_flags(plain) == {"0", "1"}
+    before = features_csv(synth_dir, tmp_path / "before", outcome_horizon_days=-3_000_000)
+    assert outcome_flags(before) == {"0"}
 
 
 def golden_config(**overrides):

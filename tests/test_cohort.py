@@ -104,6 +104,37 @@ def test_bad_date_and_bad_enum(tmp_path):
     assert err.value.column == "treatment"
 
 
+def test_observation_value_is_checked_before_date(tmp_path):
+    bad = "patient_id,date,kind,value\nP1,2015-13-01,SBP,abc\n"
+    with pytest.raises(MalformedRowError) as err:
+        load_cohort(write_cohort_files(tmp_path, observations=bad))
+    assert (err.value.line, err.value.column) == (2, "value")
+
+
+def test_diagnosis_code_is_checked_before_date(tmp_path):
+    bad = "patient_id,date,code_system,code\nP1,2014-00-01,ICD11,\n"
+    with pytest.raises(MalformedRowError) as err:
+        load_cohort(write_cohort_files(tmp_path, diagnoses=bad))
+    assert (err.value.line, err.value.column) == (2, "code")
+
+
+@pytest.mark.parametrize("table,row", [
+    ("observations", "GHOST,2015-13-01,PULSE,abc"),
+    ("diagnoses", "GHOST,2014-00-01,ICD11,"),
+    ("medications", "GHOST,bad,ASPIRIN"),
+    ("treatments", "GHOST,bad,SURGERY"),
+])
+def test_unknown_patient_is_checked_before_fields(tmp_path, table, row):
+    header = {
+        "observations": OBSERVATIONS, "diagnoses": DIAGNOSES,
+        "medications": MEDICATIONS, "treatments": TREATMENTS,
+    }[table].splitlines()[0]
+    paths = write_cohort_files(tmp_path, **{table: f"{header}\n{row}\n"})
+    with pytest.raises(UnknownPatientError) as err:
+        load_cohort(paths)
+    assert (err.value.patient_id, err.value.line) == ("GHOST", 2)
+
+
 def test_unknown_patient(tmp_path):
     bad = "patient_id,date,kind,value\nGHOST,2015-01-01,SBP,120\n"
     with pytest.raises(UnknownPatientError) as err:

@@ -1,10 +1,14 @@
-from datetime import date
+from dataclasses import fields as dataclass_fields
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cardiotox.cohort import (
+    HEART_DISEASE_CATEGORIES,
     CodeSystem,
+    DiagnosisCategory,
     DiagnosisEvent,
     DrugClass,
     MedicationEvent,
@@ -14,18 +18,24 @@ from cardiotox.cohort import (
     Sex,
     Treatment,
     TreatmentEvent,
+    classify_diagnosis,
     default_code_map,
 )
 from cardiotox.errors import EmptyCohortMeanError, UnknownFeatureError
 from cardiotox.preprocess import (
+    ADULT_AGE,
+    CONTINUOUS_KINDS,
     DEFAULT_ANTIHYPERLIPIDEMIA_CLASSES,
     DEFAULT_ANTIHYPERTENSIVE_CLASSES,
     FEATURE_COLUMNS,
     LAB_FIELDS,
+    MIN_FOLLOWUP_DAYS,
     OUTCOME_NAMES,
     BaselineFeatures,
     ExclusionReason,
     PreprocessConfig,
+    RawBaseline,
+    age_at,
     apply_eligibility,
     baseline_features,
     build_matrix,
@@ -213,8 +223,9 @@ class TestSummarize:
         ]
         p = patient(medications=meds, treatments=[chemo(INDEX)])
         raw = summarize_baseline(p, INDEX, CMAP)
-        assert raw.medication_flags[DrugClass.ARB] is True
-        assert raw.medication_flags[DrugClass.INSULIN] is False
+        taken = dict(zip(DrugClass, raw.medications))
+        assert taken[DrugClass.ARB] is True
+        assert taken[DrugClass.INSULIN] is False
         means = {"sbp": 120.0, "dbp": 70.0, "bmi": 25.0, "triglyceride": 110.0}
         assert impute(raw, means).antihypertensive_medication is True
 
@@ -223,15 +234,16 @@ class TestSummarize:
         dx_after = DiagnosisEvent(date(2018, 9, 1), CodeSystem.ICD10, "I50.9")
         p = patient(diagnoses=[dx_on, dx_after], treatments=[chemo(INDEX)])
         raw = summarize_baseline(p, INDEX, CMAP)
-        assert raw.outcomes == {"CHF": True, "CAD": False, "CM": False, "MI": False}
+        assert raw.outcomes == (True, False, False, False)  # CHF, CAD, CM, MI
 
     def test_outcome_horizon_config(self):
         dx = DiagnosisEvent(date(2019, 9, 1), CodeSystem.ICD10, "I50.9")
         p = patient(diagnoses=[dx], treatments=[chemo(INDEX)])
         cfg = PreprocessConfig(outcome_horizon_days=365)
-        assert summarize_baseline(p, INDEX, CMAP, cfg).outcomes["CHF"] is False
+        chf = OUTCOME_NAMES.index("CHF")
+        assert summarize_baseline(p, INDEX, CMAP, cfg).outcomes[chf] is False
         cfg = PreprocessConfig(outcome_horizon_days=700)
-        assert summarize_baseline(p, INDEX, CMAP, cfg).outcomes["CHF"] is True
+        assert summarize_baseline(p, INDEX, CMAP, cfg).outcomes[chf] is True
 
 
 def raw_features(**overrides):
@@ -239,12 +251,11 @@ def raw_features(**overrides):
         patient_id="P1", age=57.0, sbp=120.0, dbp=70.0, bmi=25.0, hdl=60.0,
         ldl=100.0, hba1c=5.5, triglyceride=110.0, troponin_flag=False,
         hypertension=False, diabetes=False, hyperlipidemia=False,
-        medication_flags={cls: False for cls in DrugClass},
+        medications=(False,) * len(DrugClass),
         treatment=Treatment.RADIATION,
-        outcomes={"CHF": False, "CAD": False, "CM": False, "MI": False},
+        outcomes=(False,) * len(OUTCOME_NAMES),
     )
     base.update(overrides)
-    from cardiotox.preprocess import RawBaseline
     return RawBaseline(**base)
 
 
@@ -340,7 +351,7 @@ class TestBaselineFeatures:
                 assert {f for f in FEATURE_COLUMNS if getattr(row, f) is True} == expected
 
     def test_aggregate_flags_follow_configured_classes(self):
-        raw = raw_features(medication_flags={cls: cls is DrugClass.INSULIN for cls in DrugClass})
+        raw = raw_features(medications=tuple(cls is DrugClass.INSULIN for cls in DrugClass))
         assert impute(raw, {}).antihypertensive_medication is False
         cfg = PreprocessConfig(antihypertensive_classes=frozenset({DrugClass.INSULIN}),
                                antihyperlipidemia_classes=frozenset())
@@ -359,7 +370,7 @@ class TestBuildMatrix:
         feats = [
             features_fixture("A", Treatment.RADIATION, age=50.0),
             features_fixture("B", Treatment.RADIATION, age=60.0,
-                             outcomes={"CHF": True, "CAD": False, "CM": False, "MI": False}),
+                             outcomes=(True, False, False, False)),
             features_fixture("C", Treatment.RADIATION, age=70.0,
                              hypertension=False, diabetes=True),
         ]
@@ -436,3 +447,198 @@ def test_compute_features_end_to_end():
     by_id = {f.patient_id: f for f in feats}
     assert by_id["P2"].sbp == 120.0  # cohort mean of the single observed value
     assert "sbp" in by_id["P2"].imputed and "sbp" not in by_id["P1"].imputed
+
+
+# ---------------------------------------------------------------------------
+# References: the summary and the eligibility rules as first written, with one
+# scan of the observations per lab kind and one pass over the diagnoses per
+# rule. The single-pass versions must agree with them on any record.
+
+
+def reference_summary(p, index, code_map, config):
+    values = {}
+    for kind in CONTINUOUS_KINDS:
+        pre = [o for o in p.observations if o.kind is kind and o.date < index]
+        if not pre:
+            values[kind] = None
+            continue
+        last = max(o.date for o in pre)
+        same_day = [o.value for o in pre if o.date == last]
+        values[kind] = sum(same_day) / len(same_day)
+
+    troponin_obs = [
+        o for o in p.observations if o.kind is ObservationKind.TROPONIN and o.date < index
+    ]
+    if config.troponin_threshold is None:
+        troponin_flag = bool(troponin_obs)
+    else:
+        troponin_flag = any(o.value > config.troponin_threshold for o in troponin_obs)
+
+    condition_category = {
+        "hypertension": DiagnosisCategory.HYPERTENSION,
+        "diabetes": DiagnosisCategory.DIABETES,
+        "hyperlipidemia": DiagnosisCategory.HYPERLIPIDEMIA,
+    }
+    outcome_category = {name: DiagnosisCategory(name) for name in ("CHF", "CAD", "CM", "MI")}
+    conditions = {name: False for name in condition_category}
+    outcome_flags = {name: False for name in outcome_category}
+    horizon_end = None
+    if config.outcome_horizon_days is not None:
+        horizon_end = index + timedelta(days=config.outcome_horizon_days)
+    for d in p.diagnoses:
+        category = classify_diagnosis(d, code_map)
+        if category is None:
+            continue
+        if d.date < index:
+            for name, cond_cat in condition_category.items():
+                if category is cond_cat:
+                    conditions[name] = True
+        if d.date > index and (horizon_end is None or d.date <= horizon_end):
+            for name, out_cat in outcome_category.items():
+                if category is out_cat:
+                    outcome_flags[name] = True
+
+    med_flags = {cls: False for cls in DrugClass}
+    for m in p.medications:
+        if m.date >= index:
+            med_flags[m.drug_class] = True
+
+    return dict(
+        patient_id=p.patient_id,
+        age=float(age_at(p, index)),
+        **{kind.value.lower(): values[kind] for kind in CONTINUOUS_KINDS},
+        troponin_flag=troponin_flag,
+        **conditions,
+        medication_flags=med_flags,
+        treatment=p.treatments[0].treatment,
+        outcomes=outcome_flags,
+    )
+
+
+def reference_exclusion(p, code_map, end_of_data):
+    index = index_date(p)
+    if index is None:
+        return ExclusionReason.NO_TREATMENT
+    if p.sex is not Sex.F or age_at(p, index) < ADULT_AGE:
+        return ExclusionReason.NOT_FEMALE_ADULT
+    if len({t.treatment for t in p.treatments}) > 1:
+        return ExclusionReason.MULTIPLE_TREATMENT_TYPES
+    for d in p.diagnoses:
+        if (d.date < index and classify_diagnosis(d, code_map)
+                is DiagnosisCategory.PRIOR_CANCER_EXCLUDING):
+            return ExclusionReason.PRIOR_CANCER
+    for d in p.diagnoses:
+        if d.date <= index and classify_diagnosis(d, code_map) in HEART_DISEASE_CATEGORIES:
+            return ExclusionReason.PRIOR_HEART_DISEASE
+    if (end_of_data - index).days < MIN_FOLLOWUP_DAYS:
+        return ExclusionReason.INSUFFICIENT_FOLLOWUP
+    return None
+
+
+# Dates a few days either side of INDEX, so same-day ties, events on the index
+# date and events on both sides of it are all common. Values include the
+# troponin thresholds drawn below.
+NEAR_INDEX = st.integers(-3, 3).map(lambda k: INDEX + timedelta(days=k))
+VALUES = st.sampled_from([0.05, 0.1, 0.2, 0.3]) | st.floats(0.0, 200.0)
+DIAGNOSIS_CODES = [
+    (CodeSystem.ICD10, code)
+    for code in ("I50.9", "I25.10", "I42.9", "I21.9", "I10", "E11.9", "E78.5",
+                 "C34.1", "C44.0", "C50.1", "Z99")
+] + [(CodeSystem.ICD9, code) for code in ("428.0", "162.9", "401.1", "V10")]
+
+
+@st.composite
+def records(draw):
+    """An unsorted PatientRecord with events around INDEX."""
+    kinds = st.sampled_from(list(ObservationKind))
+    observations = draw(st.lists(st.builds(obs, kinds, NEAR_INDEX, VALUES), max_size=12))
+    # one kind's same-day values, whose mean depends on the order they are summed in
+    kind, on = draw(kinds), draw(NEAR_INDEX)
+    observations += [obs(kind, on, value) for value in draw(st.lists(VALUES, max_size=5))]
+    diagnoses = draw(st.lists(st.builds(
+        lambda on, coded: DiagnosisEvent(on, *coded), NEAR_INDEX, st.sampled_from(DIAGNOSIS_CODES)
+    ), max_size=10))
+    medications = draw(st.lists(st.builds(
+        MedicationEvent, NEAR_INDEX, st.sampled_from(list(DrugClass))
+    ), max_size=6))
+    arms = st.sampled_from([Treatment.CHEMOTHERAPY, Treatment.CHEMOTHERAPY, Treatment.RADIATION])
+    treatments = draw(st.lists(st.builds(TreatmentEvent, NEAR_INDEX, arms), max_size=3))
+    return patient(
+        sex=draw(st.sampled_from([Sex.F, Sex.F, Sex.F, Sex.M])),
+        birth=draw(st.sampled_from([date(1960, 1, 1), date(2000, 1, 3)])),
+        observations=draw(st.permutations(observations)),
+        diagnoses=diagnoses,
+        medications=medications,
+        treatments=treatments,
+    )
+
+
+CONFIGS = st.builds(
+    PreprocessConfig,
+    troponin_threshold=st.none() | st.sampled_from([0.05, 0.1, 0.2]),
+    outcome_horizon_days=st.none() | st.integers(-2, 4),
+)
+
+
+DAY_BEFORE = INDEX - timedelta(days=1)
+
+
+class TestSinglePassMatchesReferences:
+    @given(p=records(), config=CONFIGS)
+    @settings(max_examples=300, deadline=None)
+    # a troponin value equal to the threshold, an outcome on the horizon's last
+    # day, and three same-day values whose sum depends on their order
+    @example(p=patient(observations=[obs(ObservationKind.TROPONIN, DAY_BEFORE, 0.1)],
+                       treatments=[chemo(INDEX)]),
+             config=PreprocessConfig(troponin_threshold=0.1))
+    @example(p=patient(diagnoses=[DiagnosisEvent(INDEX + timedelta(days=3), CodeSystem.ICD10,
+                                                 "I50.9")], treatments=[chemo(INDEX)]),
+             config=PreprocessConfig(outcome_horizon_days=3))
+    @example(p=patient(observations=[obs(ObservationKind.SBP, DAY_BEFORE, 0.1),
+                                     obs(ObservationKind.SBP, INDEX - timedelta(days=2), 5.0),
+                                     obs(ObservationKind.SBP, DAY_BEFORE, 0.2),
+                                     obs(ObservationKind.SBP, DAY_BEFORE, 0.3)],
+                       treatments=[chemo(INDEX)]),
+             config=PreprocessConfig())
+    def test_summary_equals_reference(self, p, config):
+        index = index_date(p) or INDEX
+        if not p.treatments:
+            p = patient(birth=p.birth_date, observations=p.observations,
+                        diagnoses=p.diagnoses, medications=p.medications,
+                        treatments=[chemo(index)])
+        want = reference_summary(p, index, CMAP, config)
+        taken = want.pop("medication_flags")
+        want["medications"] = tuple(taken[cls] for cls in DrugClass)
+        want["outcomes"] = tuple(want["outcomes"][name] for name in OUTCOME_NAMES)
+        got = summarize_baseline(p, index, CMAP, config)
+        for f in dataclass_fields(RawBaseline):
+            value, expected = getattr(got, f.name), want[f.name]
+            assert value == expected, f.name
+            assert type(value) is type(expected), f.name
+            if isinstance(value, tuple):
+                assert all(type(flag) is bool for flag in value), f.name
+
+    @given(p=records(), end_shift=st.sampled_from([0, MIN_FOLLOWUP_DAYS]))
+    @settings(max_examples=300, deadline=None)
+    def test_exclusion_equals_reference(self, p, end_shift):
+        end = INDEX + timedelta(days=end_shift)
+        report = apply_eligibility([p], CMAP, end)
+        want = reference_exclusion(p, CMAP, end)
+        if want is None:
+            assert (report.included, report.excluded) == ((p.patient_id,), ())
+        else:
+            assert report.excluded == ((p.patient_id, want),)
+
+    def test_prior_cancer_before_index_is_not_hidden_by_one_on_it(self):
+        # the code on the index date does not count; the earlier one does, and
+        # prior cancer takes precedence over the heart disease on the index date
+        dxs = [
+            DiagnosisEvent(INDEX - timedelta(days=30), CodeSystem.ICD10, "C34.1"),
+            DiagnosisEvent(INDEX, CodeSystem.ICD10, "C34.1"),
+            DiagnosisEvent(INDEX, CodeSystem.ICD10, "I50.9"),
+        ]
+        for order in (dxs, dxs[::-1]):
+            p = patient(diagnoses=order, treatments=[chemo(INDEX)])
+            assert reference_exclusion(p, CMAP, END) is ExclusionReason.PRIOR_CANCER
+            assert apply_eligibility([p], CMAP, END).excluded == (
+                ("P1", ExclusionReason.PRIOR_CANCER),)

@@ -1,14 +1,15 @@
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cardiotox import cohort, preprocess, synth
+from cardiotox import cli, cohort, preprocess, synth
 from cardiotox.errors import InvalidSpecError
 
 
-def base_spec(**overrides):
+def raw_spec(**overrides):
     raw = {
         "n": 150,
         "seed": 7,
@@ -20,7 +21,11 @@ def base_spec(**overrides):
         "outcome_models": {"CHF": {"intercept": -2.0, "CHEMOTHERAPY": 1.0}},
     }
     raw.update(overrides)
-    return synth.parse_spec(raw)
+    return raw
+
+
+def base_spec(**overrides):
+    return synth.parse_spec(raw_spec(**overrides))
 
 
 def read_tree(directory):
@@ -145,6 +150,40 @@ class TestSpecValidation:
     def test_rejects_missing_n(self):
         with pytest.raises(InvalidSpecError):
             synth.parse_spec({"seed": 1})
+
+    @pytest.mark.parametrize("path,value", [
+        (("n",), 150.5),
+        (("seed",), "7"),
+        (("seed",), True),
+        (("event_layout", "observation_days_before"), "x"),
+        (("event_layout", "outcome_days_after"), 180.0),
+        (("event_layout", "fill_defaults"), "false"),
+        (("event_layout", "index_date"), 20180615),
+        (("treatment_model", "p_chemo"), "a"),
+        (("treatment_model", "p_targeted"), True),
+        (("treatment_model",), {"kind": "logistic", "chemo_vs_rest": {"intercept": "z"}}),
+        (("covariates",), 5),
+        (("outcome_models",), []),
+        (("covariates", 1, "p"), "q"),
+        (("covariates", 0, "mu"), [1]),
+        (("covariates", 0, "mu"), 10**400),
+        (("covariates", 0, "sigma"), False),
+        (("outcome_models", "CHF", "intercept"), "z"),
+        (("outcome_models", "CHF", "CHEMOTHERAPY"), None),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, path, value):
+        # cli.main turns only PipelineErrors into exit codes, so a traceback fails here
+        raw = raw_spec(event_layout={})
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o"),
+                         "--n-mc", "100"])
+        assert code == 2
+        assert "error[INVALID_SPEC]" in capsys.readouterr().err
 
 
 class TestOracles:
