@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .cohort import (  # noqa: F401
     CodeMap,
+    Cohort,
     CohortPaths,
     DiagnosisEvent,
     MedicationEvent,
@@ -25,8 +26,8 @@ from .preprocess import (  # noqa: F401
     build_matrix,
     compute_features,
     impute,
-    index_date,
-    summarize_baseline,
+    index_days,
+    summarize_baselines,
 )
 from .glm import (  # noqa: F401
     EliminationTrace,

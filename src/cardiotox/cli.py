@@ -34,6 +34,9 @@ from .rng import derive_seed
 
 _CONTRAST_NAMES = ("CHEMO_VS_RADIATION", "TARGETED_VS_RADIATION")
 _COMPARE_SETS = ("BASELINE_HEALTH", "MEDICATION_MODEL")
+# Escapes of the characters that end a line, so that an error quoting input text
+# stays on its one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 @dataclass
@@ -106,7 +109,11 @@ def _check(name: str, value, kind: type, ok=lambda v: True, expected: str = "") 
     typed = isinstance(value, kinds) and (kind is bool or not isinstance(value, bool))
     if not typed:
         raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    if not ok(value):
+    try:
+        holds = ok(value)
+    except OverflowError:  # an integer beyond the float range
+        holds = False
+    if not holds:
         raise ConfigError(f"{name} must be {expected}, got {value}")
 
 
@@ -118,7 +125,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -419,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compare(cfg, outdir, args.contrast, args.feature_set)
         raise ConfigError(f"unknown command {args.command}")
     except PipelineError as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
+        print(f"error[{err.code}]: {str(err).translate(_LINE_BREAKS)}", file=sys.stderr)
         return err.exit_code
 
 

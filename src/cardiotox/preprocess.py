@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date
 from enum import Enum
@@ -26,15 +27,19 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import (
+    DRUG_CLASSES,
+    HEART_DISEASE_CATEGORIES,
+    OBSERVATION_KINDS,
+    SEXES,
+    TREATMENTS,
     CodeMap,
+    Cohort,
     DiagnosisCategory,
     DrugClass,
-    HEART_DISEASE_CATEGORIES,
+    EventTable,
     ObservationKind,
-    PatientRecord,
     Sex,
     Treatment,
-    classify_diagnosis,
 )
 from .errors import EmptyCohortMeanError, UnknownFeatureError
 from .tableio import write_csv
@@ -63,8 +68,6 @@ _FLAG_SLOT = {
     )
 }
 
-_DRUG_SLOT = {cls: slot for slot, cls in enumerate(DrugClass)}
-
 # Kinds summarized to a continuous baseline value (troponin becomes a flag).
 CONTINUOUS_KINDS = (
     ObservationKind.SBP,
@@ -78,6 +81,17 @@ CONTINUOUS_KINDS = (
 
 # Feature names of the continuous kinds, in CONTINUOUS_KINDS order.
 LAB_FIELDS = tuple(kind.value.lower() for kind in CONTINUOUS_KINDS)
+
+# By event code: the position of an observation's kind in CONTINUOUS_KINDS (-1
+# for troponin), and of a drug class in DrugClass.
+_LAB_SLOT = np.array(
+    [CONTINUOUS_KINDS.index(k) if k in CONTINUOUS_KINDS else -1 for k in OBSERVATION_KINDS])
+_TROPONIN = OBSERVATION_KINDS.index(ObservationKind.TROPONIN)
+_DRUG_SLOT = np.array([list(DrugClass).index(cls) for cls in DRUG_CLASSES])
+
+# More days than lie between any two dates.
+_DAY_SPAN = date.max.toordinal()
+_EPOCH = date(1970, 1, 1).toordinal()
 
 MEAN_IMPUTED_FIELDS = ("triglyceride", "bmi", "dbp", "sbp")
 _CONSTANT_IMPUTE = {"hdl": HDL_IMPUTE, "ldl": LDL_IMPUTE, "hba1c": HBA1C_IMPUTE}
@@ -123,7 +137,7 @@ class EligibilityReport:
     excluded: tuple[tuple[str, ExclusionReason], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawBaseline:
     """Pre-imputation summary: continuous fields may be None (missing)."""
 
@@ -145,7 +159,7 @@ class RawBaseline:
     outcomes: tuple[bool, ...]  # one flag per OUTCOME_NAMES entry, in its order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaselineFeatures:
     patient_id: str
     age: float
@@ -187,23 +201,44 @@ class BaselineFeatures:
 FEATURE_COLUMNS = [f.name for f in dataclass_fields(BaselineFeatures)]
 
 
-def index_date(p: PatientRecord) -> date | None:
-    """First treatment date, or None for untreated patients."""
-    if not p.treatments:
-        return None
-    return min(t.date for t in p.treatments)
+def index_days(cohort: Cohort) -> np.ndarray:
+    """Each patient's index date (first treatment) as a day ordinal, 0 if untreated."""
+    bounds = cohort.treatments.bounds(len(cohort))
+    treated = bounds[1:] > bounds[:-1]
+    index = np.zeros(len(cohort), np.int32)
+    index[treated] = cohort.treatments.day[bounds[:-1][treated]]
+    return index
 
 
-def age_at(p: PatientRecord, on: date) -> int:
-    """Age in completed years on the given date."""
-    years = on.year - p.birth_date.year
-    if (on.month, on.day) < (p.birth_date.month, p.birth_date.day):
-        years -= 1
-    return years
+def _age(birth: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Age in completed years on the day ``on``, both given as day ordinals."""
+    (born_year, born_month_day), (year, month_day) = _year_month_day(birth), _year_month_day(on)
+    return year - born_year - (month_day < born_month_day)
+
+
+def _year_month_day(ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The year of each day ordinal, and a key that orders its (month, day)."""
+    days = (ordinals.astype(np.int64) - _EPOCH).astype("datetime64[D]")
+    year, month = days.astype("datetime64[Y]"), days.astype("datetime64[M]")
+    month_of_year = (month - year.astype("datetime64[M]")).astype(np.int64)
+    day_of_month = (days - month.astype("datetime64[D]")).astype(np.int64)
+    return year.astype(np.int64), month_of_year * 32 + day_of_month
+
+
+
+def _categories(cohort: Cohort, code_map: CodeMap) -> list[DiagnosisCategory | None]:
+    """The category of each distinct diagnosis code of the cohort."""
+    return [code_map.classify(system, code) for system, code in cohort.diagnosis_codes]
+
+
+def _any_per_patient(n: int, patient: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    flags = np.zeros(n, bool)
+    flags[patient[hit]] = True
+    return flags
 
 
 def apply_eligibility(
-    cohort: list[PatientRecord], code_map: CodeMap, end_of_data: date
+    cohort: Cohort, code_map: CodeMap, end_of_data: date
 ) -> EligibilityReport:
     """Partition the cohort, recording the first matching exclusion reason.
 
@@ -211,97 +246,123 @@ def apply_eligibility(
     adult, multiple treatment types, prior cancer, prior heart disease,
     insufficient follow-up.
     """
-    included: list[str] = []
-    excluded: list[tuple[str, ExclusionReason]] = []
-    for p in cohort:
-        reason = _exclusion_reason(p, code_map, end_of_data)
-        if reason is None:
-            included.append(p.patient_id)
-        else:
-            excluded.append((p.patient_id, reason))
-    return EligibilityReport(included=tuple(included), excluded=tuple(excluded))
+    n = len(cohort)
+    index = index_days(cohort)
+    tx, dx = cohort.treatments, cohort.diagnoses
+    arms = np.zeros((n, len(TREATMENTS)), bool)
+    arms[tx.patient, tx.code] = True
+    categories = _categories(cohort, code_map)
+    cancer = np.array([c is DiagnosisCategory.PRIOR_CANCER_EXCLUDING for c in categories], bool)
+    heart = np.array([c in HEART_DISEASE_CATEGORIES for c in categories], bool)
+    days = dx.day - index[dx.patient]
+    rules = (
+        (index == 0, ExclusionReason.NO_TREATMENT),
+        ((cohort.sex != SEXES.index(Sex.F)) | (_age(cohort.birth_day, index) < ADULT_AGE),
+         ExclusionReason.NOT_FEMALE_ADULT),
+        (arms.sum(axis=1) > 1, ExclusionReason.MULTIPLE_TREATMENT_TYPES),
+        (_any_per_patient(n, dx.patient, cancer[dx.code] & (days < 0)),
+         ExclusionReason.PRIOR_CANCER),
+        (_any_per_patient(n, dx.patient, heart[dx.code] & (days <= 0)),
+         ExclusionReason.PRIOR_HEART_DISEASE),
+        (end_of_data.toordinal() - index < MIN_FOLLOWUP_DAYS,
+         ExclusionReason.INSUFFICIENT_FOLLOWUP),
+    )
+    # the first rule that holds, or -1
+    rule = np.select([holds for holds, _ in rules], np.arange(len(rules)), -1).tolist()
+    return EligibilityReport(
+        included=tuple(pid for pid, r in zip(cohort.patient_ids, rule) if r < 0),
+        excluded=tuple((pid, rules[r][1]) for pid, r in zip(cohort.patient_ids, rule) if r >= 0),
+    )
 
 
-def _exclusion_reason(
-    p: PatientRecord, code_map: CodeMap, end_of_data: date
-) -> ExclusionReason | None:
-    index = index_date(p)
-    if index is None:
-        return ExclusionReason.NO_TREATMENT
-    if p.sex is not Sex.F or age_at(p, index) < ADULT_AGE:
-        return ExclusionReason.NOT_FEMALE_ADULT
-    if len({t.treatment for t in p.treatments}) > 1:
-        return ExclusionReason.MULTIPLE_TREATMENT_TYPES
-    prior = [(d.date, classify_diagnosis(d, code_map)) for d in p.diagnoses if d.date <= index]
-    if any(on < index and category is DiagnosisCategory.PRIOR_CANCER_EXCLUDING
-           for on, category in prior):
-        return ExclusionReason.PRIOR_CANCER
-    if any(category in HEART_DISEASE_CATEGORIES for _, category in prior):
-        return ExclusionReason.PRIOR_HEART_DISEASE
-    if (end_of_data - index).days < MIN_FOLLOWUP_DAYS:
-        return ExclusionReason.INSUFFICIENT_FOLLOWUP
-    return None
-
-
-def summarize_baseline(
-    p: PatientRecord,
-    index: date,
+def summarize_baselines(
+    cohort: Cohort,
+    rows: Sequence[int],
     code_map: CodeMap,
     config: PreprocessConfig = PreprocessConfig(),
-) -> RawBaseline:
-    """Collapse one patient's record into a pre-imputation baseline summary.
+) -> list[RawBaseline]:
+    """Pre-imputation baseline summaries of the given treated patient rows, in order.
 
-    One pass over each event list. The records need not be sorted: for each
-    lab kind the pass keeps the latest date before the index and that date's
-    values in record order, whose mean is the baseline value.
+    Each lab value is the mean of the kind's observations on its latest day
+    before the index date, summed left to right in canonical order (by value).
     """
-    latest: dict[ObservationKind, tuple[date, list[float]]] = {}
-    troponin_flag = False
-    threshold = config.troponin_threshold
-    for o in p.observations:
-        if o.date >= index:
-            continue
-        if o.kind is ObservationKind.TROPONIN:
-            troponin_flag = troponin_flag or threshold is None or o.value > threshold
-            continue
-        kept = latest.get(o.kind)
-        if kept is None or o.date > kept[0]:
-            latest[o.kind] = (o.date, [o.value])
-        elif o.date == kept[0]:
-            kept[1].append(o.value)
-    labs = []
-    for kind in CONTINUOUS_KINDS:
-        kept = latest.get(kind)
-        labs.append(None if kept is None else sum(kept[1]) / len(kept[1]))
+    rows = np.asarray(rows, np.int64)
+    n, m = len(cohort), len(rows)
+    index = index_days(cohort)
+    if (index[rows] == 0).any():
+        raise ValueError("summarize_baselines takes only patients with a treatment")
+    slot = np.full(n, -1, np.int64)  # each patient's position in rows, or -1
+    slot[rows] = np.arange(m)
 
-    flags = [False] * len(_FLAG_SLOT)
-    # the horizon is compared in days: index + horizon may not be a valid date
-    horizon = config.outcome_horizon_days
-    for d in p.diagnoses:
-        slot = _FLAG_SLOT.get(classify_diagnosis(d, code_map))
-        if slot is None:
-            continue
-        days = (d.date - index).days
-        if slot < len(_CONDITION_CATEGORIES):
-            flags[slot] = flags[slot] or days < 0
-        else:
-            flags[slot] = flags[slot] or (days > 0 and (horizon is None or days <= horizon))
+    obs = cohort.observations
+    at = slot[obs.patient]
+    before = (at >= 0) & (obs.day < index[obs.patient])
+    troponin = before & (obs.code == _TROPONIN)
+    if config.troponin_threshold is not None:
+        troponin &= obs.value > config.troponin_threshold
+    troponin_flags = _any_per_patient(m, at, troponin)
+    labs = _latest_means(m, at, obs, before)
 
-    medications = [False] * len(_DRUG_SLOT)
-    for m in p.medications:
-        if m.date >= index:
-            medications[_DRUG_SLOT[m.drug_class]] = True
+    dx = cohort.diagnoses
+    flag = np.array([_FLAG_SLOT.get(c, -1) for c in _categories(cohort, code_map)], np.int64)
+    flag = flag[dx.code]
+    # the horizon is compared in days; beyond the span of dates it changes nothing
+    days = dx.day.astype(np.int64) - index[dx.patient]
+    outcome = (flag >= len(_CONDITION_CATEGORIES)) & (days > 0)
+    if config.outcome_horizon_days is not None:
+        outcome &= days <= max(min(config.outcome_horizon_days, _DAY_SPAN), -_DAY_SPAN)
+    condition = (flag >= 0) & (flag < len(_CONDITION_CATEGORIES)) & (days < 0)
+    at = slot[dx.patient]
+    hit = (at >= 0) & (outcome | condition)
+    flags = np.zeros((m, len(_FLAG_SLOT)), bool)
+    flags[at[hit], flag[hit]] = True
 
-    return RawBaseline(
-        p.patient_id,
-        float(age_at(p, index)),
-        *labs,
-        troponin_flag,
-        *flags[: len(_CONDITION_CATEGORIES)],
-        tuple(medications),
-        p.treatments[0].treatment,
-        tuple(flags[len(_CONDITION_CATEGORIES):]),
-    )
+    med = cohort.medications
+    at = slot[med.patient]
+    hit = (at >= 0) & (med.day >= index[med.patient])
+    medications = np.zeros((m, len(DRUG_CLASSES)), bool)
+    medications[at[hit], _DRUG_SLOT[med.code[hit]]] = True
+
+    arm = cohort.treatments.code[cohort.treatments.bounds(n)[rows]]
+    conditions = len(_CONDITION_CATEGORIES)
+    # RawBaseline fields as columns, so that rows are built without a list per row
+    return list(map(
+        RawBaseline,
+        [cohort.patient_ids[row] for row in rows.tolist()],
+        _age(cohort.birth_day[rows], index[rows]).astype(float).tolist(),
+        *([None if v != v else v for v in column] for column in labs.T.tolist()),
+        troponin_flags.tolist(),
+        *flags[:, :conditions].T.tolist(),
+        zip(*medications.T.tolist()),
+        [TREATMENTS[code] for code in arm.tolist()],
+        zip(*flags[:, conditions:].T.tolist()),
+    ))
+
+
+def _latest_means(m: int, at: np.ndarray, obs: EventTable, before: np.ndarray) -> np.ndarray:
+    """Per row ``at`` (m rows) and lab kind, the mean of the values on the kind's
+    latest day among the ``before`` events; NaN where there are none."""
+    means = np.full((m, len(CONTINUOUS_KINDS)), np.nan)
+    lab = _LAB_SLOT[obs.code]
+    take = before & (lab >= 0)
+    if not take.any():
+        return means
+    # group by (row, kind); a stable sort keeps each group in canonical order
+    key = at[take] * len(CONTINUOUS_KINDS) + lab[take]
+    order = np.argsort(key, kind="stable")
+    key, day, value = key[order], obs.day[take][order], obs.value[take][order]
+    starts = np.r_[True, key[1:] != key[:-1]]
+    last_day = day[np.r_[starts[1:], True]][np.cumsum(starts) - 1]
+    key, value = key[day == last_day], value[day == last_day]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    size = np.diff(np.r_[first, len(key)])
+    # sum() starts at 0, so -0.0 sums to 0.0; pairwise summation would round differently
+    total = value[first] + 0.0
+    for k in range(1, int(size.max(initial=1))):
+        more = size > k
+        total[more] += value[first[more] + k]
+    means.reshape(-1)[key[first]] = total / size
+    return means
 
 
 def cohort_means(raws: list[RawBaseline]) -> dict[str, float]:
@@ -398,22 +459,20 @@ def _class_positions(classes: frozenset[DrugClass]) -> tuple[int, ...]:
 
 
 def compute_features(
-    cohort: list[PatientRecord],
+    cohort: Cohort,
     code_map: CodeMap,
     end_of_data: date,
     config: PreprocessConfig = PreprocessConfig(),
 ) -> tuple[list[BaselineFeatures], EligibilityReport]:
-    """Full preprocessing pass: eligibility, summarization, imputation."""
+    """Full preprocessing pass: eligibility, summarization, imputation.
+
+    Feature rows are in patient_id order.
+    """
     report = apply_eligibility(cohort, code_map, end_of_data)
-    included = set(report.included)
-    raws = [
-        summarize_baseline(p, index_date(p), code_map, config)
-        for p in cohort
-        if p.patient_id in included
-    ]
+    row_of = dict(zip(cohort.patient_ids, range(len(cohort))))
+    raws = summarize_baselines(cohort, [row_of[pid] for pid in report.included], code_map, config)
     means = cohort_means(raws)
     features = [impute(r, means, config) for r in raws]
-    features.sort(key=lambda f: f.patient_id)
     return features, report
 
 
@@ -606,19 +665,16 @@ def build_matrix(
 
 
 def write_features_csv(path: str | Path, features: list[BaselineFeatures]) -> None:
-    rows = []
-    for f in features:
-        row = []
-        for name in FEATURE_COLUMNS:
-            value = getattr(f, name)
-            if name == "treatment":
-                row.append(value.value)
-            elif name == "imputed":
-                row.append(";".join(sorted(value)))
-            else:
-                row.append(value)
-        rows.append(row)
-    write_csv(path, FEATURE_COLUMNS, rows)
+    values = operator.attrgetter(*FEATURE_COLUMNS)
+    treatment, imputed = FEATURE_COLUMNS.index("treatment"), FEATURE_COLUMNS.index("imputed")
+
+    def row(f: BaselineFeatures) -> list:
+        cells = list(values(f))
+        cells[treatment] = cells[treatment].value
+        cells[imputed] = ";".join(sorted(cells[imputed]))
+        return cells
+
+    write_csv(path, FEATURE_COLUMNS, map(row, features))
 
 
 def write_exclusions_csv(path: str | Path, report: EligibilityReport) -> None:

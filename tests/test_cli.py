@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -302,3 +304,129 @@ def test_any_json_config_value_exits_0_or_4(tmp_path_factory, key, value):
     # cli.main turns only PipelineErrors into exit codes, so a traceback fails here
     code = run_validate(golden_config(**{key: value}), tmp_path_factory.mktemp("cfg"))
     assert code in (0, 4)
+
+
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    # json reads a 401-digit integer exactly; it has no float value to check
+    assert run_validate(golden_config(troponin_threshold=10**400), tmp_path) == 4
+    assert "error[CONFIG]: troponin_threshold must be finite" in capsys.readouterr().err
+
+
+def test_integer_too_long_to_read_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    text = json.dumps(golden_config(troponin_threshold=0)).replace(
+        '"troponin_threshold": 0', '"troponin_threshold": ' + "9" * 5000)
+    cfg_path.write_text(text)
+    assert cli.main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    assert "error[CONFIG]: config is not valid JSON" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Faulty input tables: the golden fixture with cells replaced
+
+TABLES = ("patients", "observations", "diagnoses", "medications", "treatments")
+
+
+def golden_rows():
+    return {name: list(csv.reader(open(GOLDEN / f"{name}.csv", newline="", encoding="utf-8")))
+            for name in TABLES}
+
+
+def run_on_tables(rows, root, command="features"):
+    """(exit code, stderr lines) of a command on these tables with the golden code map."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name, table in rows.items():
+        with open(root / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
+    config = dict(golden_config(), inputs={name: f"{name}.csv" for name in TABLES})
+    (root / "config.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(root / "config.json"), "--out", str(root / "o")])
+    return code, err.getvalue().splitlines()
+
+
+CELLS = st.sampled_from([
+    "", "P01", "P08", "GHOST", "2018-13-01", "2018-06", "20180615", "-1", "-0", "nan", "inf",
+    "1e999", "abc", " 7 ", "ICD11", "C34.1", "I50", "F", "M", "TROPONIN", "STATIN", "SURGERY",
+    "a,b", 'x"y', "line\nbreak",
+]) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@given(table=st.sampled_from(TABLES), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_mutated_cell_exits_0_or_names_the_faulty_row(tmp_path_factory, table, data):
+    rows = golden_rows()
+    line = data.draw(st.integers(0, len(rows[table]) - 1))
+    column = data.draw(st.integers(0, len(rows[table][line]) - 1))
+    rows[table][line][column] = data.draw(CELLS)
+    code, err = run_on_tables(rows, tmp_path_factory.mktemp("cell"))
+    if code == 0:
+        assert err == []
+        return
+    assert code == 2 and len(err) == 1, err
+    kind = err[0][: err[0].index("]") + 1]
+    if kind in ("error[MALFORMED_ROW]", "error[UNKNOWN_PATIENT]"):
+        assert re.search(r"\w+\.csv:\d+[: ]", err[0]), err
+    elif kind == "error[DUPLICATE_PATIENT]":
+        assert rows[table][line][column] in err[0]
+    else:
+        assert kind == "error[EMPTY_COHORT_MEAN]", err
+
+
+# (table, 1-based line, column index, new text) per fault; the error it gives
+TWO_FAULTS = [
+    # one row: an observation's value before its date, a diagnosis's code
+    # before its date and code system, an unknown patient before any field
+    ([("observations", 3, 1, "2017-13-01"), ("observations", 3, 3, "abc")],
+     "observations.csv:3 column 'value'"),
+    ([("diagnoses", 2, 1, "2017-00-01"), ("diagnoses", 2, 2, "ICD11"),
+      ("diagnoses", 2, 3, "")], "diagnoses.csv:2 column 'code'"),
+    ([("treatments", 4, 0, "GHOST"), ("treatments", 4, 1, "bad")],
+     "treatments.csv:4: event references absent patient 'GHOST'"),
+    ([("patients", 5, 0, "P01"), ("patients", 5, 1, "bad")], "patient 'P01' declared"),
+    # two rows: the earlier row wins, whatever its fault
+    ([("observations", 6, 2, "PULSE"), ("observations", 4, 1, "bad")],
+     "observations.csv:4 column 'date'"),
+    ([("observations", 9, 0, "GHOST"), ("observations", 7, 3, "-1")],
+     "observations.csv:7 column 'value'"),
+    ([("medications", 4, 2, "ASPIRIN"), ("medications", 3, 0, "GHOST")],
+     "medications.csv:3: event references absent patient 'GHOST'"),
+    ([("patients", 9, 2, "X"), ("patients", 4, 1, "1960-02-30")],
+     "patients.csv:4 column 'birth_date'"),
+    # two tables: patients are read first, then the event tables in order
+    ([("treatments", 2, 1, "bad"), ("observations", 20, 3, "x")],
+     "observations.csv:20 column 'value'"),
+    ([("observations", 2, 3, "x"), ("patients", 11, 2, "Q")], "patients.csv:11 column 'sex'"),
+]
+
+
+@pytest.mark.parametrize("faults,message", TWO_FAULTS)
+def test_first_of_several_faults_is_reported(tmp_path, faults, message):
+    rows = golden_rows()
+    for table, line, column, text in faults:
+        rows[table][line - 1][column] = text
+    code, err = run_on_tables(rows, tmp_path, "validate")
+    assert code == 2 and len(err) == 1 and message in err[0], err
+
+
+@pytest.mark.parametrize("extra,bad,message", [
+    # a row of the wrong width ends the table after the rows before it
+    ("P08,2017-01-01,SBP", (5, "x"), "observations.csv:3 column ''"),
+    ("P08,2017-01-01,SBP", (2, "x"), "observations.csv:2 column 'value'"),
+])
+def test_row_of_wrong_width_is_checked_in_file_order(tmp_path, extra, bad, message):
+    rows = golden_rows()
+    rows["observations"].insert(2, extra.split(","))
+    rows["observations"][bad[0] - 1][3] = bad[1]
+    code, err = run_on_tables(rows, tmp_path, "validate")
+    assert code == 2 and len(err) == 1 and message in err[0], err
+
+
+def test_error_quoting_a_line_break_stays_on_one_line(tmp_path):
+    rows = golden_rows()
+    rows["patients"][1][1] = "1970-01-01\n"
+    code, err = run_on_tables(rows, tmp_path, "validate")
+    assert code == 2
+    assert err == [f"error[MALFORMED_ROW]: {tmp_path / 'patients.csv'}:2 column 'birth_date': "
+                   "invalid ISO date '1970-01-01\\n'"]

@@ -1,4 +1,5 @@
-from dataclasses import fields as dataclass_fields
+import math
+from dataclasses import fields as dataclass_fields, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from cardiotox.cohort import (
     HEART_DISEASE_CATEGORIES,
     CodeSystem,
+    Cohort,
     DiagnosisCategory,
     DiagnosisEvent,
     DrugClass,
@@ -35,15 +37,14 @@ from cardiotox.preprocess import (
     ExclusionReason,
     PreprocessConfig,
     RawBaseline,
-    age_at,
     apply_eligibility,
     baseline_features,
     build_matrix,
     cohort_means,
     compute_features,
     impute,
-    index_date,
-    summarize_baseline,
+    index_days,
+    summarize_baselines,
 )
 
 CMAP = default_code_map()
@@ -59,6 +60,17 @@ def patient(pid="P1", sex=Sex.F, birth=date(1960, 1, 1), observations=(),
     )
 
 
+def index_of(p):
+    """One record's index date, read from its cohort's index days."""
+    day = int(index_days(Cohort.from_records([p]))[0])
+    return date.fromordinal(day) if day else None
+
+
+def summary(p, config=PreprocessConfig()):
+    """One treated record's baseline summary."""
+    return summarize_baselines(Cohort.from_records([p]), [0], CMAP, config)[0]
+
+
 def radiation(on):
     return TreatmentEvent(on, Treatment.RADIATION)
 
@@ -70,19 +82,19 @@ def chemo(on):
 class TestIndexDate:
     def test_single_event(self):
         p = patient(treatments=[radiation(date(2015, 3, 1))])
-        assert index_date(p) == date(2015, 3, 1)
+        assert index_of(p) == date(2015, 3, 1)
 
     def test_minimum_of_several(self):
         p = patient(treatments=[chemo(date(2016, 1, 10)), chemo(date(2015, 6, 2))])
-        assert index_date(p) == date(2015, 6, 2)
+        assert index_of(p) == date(2015, 6, 2)
 
     def test_none_without_treatment(self):
-        assert index_date(patient()) is None
+        assert index_of(patient()) is None
 
 
 class TestEligibility:
     def assert_reason(self, p, reason):
-        report = apply_eligibility([p], CMAP, END)
+        report = apply_eligibility(Cohort.from_records([p]), CMAP, END)
         assert report.excluded == ((p.patient_id, reason),)
 
     def test_no_treatment(self):
@@ -109,7 +121,7 @@ class TestEligibility:
     def test_allowed_prior_cancer_not_excluded(self):
         dx = DiagnosisEvent(date(2017, 1, 1), CodeSystem.ICD10, "C44.0")
         p = patient(diagnoses=[dx], treatments=[chemo(date(2018, 1, 1))])
-        assert apply_eligibility([p], CMAP, END).included == ("P1",)
+        assert apply_eligibility(Cohort.from_records([p]), CMAP, END).included == ("P1",)
 
     def test_prior_heart_disease_on_index_counts(self):
         dx = DiagnosisEvent(date(2018, 1, 1), CodeSystem.ICD10, "I50.9")
@@ -119,16 +131,16 @@ class TestEligibility:
     def test_heart_disease_after_index_is_outcome_not_exclusion(self):
         dx = DiagnosisEvent(date(2018, 5, 1), CodeSystem.ICD10, "I50.9")
         p = patient(diagnoses=[dx], treatments=[chemo(date(2018, 1, 1))])
-        assert apply_eligibility([p], CMAP, END).included == ("P1",)
+        assert apply_eligibility(Cohort.from_records([p]), CMAP, END).included == ("P1",)
 
     def test_insufficient_followup(self):
         p = patient(treatments=[chemo(date(2018, 1, 1))])
-        report = apply_eligibility([p], CMAP, date(2018, 6, 1))
+        report = apply_eligibility(Cohort.from_records([p]), CMAP, date(2018, 6, 1))
         assert report.excluded == (("P1", ExclusionReason.INSUFFICIENT_FOLLOWUP),)
 
     def test_exactly_365_days_is_enough(self):
         p = patient(treatments=[chemo(date(2018, 1, 1))])
-        report = apply_eligibility([p], CMAP, date(2019, 1, 1))
+        report = apply_eligibility(Cohort.from_records([p]), CMAP, date(2019, 1, 1))
         assert report.included == ("P1",)
 
     def test_precedence_multiple_before_heart_disease(self):
@@ -145,11 +157,11 @@ class TestEligibility:
             patient(pid="B"),
             patient(pid="C", sex=Sex.M, treatments=[radiation(date(2018, 1, 1))]),
         ]
-        report = apply_eligibility(people, CMAP, END)
+        report = apply_eligibility(Cohort.from_records(people), CMAP, END)
         assert set(report.included) | {pid for pid, _ in report.excluded} == {"A", "B", "C"}
         assert set(report.included) & {pid for pid, _ in report.excluded} == set()
         survivors = [p for p in people if p.patient_id in report.included]
-        again = apply_eligibility(survivors, CMAP, END)
+        again = apply_eligibility(Cohort.from_records(survivors), CMAP, END)
         assert again.excluded == ()
 
 
@@ -169,7 +181,7 @@ class TestSummarize:
             ],
             treatments=[chemo(INDEX)],
         )
-        raw = summarize_baseline(p, INDEX, CMAP)
+        raw = summary(p)
         assert raw.sbp == 120
 
     def test_same_date_ties_average(self):
@@ -180,7 +192,26 @@ class TestSummarize:
             ],
             treatments=[chemo(INDEX)],
         )
-        assert summarize_baseline(p, INDEX, CMAP).bmi == 28
+        assert summary(p).bmi == 28
+
+    def test_same_day_mean_is_summed_like_sum(self):
+        # sum() starts from 0, so a lone -0.0 gives 0.0, and values add left to
+        # right in canonical (ascending) order
+        p = patient(observations=[obs(ObservationKind.SBP, DAY_BEFORE, -0.0),
+                                  obs(ObservationKind.DBP, DAY_BEFORE, 0.3),
+                                  obs(ObservationKind.DBP, DAY_BEFORE, 0.2),
+                                  obs(ObservationKind.DBP, DAY_BEFORE, 0.1)],
+                    treatments=[chemo(INDEX)])
+        raw = summary(p)
+        assert math.copysign(1.0, raw.sbp) == 1.0
+        assert raw.dbp == sum([0.1, 0.2, 0.3]) / 3 != (0.3 + 0.2 + 0.1) / 3
+
+    def test_untreated_row_is_rejected(self):
+        treated = patient(pid="B", treatments=[chemo(INDEX)])
+        cohort = Cohort.from_records([patient(pid="A"), treated])
+        assert summarize_baselines(cohort, [1], CMAP)[0].patient_id == "B"
+        with pytest.raises(ValueError):
+            summarize_baselines(cohort, [0, 1], CMAP)
 
     def test_observation_on_or_after_index_ignored(self):
         p = patient(
@@ -188,15 +219,15 @@ class TestSummarize:
                           obs(ObservationKind.LDL, date(2018, 3, 1), 210)],
             treatments=[chemo(INDEX)],
         )
-        assert summarize_baseline(p, INDEX, CMAP).ldl is None
+        assert summary(p).ldl is None
 
     def test_troponin_flag_presence(self):
         p = patient(
             observations=[obs(ObservationKind.TROPONIN, date(2017, 12, 1), 0.02)],
             treatments=[chemo(INDEX)],
         )
-        assert summarize_baseline(p, INDEX, CMAP).troponin_flag is True
-        assert summarize_baseline(patient(treatments=[chemo(INDEX)]), INDEX, CMAP).troponin_flag is False
+        assert summary(p).troponin_flag is True
+        assert summary(patient(treatments=[chemo(INDEX)])).troponin_flag is False
 
     def test_troponin_threshold_config(self):
         p = patient(
@@ -204,15 +235,15 @@ class TestSummarize:
             treatments=[chemo(INDEX)],
         )
         cfg = PreprocessConfig(troponin_threshold=0.05)
-        assert summarize_baseline(p, INDEX, CMAP, cfg).troponin_flag is False
+        assert summary(p, cfg).troponin_flag is False
         cfg = PreprocessConfig(troponin_threshold=0.01)
-        assert summarize_baseline(p, INDEX, CMAP, cfg).troponin_flag is True
+        assert summary(p, cfg).troponin_flag is True
 
     def test_condition_strictly_before_index(self):
         on_index = DiagnosisEvent(INDEX, CodeSystem.ICD10, "E78.5")
         before = DiagnosisEvent(date(2017, 1, 1), CodeSystem.ICD10, "E11.9")
         p = patient(diagnoses=[on_index, before], treatments=[chemo(INDEX)])
-        raw = summarize_baseline(p, INDEX, CMAP)
+        raw = summary(p)
         assert raw.diabetes is True
         assert raw.hyperlipidemia is False
 
@@ -222,7 +253,7 @@ class TestSummarize:
             MedicationEvent(date(2017, 1, 1), DrugClass.INSULIN),
         ]
         p = patient(medications=meds, treatments=[chemo(INDEX)])
-        raw = summarize_baseline(p, INDEX, CMAP)
+        raw = summary(p)
         taken = dict(zip(DrugClass, raw.medications))
         assert taken[DrugClass.ARB] is True
         assert taken[DrugClass.INSULIN] is False
@@ -233,7 +264,7 @@ class TestSummarize:
         dx_on = DiagnosisEvent(INDEX, CodeSystem.ICD10, "I25.1")
         dx_after = DiagnosisEvent(date(2018, 9, 1), CodeSystem.ICD10, "I50.9")
         p = patient(diagnoses=[dx_on, dx_after], treatments=[chemo(INDEX)])
-        raw = summarize_baseline(p, INDEX, CMAP)
+        raw = summary(p)
         assert raw.outcomes == (True, False, False, False)  # CHF, CAD, CM, MI
 
     def test_outcome_horizon_config(self):
@@ -241,9 +272,9 @@ class TestSummarize:
         p = patient(diagnoses=[dx], treatments=[chemo(INDEX)])
         cfg = PreprocessConfig(outcome_horizon_days=365)
         chf = OUTCOME_NAMES.index("CHF")
-        assert summarize_baseline(p, INDEX, CMAP, cfg).outcomes[chf] is False
+        assert summary(p, cfg).outcomes[chf] is False
         cfg = PreprocessConfig(outcome_horizon_days=700)
-        assert summarize_baseline(p, INDEX, CMAP, cfg).outcomes[chf] is True
+        assert summary(p, cfg).outcomes[chf] is True
 
 
 def raw_features(**overrides):
@@ -442,7 +473,7 @@ def test_compute_features_end_to_end():
         ),
         patient(pid="P2", treatments=[radiation(date(2018, 1, 1))]),
     ]
-    feats, report = compute_features(people, CMAP, END)
+    feats, report = compute_features(Cohort.from_records(people), CMAP, END)
     assert report.included == ("P1", "P2")
     by_id = {f.patient_id: f for f in feats}
     assert by_id["P2"].sbp == 120.0  # cohort mean of the single observed value
@@ -450,9 +481,21 @@ def test_compute_features_end_to_end():
 
 
 # ---------------------------------------------------------------------------
-# References: the summary and the eligibility rules as first written, with one
-# scan of the observations per lab kind and one pass over the diagnoses per
-# rule. The single-pass versions must agree with them on any record.
+# References: the summary and the eligibility rules as first written, one record
+# at a time, with one scan of the observations per lab kind and one pass over
+# the diagnoses per rule. The columnar versions must agree with them on any
+# record; the summary reference reads a record in canonical order.
+
+
+def reference_index(p):
+    return min(t.date for t in p.treatments) if p.treatments else None
+
+
+def reference_age(p, on):
+    years = on.year - p.birth_date.year
+    if (on.month, on.day) < (p.birth_date.month, p.birth_date.day):
+        years -= 1
+    return years
 
 
 def reference_summary(p, index, code_map, config):
@@ -505,7 +548,7 @@ def reference_summary(p, index, code_map, config):
 
     return dict(
         patient_id=p.patient_id,
-        age=float(age_at(p, index)),
+        age=float(reference_age(p, index)),
         **{kind.value.lower(): values[kind] for kind in CONTINUOUS_KINDS},
         troponin_flag=troponin_flag,
         **conditions,
@@ -516,10 +559,10 @@ def reference_summary(p, index, code_map, config):
 
 
 def reference_exclusion(p, code_map, end_of_data):
-    index = index_date(p)
+    index = reference_index(p)
     if index is None:
         return ExclusionReason.NO_TREATMENT
-    if p.sex is not Sex.F or age_at(p, index) < ADULT_AGE:
+    if p.sex is not Sex.F or reference_age(p, index) < ADULT_AGE:
         return ExclusionReason.NOT_FEMALE_ADULT
     if len({t.treatment for t in p.treatments}) > 1:
         return ExclusionReason.MULTIPLE_TREATMENT_TYPES
@@ -583,6 +626,15 @@ CONFIGS = st.builds(
 DAY_BEFORE = INDEX - timedelta(days=1)
 
 
+def reference_wanted(p, index, config):
+    """The reference summary by RawBaseline field, flag groups as ordered tuples."""
+    want = reference_summary(p, index, CMAP, config)
+    taken = want.pop("medication_flags")
+    want["medications"] = tuple(taken[cls] for cls in DrugClass)
+    want["outcomes"] = tuple(want["outcomes"][name] for name in OUTCOME_NAMES)
+    return want
+
+
 class TestSinglePassMatchesReferences:
     @given(p=records(), config=CONFIGS)
     @settings(max_examples=300, deadline=None)
@@ -601,16 +653,13 @@ class TestSinglePassMatchesReferences:
                        treatments=[chemo(INDEX)]),
              config=PreprocessConfig())
     def test_summary_equals_reference(self, p, config):
-        index = index_date(p) or INDEX
+        index = reference_index(p) or INDEX
         if not p.treatments:
             p = patient(birth=p.birth_date, observations=p.observations,
                         diagnoses=p.diagnoses, medications=p.medications,
                         treatments=[chemo(index)])
-        want = reference_summary(p, index, CMAP, config)
-        taken = want.pop("medication_flags")
-        want["medications"] = tuple(taken[cls] for cls in DrugClass)
-        want["outcomes"] = tuple(want["outcomes"][name] for name in OUTCOME_NAMES)
-        got = summarize_baseline(p, index, CMAP, config)
+        want = reference_wanted(Cohort.from_records([p])[0], index, config)
+        got = summary(p, config)
         for f in dataclass_fields(RawBaseline):
             value, expected = getattr(got, f.name), want[f.name]
             assert value == expected, f.name
@@ -618,11 +667,40 @@ class TestSinglePassMatchesReferences:
             if isinstance(value, tuple):
                 assert all(type(flag) is bool for flag in value), f.name
 
+    @given(people=st.lists(records(), max_size=6), config=CONFIGS, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_summaries_of_many_patients_equal_references(self, people, config, data):
+        # patients' events sit side by side in each column; any subset of the
+        # treated rows, in any order, gets each row's own summary
+        people = [replace(p, patient_id=f"P{i}") for i, p in enumerate(people)]
+        cohort = Cohort.from_records(people)
+        treated = [row for row, p in enumerate(cohort) if p.treatments]
+        rows = data.draw(st.permutations(treated)) if treated else []
+        rows = rows[: data.draw(st.integers(0, len(rows)))]
+        got = summarize_baselines(cohort, rows, CMAP, config)
+        assert len(got) == len(rows)
+        for row, raw in zip(rows, got):
+            p = cohort[row]
+            want = reference_wanted(p, reference_index(p), config)
+            assert {f.name: getattr(raw, f.name) for f in dataclass_fields(RawBaseline)} == want
+
+    @given(people=st.lists(records(), max_size=6),
+           end_shift=st.sampled_from([0, MIN_FOLLOWUP_DAYS]))
+    @settings(max_examples=100, deadline=None)
+    def test_exclusions_of_many_patients_equal_references(self, people, end_shift):
+        people = [replace(p, patient_id=f"P{i}") for i, p in enumerate(people)]
+        end = INDEX + timedelta(days=end_shift)
+        report = apply_eligibility(Cohort.from_records(people), CMAP, end)
+        want = {p.patient_id: reference_exclusion(p, CMAP, end) for p in people}
+        assert report.included == tuple(pid for pid in sorted(want) if want[pid] is None)
+        assert report.excluded == tuple(
+            (pid, want[pid]) for pid in sorted(want) if want[pid] is not None)
+
     @given(p=records(), end_shift=st.sampled_from([0, MIN_FOLLOWUP_DAYS]))
     @settings(max_examples=300, deadline=None)
     def test_exclusion_equals_reference(self, p, end_shift):
         end = INDEX + timedelta(days=end_shift)
-        report = apply_eligibility([p], CMAP, end)
+        report = apply_eligibility(Cohort.from_records([p]), CMAP, end)
         want = reference_exclusion(p, CMAP, end)
         if want is None:
             assert (report.included, report.excluded) == ((p.patient_id,), ())
@@ -640,5 +718,5 @@ class TestSinglePassMatchesReferences:
         for order in (dxs, dxs[::-1]):
             p = patient(diagnoses=order, treatments=[chemo(INDEX)])
             assert reference_exclusion(p, CMAP, END) is ExclusionReason.PRIOR_CANCER
-            assert apply_eligibility([p], CMAP, END).excluded == (
+            assert apply_eligibility(Cohort.from_records([p]), CMAP, END).excluded == (
                 ("P1", ExclusionReason.PRIOR_CANCER),)
