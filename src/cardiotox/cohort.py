@@ -413,7 +413,7 @@ def _patient(row: list[str], path: Path, line_no: int, declared: bool) -> None:
     if not pid:
         raise MalformedRowError(str(path), line_no, "patient_id", "empty id")
     if declared:
-        raise DuplicatePatientError(pid)
+        raise DuplicatePatientError(pid, str(path), line_no)
     _parse_date(birth_date, path, line_no, "birth_date")
     _parse_enum(Sex, sex, path, line_no, "sex")
 

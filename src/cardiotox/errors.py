@@ -60,9 +60,12 @@ class UnknownPatientError(InputError):
 class DuplicatePatientError(InputError):
     code = "DUPLICATE_PATIENT"
 
-    def __init__(self, patient_id: str):
+    def __init__(self, patient_id: str, file: str | None = None, line: int | None = None):
         self.patient_id = patient_id
-        super().__init__(f"patient '{patient_id}' declared more than once")
+        self.file = file
+        self.line = line
+        where = "" if file is None else f"{file}:{line}: "
+        super().__init__(f"{where}patient '{patient_id}' declared more than once")
 
 
 class EmptyCohortMeanError(InputError):

@@ -1,11 +1,12 @@
 """Maximum-likelihood logistic regression with Wald inference.
 
 Fitting is Newton-type iteratively reweighted least squares with step-halving
-when the deviance would increase. Standard errors come from the inverse
+when the deviance would increase. There is one IRLS loop, ``_irls``. It runs
+many frequency-weighted fits of one design matrix in lockstep (bootstrap
+replicates, ``fit_logistic_counts``), and a single fit (``fit_logistic``) is
+its one-fit case with every count 1. Standard errors come from the inverse
 observed information at the optimum. Backward elimination repeatedly drops the
 least significant predictor until everything left clears the stay threshold.
-``fit_logistic_counts`` runs many frequency-weighted fits of one design matrix
-in lockstep (bootstrap replicates), with the same checks as ``fit_logistic``.
 """
 
 from __future__ import annotations
@@ -63,12 +64,7 @@ def sigmoid(eta: np.ndarray | float) -> np.ndarray | float:
     eta = np.asarray(eta, dtype=np.float64)
     # exp(-eta) where eta >= 0 and exp(eta) elsewhere: never overflows
     e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
-    # y*eta - log(1 + exp(eta)), evaluated stably
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def find_collinear_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]:
@@ -86,94 +82,29 @@ def find_collinear_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[str, 
 def fit_logistic(fm: FeatureMatrix, *, start: np.ndarray | None = None) -> LogisticModel:
     """Fit by IRLS; raises instead of returning a bad model.
 
-    ``start`` warm-starts the iteration (used by resampling loops); the
-    optimum does not depend on it. Each pass checks for separation and a
-    singular or ill-conditioned information matrix before it steps; the pass
-    after convergence makes the same checks at the optimum.
+    ``start`` warm-starts the iteration (used by resampling loops); the optimum
+    does not depend on it. This is ``_irls`` with one fit; its first failed check raises.
     """
-    X, y = fm.X, fm.y
-    n, p = X.shape
-    if n <= p:
-        raise SingularInformationError(
-            f"n={n} rows cannot identify {p} coefficients",
-            find_collinear_columns(X, fm.column_names),
-        )
-    positives = float(np.sum(y))
-    if positives == 0.0 or positives == float(n):
-        raise DegenerateOutcomeError("outcome has a single class")
-
-    beta = np.zeros(p) if start is None else np.asarray(start, dtype=np.float64).copy()
-    if beta.shape != (p,):
-        raise DimensionMismatchError(f"start vector has shape {beta.shape}, expected ({p},)")
-
-    eta = X @ beta
-    ll = _log_likelihood(eta, y)
-    converged = False
-    # `iterations` counts the Newton steps taken before this pass
-    for iterations in range(MAX_ITERATIONS + 1):
-        if iterations == MAX_ITERATIONS and not converged:
-            raise NotConvergedError(f"no convergence after {MAX_ITERATIONS} iterations")
-        prob = sigmoid(eta)
-        if np.any((prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)):
-            if np.max(np.abs(beta)) > SEPARATION_BETA_BOUND:
-                raise SeparationError(
-                    "fitted probabilities pinned at 0/1 with diverging coefficients"
-                )
-        weights = prob * (1.0 - prob)
-        info = (X * weights[:, None]).T @ X
-        chol = _cholesky_checked(info, X, fm.column_names)
-        if converged:
-            break
-
-        score = X.T @ (y - prob)
-        delta = np.linalg.solve(chol.T, np.linalg.solve(chol, score))
-        step = 1.0
-        new_beta = beta + delta
-        new_eta = X @ new_beta
-        new_ll = _log_likelihood(new_eta, y)
-        halvings = 0
-        while (not math.isfinite(new_ll) or new_ll < ll) and halvings < MAX_STEP_HALVINGS:
-            step *= 0.5
-            halvings += 1
-            new_beta = beta + step * delta
-            new_eta = X @ new_beta
-            new_ll = _log_likelihood(new_eta, y)
-
-        beta_change = float(np.max(np.abs(new_beta - beta)))
-        dev_change = abs(-2.0 * new_ll - (-2.0 * ll)) / (abs(-2.0 * ll) + 1.0)
-        beta, eta, ll = new_beta, new_eta, new_ll
-        converged = beta_change < BETA_TOL or dev_change < DEVIANCE_TOL
-
-    covariance = np.linalg.inv(info)
+    n, p = fm.X.shape
+    start = np.zeros(p) if start is None else start
+    beta, info, ll, steps, (failure,) = _irls(fm.X, fm.y, np.ones((1, n)), start, None)
+    if failure is not None:
+        error, message = failure
+        if error is SingularInformationError:
+            raise error(message, find_collinear_columns(fm.X, fm.column_names))
+        raise error(message)
+    covariance = np.linalg.inv(info[0])
     covariance = (covariance + covariance.T) / 2.0
     return LogisticModel(
         column_names=fm.column_names,
-        beta=beta,
+        beta=beta[0],
         se=np.sqrt(np.diag(covariance)),
         covariance=covariance,
-        log_likelihood=ll,
-        iterations=iterations,
+        log_likelihood=float(ll[0]),
+        iterations=int(steps[0]),
         converged=True,
         n=n,
     )
-
-
-def _cholesky_checked(info: np.ndarray, X: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """Cholesky factor of the information matrix; raises if it is singular or ill-conditioned."""
-    try:
-        chol = np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        raise SingularInformationError(
-            "information matrix is not positive definite",
-            find_collinear_columns(X, names),
-        ) from None
-    eigvals = np.linalg.eigvalsh(info)
-    if eigvals[-1] <= 0.0 or eigvals[0] <= eigvals[-1] * SINGULAR_RTOL:
-        raise SingularInformationError(
-            "information matrix is singular at working tolerance",
-            find_collinear_columns(X, names),
-        )
-    return chol
 
 
 def pairwise_products(X: np.ndarray) -> np.ndarray:
@@ -200,134 +131,166 @@ def fit_logistic_counts(
     start: np.ndarray,
     products: np.ndarray,
 ) -> tuple[np.ndarray, list[str | None]]:
+    """Fit one model per row of ``counts`` in lockstep (see ``_irls``); ``products`` is
+    ``pairwise_products(X)``. Returns the coefficients, NaN rows for failed fits, and
+    each fit's error code or None."""
+    beta, _, _, _, failures = _irls(X, y, counts, start, products)
+    return beta, [None if failure is None else failure[0].code for failure in failures]
+
+
+def _irls(
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    start: np.ndarray,
+    products: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
     """Fit one model per row of ``counts``, all in lockstep on the same ``X``.
 
-    ``counts[b, i]`` is how often row i enters fit b, so fit b is the fit of
-    ``fit_logistic`` on the matrix that repeats each row that often (a
-    bootstrap replicate drawn with replacement). Every fit starts from
-    ``start`` and has its own step-halving and convergence test, and every
-    failure rule of ``fit_logistic`` applies to each fit in the same order.
-    Separation is judged on rows with a positive count only. ``products`` is
-    ``pairwise_products(X)``, which callers build once for all their fits.
+    ``counts[b, i]`` is how often row i enters fit b: fit b is the fit on the
+    matrix that repeats each row that often (a bootstrap replicate). Every fit
+    starts from ``start``, steps and halves on its own, and fails on the first
+    failed check: too few rows, one outcome class, a wrong ``start`` shape
+    (raised), then at each pass, the optimum's included: iterations run out,
+    separation on drawn rows, information not positive definite or singular.
+    ``products`` is ``pairwise_products(X)``, for a block's information in one
+    product. None is for one fit: ``(X * w).T @ X`` and ``logaddexp`` then keep
+    the digits single fits have always had.
 
-    Returns the coefficients, shape (fits, p) with NaN rows for failed fits,
-    and per fit the code of the error ``fit_logistic`` would raise, or None.
+    Returns per fit the coefficients, information, log-likelihood and Newton steps
+    at the optimum (NaN or 0 if it failed), and None or (error type, message).
     """
     p = X.shape[1]
-    rows, cols = np.triu_indices(p)
     counts = np.asarray(counts, dtype=np.float64)
-    beta_out = np.full((len(counts), p), np.nan)
-    codes: list[str | None] = [None] * len(counts)
-
-    totals = counts.sum(axis=1)
-    positives = counts @ y
+    beta_out, info_out = np.full((len(counts), p), np.nan), np.full((len(counts), p, p), np.nan)
+    ll_out, steps_out = np.full(len(counts), np.nan), np.zeros(len(counts), dtype=np.int64)
+    failures: list = [None] * len(counts)
+    totals, positives = counts.sum(axis=1), counts @ y
     for b in range(len(counts)):
         if totals[b] <= p:
-            codes[b] = SingularInformationError.code
+            message = f"n={totals[b]:.0f} rows cannot identify {p} coefficients"
+            failures[b] = (SingularInformationError, message)
         elif positives[b] == 0.0 or positives[b] == totals[b]:
-            codes[b] = DegenerateOutcomeError.code
+            failures[b] = (DegenerateOutcomeError, "outcome has a single class")
 
     # State of the fits still running; `fit` maps each to its row of `counts`.
-    fit = np.array([b for b, code in enumerate(codes) if code is None], dtype=np.int64)
+    fit = np.array([b for b, failure in enumerate(failures) if failure is None], dtype=np.int64)
+    if not len(fit):
+        return beta_out, info_out, ll_out, steps_out, failures
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (p,):
+        raise DimensionMismatchError(f"start vector has shape {start.shape}, expected ({p},)")
     C = counts if len(fit) == len(counts) else counts[fit]
-    beta = np.tile(np.asarray(start, dtype=np.float64), (len(fit), 1))
+    drawn = C > 0.0
+    if products is not None:
+        rows, cols = np.triu_indices(p)
+    else:
+        scaled = np.empty_like(X)
+    beta = np.repeat(start[None, :], len(fit), axis=0)
     eta = beta @ X.T
-    ll = _weighted_log_likelihood(eta, y, C)
+    ll = _log_likelihood(eta, y, C, products is not None)
     done = np.zeros(len(fit), dtype=bool)
 
     for iteration in range(MAX_ITERATIONS + 1):
-        # A fit marked done stepped to its optimum last round; the checks below
-        # are then fit_logistic's checks at the optimum.
-        alive = np.ones(len(fit), dtype=bool)
-        if iteration == MAX_ITERATIONS:
-            _fail(codes, fit, alive, ~done, NotConvergedError.code)
+        # A fit marked done stepped to its optimum last pass, and stops now.
         prob = sigmoid(eta)
-        pinned = np.any(
-            ((prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)) & (C > 0.0),
-            axis=1,
-        )
-        diverging = np.max(np.abs(beta), axis=1) > SEPARATION_BETA_BOUND
-        _fail(codes, fit, alive, pinned & diverging, SeparationError.code)
+        pinned = (prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)
+        separated = np.zeros(len(fit), dtype=bool)
+        if pinned.any():
+            diverging = np.abs(beta).max(axis=1) > SEPARATION_BETA_BOUND
+            separated = (pinned & drawn).any(axis=1) & diverging
         weights = 1.0 - prob
         weights *= prob
         weights *= C
-        info = np.empty((len(fit), p, p))
-        upper = weights @ products
-        del weights
-        info[:, rows, cols] = upper
-        info[:, cols, rows] = upper
-        chol, singular = _cholesky_each(info)
-        eigvals = np.linalg.eigvalsh(info[~singular])
-        singular[~singular] = (eigvals[:, -1] <= 0.0) | (
-            eigvals[:, 0] <= eigvals[:, -1] * SINGULAR_RTOL
-        )
-        _fail(codes, fit, alive, singular, SingularInformationError.code)
+        if products is not None:
+            info = np.empty((len(fit), p, p))
+            upper = weights @ products
+            info[:, rows, cols] = upper
+            info[:, cols, rows] = upper
+        else:
+            info = (np.multiply(X, weights.reshape(-1, 1), out=scaled).T @ X)[None]  # one fit
+        chol, not_definite, ill_conditioned = _factor(info)
 
-        beta_out[fit[alive & done]] = beta[alive & done]
-        keep = alive & ~done
-        if not keep.any():
-            break
-        fit, C, beta, eta, ll = fit[keep], C[keep], beta[keep], eta[keep], ll[keep]
-        chol, prob = chol[keep], prob[keep]
+        stop = done | separated | not_definite | ill_conditioned
+        if iteration == MAX_ITERATIONS:
+            stop[:] = True
+        if stop.any():
+            for k in np.flatnonzero(stop):
+                stalled = iteration == MAX_ITERATIONS and not done[k]
+                failure = _failure(stalled, separated[k], not_definite[k], ill_conditioned[k])
+                failures[fit[k]] = failure
+                if failure is None:
+                    beta_out[fit[k]], info_out[fit[k]] = beta[k], info[k]
+                    ll_out[fit[k]], steps_out[fit[k]] = ll[k], iteration
+            keep = ~stop
+            if not keep.any():
+                break
+            fit, C, drawn, beta = fit[keep], C[keep], drawn[keep], beta[keep]
+            eta, ll, chol, prob = eta[keep], ll[keep], chol[keep], prob[keep]
 
         score = (C * (y - prob)) @ X
-        del prob
         z = np.linalg.solve(chol, score[:, :, None])
         delta = np.linalg.solve(np.swapaxes(chol, 1, 2), z)[:, :, 0]
 
-        step = np.ones(len(fit))
         new_beta = beta + delta
         new_eta = new_beta @ X.T
-        new_ll = _weighted_log_likelihood(new_eta, y, C)
-        halvings = 0
-        while halvings < MAX_STEP_HALVINGS:
+        new_ll = _log_likelihood(new_eta, y, C, products is not None)
+        # a fit keeps a step once it is kept, so all retrying fits have halved as often
+        for halvings in range(1, MAX_STEP_HALVINGS + 1):
             retry = ~np.isfinite(new_ll) | (new_ll < ll)
             if not retry.any():
                 break
-            step[retry] *= 0.5
-            halvings += 1
-            new_beta[retry] = beta[retry] + step[retry, None] * delta[retry]
+            new_beta[retry] = beta[retry] + 0.5**halvings * delta[retry]
             new_eta[retry] = new_beta[retry] @ X.T
-            new_ll[retry] = _weighted_log_likelihood(new_eta[retry], y, C[retry])
+            new_ll[retry] = _log_likelihood(new_eta[retry], y, C[retry], products is not None)
 
-        beta_change = np.max(np.abs(new_beta - beta), axis=1)
-        dev_change = np.abs(-2.0 * new_ll - (-2.0 * ll)) / (np.abs(-2.0 * ll) + 1.0)
+        # relative deviance change |dD| / (|D| + 1), D = -2 ll, with the 2 cancelled
+        dev_change = np.abs(new_ll - ll) / (np.abs(ll) + 0.5)
+        done = (np.abs(new_beta - beta).max(axis=1) < BETA_TOL) | (dev_change < DEVIANCE_TOL)
         beta, eta, ll = new_beta, new_eta, new_ll
-        done = (beta_change < BETA_TOL) | (dev_change < DEVIANCE_TOL)
 
-    return beta_out, codes
-
-
-def _weighted_log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # log(1 + exp(eta)) as in _log_likelihood, from one exp and one log1p per
-    # element, which costs less than logaddexp
-    softplus = np.log1p(np.exp(-np.abs(eta)))
-    softplus += np.maximum(eta, 0.0)
-    return np.sum(counts * (y * eta - softplus), axis=1)
+    return beta_out, info_out, ll_out, steps_out, failures
 
 
-def _fail(codes: list, fit: np.ndarray, alive: np.ndarray, mask: np.ndarray, code: str) -> None:
-    """Record ``code`` for the live fits in ``mask`` and mark them failed."""
-    hit = alive & mask
-    for k in np.flatnonzero(hit):
-        codes[fit[k]] = code
-    alive &= ~hit
+def _log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray, blocked: bool):
+    """Count-weighted log-likelihood of each row of ``eta``."""
+    if blocked:  # log(1 + exp(eta)) from one exp and one log1p, cheaper than logaddexp
+        softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+    else:
+        softplus = np.logaddexp(0.0, eta)
+    return (counts * (y * eta - softplus)).sum(axis=1)
 
 
-def _cholesky_each(info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack of matrices, and which of them do not exist."""
+def _failure(stalled: bool, separated: bool, not_definite: bool, ill_conditioned: bool):
+    """(error type, message) of the first check a fit fails at one pass, or None."""
+    checks = (
+        (stalled, NotConvergedError, f"no convergence after {MAX_ITERATIONS} iterations"),
+        (separated, SeparationError,
+         "fitted probabilities pinned at 0/1 with diverging coefficients"),
+        (not_definite, SingularInformationError, "information matrix is not positive definite"),
+        (ill_conditioned, SingularInformationError,
+         "information matrix is singular at working tolerance"),
+    )
+    return next(((error, message) for failed, error, message in checks if failed), None)
+
+
+def _factor(info: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factors of stacked matrices, which do not exist, which are singular."""
+    not_definite = np.zeros(len(info), dtype=bool)
     try:
-        return np.linalg.cholesky(info), np.zeros(len(info), dtype=bool)
+        chol = np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
-        pass
-    chol = np.zeros_like(info)
-    failed = np.zeros(len(info), dtype=bool)
-    for b, matrix in enumerate(info):
-        try:
-            chol[b] = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            failed[b] = True
-    return chol, failed
+        chol = np.zeros_like(info)
+        for b, matrix in enumerate(info):
+            try:
+                chol[b] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                not_definite[b] = True
+        # those may hold NaN; identity matrices keep them out of eigvalsh
+        info = np.where(not_definite[:, None, None], np.eye(info.shape[1]), info)
+    # ascending eigenvalues: this also holds when the largest is <= 0
+    eigvals = np.linalg.eigvalsh(info)
+    return chol, not_definite, eigvals[:, 0] <= eigvals[:, -1] * SINGULAR_RTOL
 
 
 def predict_prob(model: LogisticModel, x: np.ndarray) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import evaluate
 from .cohort import DrugClass, ObservationKind, Treatment, default_code_map_rows
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NonFiniteScoreError, OneClassError
 from .glm import sigmoid
 from .preprocess import LAB_FIELDS, OUTCOME_NAMES, BaselineFeatures, baseline_features
 from .rng import SplitMix64, derive_seed
@@ -47,6 +47,7 @@ TREATMENT_KEYS = ("CHEMOTHERAPY", "TARGETED")
 
 AGE_MIN = 18
 AGE_MAX = 100
+MAX_N = 1_000_000  # patients one spec may ask for
 TROPONIN_OBS_VALUE = 0.05
 
 _OBSERVATION_SLOTS = LAB_FIELDS
@@ -179,8 +180,8 @@ def parse_spec(raw: dict) -> SyntheticSpec:
         raise InvalidSpecError("spec must be a JSON object")
     n = _typed("n", raw.get("n"), int)
     seed = _typed("seed", raw.get("seed"), int)
-    if n < 1:
-        raise InvalidSpecError(f"n must be positive, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise InvalidSpecError(f"n must be in [1, {MAX_N}], got {n}")
 
     covariates = tuple(
         _parse_covariate(c) for c in _typed("covariates", raw.get("covariates", []), list)
@@ -295,7 +296,7 @@ def _parse_layout(raw: dict) -> EventLayout:
             if "end_of_data" in raw
             else index + timedelta(days=730)
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InvalidSpecError(f"bad date in event_layout: {err}") from None
     offsets = {  # the day offsets, every int field
         f.name: _typed(f.name, raw.get(f.name, f.default), int)
@@ -312,6 +313,12 @@ def _parse_layout(raw: dict) -> EventLayout:
         raise InvalidSpecError("pre-index offsets must be positive")
     if layout.medication_days_after < 0 or layout.outcome_days_after <= 0:
         raise InvalidSpecError("post-index offsets must be positive")
+    try:  # every event date and the oldest birth date must exist
+        index - timedelta(days=max(layout.observation_days_before, layout.diagnosis_days_before))
+        index + timedelta(days=max(layout.medication_days_after, layout.outcome_days_after))
+        date(index.year - AGE_MAX, 1, 1)
+    except (OverflowError, ValueError):
+        raise InvalidSpecError("event_layout puts dates outside the calendar") from None
     if layout.index_date + timedelta(days=layout.outcome_days_after) > layout.end_of_data:
         raise InvalidSpecError("outcome offset falls after end_of_data")
     return layout
@@ -325,14 +332,17 @@ def _sample_slot(name: str, dist: tuple, rng: SplitMix64, n: int) -> np.ndarray:
     kind = dist[0]
     if kind == "bernoulli":
         return rng.bernoulli(dist[1], n).astype(np.float64)
-    if kind == "normal":
-        raw = dist[1] + dist[2] * rng.normal(n)
-    elif kind == "lognormal":
-        raw = np.exp(dist[1] + dist[2] * rng.normal(n))
-    else:  # pragma: no cover - guarded by validation
-        raise InvalidSpecError(f"unknown distribution '{kind}'")
+    with np.errstate(over="ignore"):  # draws beyond the float range fail below
+        if kind == "normal":
+            raw = dist[1] + dist[2] * rng.normal(n)
+        elif kind == "lognormal":
+            raw = np.exp(dist[1] + dist[2] * rng.normal(n))
+        else:  # pragma: no cover - guarded by validation
+            raise InvalidSpecError(f"unknown distribution '{kind}'")
     if name == "age":
         return np.clip(np.floor(raw), AGE_MIN, AGE_MAX)
+    if not np.isfinite(raw).all():
+        raise InvalidSpecError(f"draws of '{name}' overflow the float range")
     return np.maximum(raw, 0.0)
 
 
@@ -644,7 +654,10 @@ def truth_rows(spec: SyntheticSpec, n_mc: int = 200_000) -> list[tuple]:
     for outcome in OUTCOME_NAMES:
         if outcome not in spec.outcome_models:
             continue
-        value, se = _mc_auc(spec, outcome, n_mc)
+        try:
+            value, se = _mc_auc(spec, outcome, n_mc)
+        except (OneClassError, NonFiniteScoreError):
+            continue  # AUC undefined: every draw has one outcome, or eta is not finite
         rows.append(("AUC", "", outcome, value, se))
     return rows
 

@@ -366,10 +366,8 @@ def test_one_mutated_cell_exits_0_or_names_the_faulty_row(tmp_path_factory, tabl
         return
     assert code == 2 and len(err) == 1, err
     kind = err[0][: err[0].index("]") + 1]
-    if kind in ("error[MALFORMED_ROW]", "error[UNKNOWN_PATIENT]"):
+    if kind in ("error[MALFORMED_ROW]", "error[UNKNOWN_PATIENT]", "error[DUPLICATE_PATIENT]"):
         assert re.search(r"\w+\.csv:\d+[: ]", err[0]), err
-    elif kind == "error[DUPLICATE_PATIENT]":
-        assert rows[table][line][column] in err[0]
     else:
         assert kind == "error[EMPTY_COHORT_MEAN]", err
 
@@ -421,6 +419,15 @@ def test_row_of_wrong_width_is_checked_in_file_order(tmp_path, extra, bad, messa
     rows["observations"][bad[0] - 1][3] = bad[1]
     code, err = run_on_tables(rows, tmp_path, "validate")
     assert code == 2 and len(err) == 1 and message in err[0], err
+
+
+def test_duplicate_patient_names_file_and_line(tmp_path):
+    rows = golden_rows()
+    rows["patients"][6][0] = "P02"
+    code, err = run_on_tables(rows, tmp_path, "validate")
+    assert code == 2
+    assert err == [f"error[DUPLICATE_PATIENT]: {tmp_path / 'patients.csv'}:7: "
+                   "patient 'P02' declared more than once"]
 
 
 def test_error_quoting_a_line_break_stays_on_one_line(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cardiotox import glm
 from cardiotox.errors import (
@@ -10,6 +11,7 @@ from cardiotox.errors import (
     NotConvergedError,
     SeparationError,
     SingularInformationError,
+    StatisticalError,
     ZeroSeError,
 )
 from cardiotox.preprocess import FeatureMatrix
@@ -340,3 +342,259 @@ class TestNormalized:
         g = SplitMix64(42)
         m, fm = self.build(0.4, g.normal(50))
         assert glm.normalized_coefficients(m, fm)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# fit_logistic against a copy of the stand-alone single-fit IRLS loop it used
+# to run. The lockstep engine must reproduce that loop bit for bit: the same
+# coefficients, standard errors, covariance, log-likelihood and iteration count,
+# and the same error, message and failure order when a fit fails.
+
+
+def reference_sigmoid(eta):
+    eta = np.asarray(eta, dtype=np.float64)
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def reference_log_likelihood(eta, y):
+    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+
+
+def reference_cholesky_checked(info, X, names):
+    try:
+        chol = np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        raise SingularInformationError(
+            "information matrix is not positive definite",
+            glm.find_collinear_columns(X, names),
+        ) from None
+    eigvals = np.linalg.eigvalsh(info)
+    if eigvals[-1] <= 0.0 or eigvals[0] <= eigvals[-1] * glm.SINGULAR_RTOL:
+        raise SingularInformationError(
+            "information matrix is singular at working tolerance",
+            glm.find_collinear_columns(X, names),
+        )
+    return chol
+
+
+def reference_fit(fm, *, start=None):
+    X, y = fm.X, fm.y
+    n, p = X.shape
+    if n <= p:
+        raise SingularInformationError(
+            f"n={n} rows cannot identify {p} coefficients",
+            glm.find_collinear_columns(X, fm.column_names),
+        )
+    positives = float(np.sum(y))
+    if positives == 0.0 or positives == float(n):
+        raise DegenerateOutcomeError("outcome has a single class")
+
+    beta = np.zeros(p) if start is None else np.asarray(start, dtype=np.float64).copy()
+    if beta.shape != (p,):
+        raise DimensionMismatchError(f"start vector has shape {beta.shape}, expected ({p},)")
+
+    eta = X @ beta
+    ll = reference_log_likelihood(eta, y)
+    converged = False
+    # `iterations` counts the Newton steps taken before this pass
+    for iterations in range(glm.MAX_ITERATIONS + 1):
+        if iterations == glm.MAX_ITERATIONS and not converged:
+            raise NotConvergedError(f"no convergence after {glm.MAX_ITERATIONS} iterations")
+        prob = reference_sigmoid(eta)
+        if np.any((prob < glm.SEPARATION_PROB_EPS) | (prob > 1.0 - glm.SEPARATION_PROB_EPS)):
+            if np.max(np.abs(beta)) > glm.SEPARATION_BETA_BOUND:
+                raise SeparationError(
+                    "fitted probabilities pinned at 0/1 with diverging coefficients"
+                )
+        weights = prob * (1.0 - prob)
+        info = (X * weights[:, None]).T @ X
+        chol = reference_cholesky_checked(info, X, fm.column_names)
+        if converged:
+            break
+
+        score = X.T @ (y - prob)
+        delta = np.linalg.solve(chol.T, np.linalg.solve(chol, score))
+        step = 1.0
+        new_beta = beta + delta
+        new_eta = X @ new_beta
+        new_ll = reference_log_likelihood(new_eta, y)
+        halvings = 0
+        while (not math.isfinite(new_ll) or new_ll < ll) and halvings < glm.MAX_STEP_HALVINGS:
+            step *= 0.5
+            halvings += 1
+            new_beta = beta + step * delta
+            new_eta = X @ new_beta
+            new_ll = reference_log_likelihood(new_eta, y)
+
+        beta_change = float(np.max(np.abs(new_beta - beta)))
+        dev_change = abs(-2.0 * new_ll - (-2.0 * ll)) / (abs(-2.0 * ll) + 1.0)
+        beta, eta, ll = new_beta, new_eta, new_ll
+        converged = beta_change < glm.BETA_TOL or dev_change < glm.DEVIANCE_TOL
+
+    covariance = np.linalg.inv(info)
+    covariance = (covariance + covariance.T) / 2.0
+    return glm.LogisticModel(
+        column_names=fm.column_names,
+        beta=beta,
+        se=np.sqrt(np.diag(covariance)),
+        covariance=covariance,
+        log_likelihood=ll,
+        iterations=iterations,
+        converged=True,
+        n=n,
+    )
+
+
+def fit_outcome(fit, fm, start=None):
+    """The fitted model, or (error type, message, offending columns)."""
+    try:
+        return fit(fm, start=start)
+    except StatisticalError as err:
+        return type(err), str(err), getattr(err, "columns", None)
+
+
+def assert_same_as_reference(fm, start=None):
+    expected = fit_outcome(reference_fit, fm, start)
+    got = fit_outcome(glm.fit_logistic, fm, start)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return expected
+    assert isinstance(got, glm.LogisticModel), got
+    for field in ("beta", "se", "covariance"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    assert got.log_likelihood == expected.log_likelihood
+    assert got.iterations == expected.iterations
+    assert got.n == expected.n and got.column_names == expected.column_names
+    return expected
+
+
+def separable():
+    x = np.linspace(-2, 2, 40)
+    x = x[x != 0]
+    return matrix(np.column_stack([np.ones_like(x), x]), (x > 0).astype(float))
+
+
+def collinear(noise=0.0, n=50):
+    g = SplitMix64(3)
+    x = g.normal(n)
+    copy = x + noise * g.normal(n) if noise else x
+    X = np.column_stack([np.ones(n), x, copy])
+    return matrix(X, (g.uniform(n) < 0.5).astype(float), ("intercept", "a", "a_copy"))
+
+
+GLM_FIXTURES = {
+    "intercept_only": lambda: matrix(np.ones((100, 1)), [1.0] * 25 + [0.0] * 75, ("intercept",)),
+    "recovers": lambda: simulate(11, 5000, (-1.0, 0.8, -0.5)),
+    "stationarity": lambda: simulate(21, 3000, (-0.5, 0.6, 0.3)),
+    "sum_to_positives": lambda: simulate(22, 2500, (-1.2, 0.4)),
+    "permutation": lambda: simulate(23, 800, (-0.8, 0.5, -0.4)),
+    "rescale": lambda: simulate(24, 1500, (-0.6, 0.7)),
+    "covariance": lambda: simulate(25, 1200, (-0.4, 0.3, 0.2)),
+    "warm_start": lambda: simulate(26, 1000, (-0.9, 0.6)),
+    "no_removal": lambda: simulate(31, 4000, (-0.5, 0.9, -0.8)),
+    "noise_columns": lambda: simulate(32, 4000, (-0.5, 0.9, -0.8), extra_null=3),
+    "threshold": lambda: simulate(33, 3000, (-0.5, 0.5), extra_null=4),
+    "protected": lambda: simulate(34, 3000, (-0.5, 0.9), extra_null=3),
+    "counts": lambda: simulate(41, 400, (-0.7, 0.8, -0.4), extra_null=1),
+    "failure_codes": lambda: simulate(43, 300, (-0.5, 0.6)),
+    "iterations": lambda: simulate(45, 500, (-1.5, 1.2, -0.8)),
+    "xor": lambda: matrix(
+        np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [1.0, -1.0, -1.0]] * 5),
+        np.array([1.0, 0.0, 0.0, 1.0] * 5), ("intercept", "x1", "x2"),
+    ),
+    "separable": separable,
+    "degenerate": lambda: matrix(np.column_stack([np.ones(20), np.arange(20.0)]), np.zeros(20)),
+    "collinear": collinear,
+    "near_collinear": lambda: collinear(noise=1e-6),
+    "too_few_rows": lambda: matrix(np.column_stack([np.ones(3), np.arange(3.0), [0.0, 1, 4]]),
+                                   [0.0, 1.0, 0.0]),
+}
+
+
+class TestSameAsReferenceLoop:
+    @pytest.mark.parametrize("name", sorted(GLM_FIXTURES))
+    def test_cold_and_warm_fixtures(self, name):
+        fm = GLM_FIXTURES[name]()
+        cold = assert_same_as_reference(fm)
+        if isinstance(cold, glm.LogisticModel):
+            assert_same_as_reference(fm, cold.beta + 0.05)
+            assert_same_as_reference(fm, cold.beta)
+
+    def test_failing_fixtures_keep_their_errors(self):
+        raised = {name: fit_outcome(glm.fit_logistic, GLM_FIXTURES[name]())[0]
+                  for name in ("separable", "degenerate", "collinear", "near_collinear",
+                               "too_few_rows")}
+        assert raised == {
+            "separable": SeparationError,
+            "degenerate": DegenerateOutcomeError,
+            "collinear": SingularInformationError,
+            "near_collinear": SingularInformationError,
+            "too_few_rows": SingularInformationError,
+        }
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 300),
+        p=st.integers(1, 6),
+        scale=st.sampled_from([0.3, 1.0, 3.0]),
+        warm=st.sampled_from(["cold", "near", "far"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_designs(self, seed, n, p, scale, warm):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1)) * scale])
+        if p > 2 and rng.random() < 0.3:
+            X[:, -1] = (X[:, -1] > 0).astype(float)  # a binary column
+        truth = rng.normal(size=p) * 0.8
+        y = (rng.random(n) < reference_sigmoid(X @ truth)).astype(float)
+        fm = matrix(X, y)
+        start = None
+        if warm == "near":
+            start = truth + rng.normal(size=p) * 0.1
+        elif warm == "far":
+            start = rng.normal(size=p) * 3.0
+        assert_same_as_reference(fm, start)
+
+    # Several faults at once: the one checked first is raised, as in the loop.
+    def test_too_few_rows_before_single_class(self):
+        fm = matrix(np.ones((2, 3)), np.zeros(2))
+        assert assert_same_as_reference(fm)[0] is SingularInformationError
+
+    def test_single_class_before_start_shape(self):
+        fm = GLM_FIXTURES["degenerate"]()
+        assert assert_same_as_reference(fm, np.zeros(5))[0] is DegenerateOutcomeError
+
+    def test_start_shape_before_any_pass(self):
+        outcome = assert_same_as_reference(separable(), np.zeros(3))
+        assert outcome[0] is DimensionMismatchError
+
+    def test_iterations_run_out_before_separation(self, monkeypatch):
+        assert assert_same_as_reference(separable())[0] is SeparationError
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", 2)
+        assert assert_same_as_reference(separable())[0] is NotConvergedError
+
+    def test_convergence_on_the_last_pass_is_kept(self, monkeypatch):
+        fm = GLM_FIXTURES["iterations"]()
+        steps = glm.fit_logistic(fm).iterations
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", steps)
+        assert assert_same_as_reference(fm).iterations == steps
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", steps - 1)
+        assert assert_same_as_reference(fm)[0] is NotConvergedError
+
+    def test_separation_before_singular_information(self):
+        # probabilities exactly 0 or 1: zero weights, so the information is zero too
+        outcome = assert_same_as_reference(separable(), np.array([0.0, 800.0]))
+        assert outcome[0] is SeparationError
+
+    def test_each_singular_check_keeps_its_message(self):
+        messages = {name: assert_same_as_reference(GLM_FIXTURES[name]())[1]
+                    for name in ("too_few_rows", "near_collinear")}
+        assert messages == {
+            "too_few_rows": "n=3 rows cannot identify 3 coefficients",
+            "near_collinear": "information matrix is singular at working tolerance",
+        }
+        X = np.column_stack([np.ones(30), np.zeros(30)])
+        y = np.array([0.0, 1.0] * 15)
+        message = assert_same_as_reference(matrix(X, y))[1]
+        assert message == "information matrix is not positive definite (offending columns: x1)"

@@ -110,7 +110,7 @@ def reference_load(paths):
         if not pid:
             fault(paths.patients, line, "patient_id")
         if pid in people:
-            raise DuplicatePatientError(pid)
+            raise DuplicatePatientError(pid, str(paths.patients), line)
         people[pid] = (day(birth, paths.patients, line, "birth_date"),
                        member(Sex, sex, paths.patients, line, "sex"))
     events = {pid: {name: [] for name in parsers} for pid in people}
@@ -136,7 +136,7 @@ def outcome(load, paths):
     except UnknownPatientError as err:
         return type(err).__name__, err.file, err.line, err.patient_id
     except DuplicatePatientError as err:
-        return type(err).__name__, str(err)
+        return type(err).__name__, err.file, err.line, err.patient_id
 
 
 def write_tables(root, tables):

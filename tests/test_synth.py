@@ -1,9 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cardiotox import cli, cohort, preprocess, synth
 from cardiotox.errors import InvalidSpecError
@@ -147,6 +151,11 @@ class TestSpecValidation:
                 {"name": "hba1c", "dist": "normal"},
             ])
 
+    def test_rejects_draws_beyond_the_float_range(self):
+        spec = base_spec(covariates=[{"name": "bmi", "dist": "lognormal", "mu": 710.0}])
+        with pytest.raises(InvalidSpecError, match="overflow"):
+            synth.generate(spec)
+
     def test_rejects_missing_n(self):
         with pytest.raises(InvalidSpecError):
             synth.parse_spec({"seed": 1})
@@ -184,6 +193,86 @@ class TestSpecValidation:
                          "--n-mc", "100"])
         assert code == 2
         assert "error[INVALID_SPEC]" in capsys.readouterr().err
+
+
+# Valid specs that between them use every key the parser reads.
+FULL_SPECS = [
+    raw_spec(event_layout={
+        "index_date": "2018-06-15", "end_of_data": "2020-06-15",
+        "observation_days_before": 30, "diagnosis_days_before": 60,
+        "medication_days_after": 30, "outcome_days_after": 180, "fill_defaults": True,
+    }),
+    raw_spec(
+        n=120,
+        covariates=[
+            {"name": "age", "dist": "normal", "mu": 57.5, "sigma": 12.0},
+            {"name": "bmi", "dist": "lognormal", "mu": 3.3, "sigma": 0.1},
+            {"name": "hypertension", "dist": "bernoulli", "p": 0.3},
+        ],
+        treatment_model={
+            "kind": "logistic",
+            "chemo_vs_rest": {"intercept": -1.0, "age": 0.01},
+            "targeted_vs_radiation": {"intercept": -0.5, "hypertension": 0.2},
+        },
+        outcome_models={"CHF": {"intercept": -2.0, "bmi": 0.1, "TARGETED": 0.4},
+                        "MI": {"intercept": -2.5, "age": 0.01}},
+    ),
+]
+
+
+def key_paths(value, path=()):
+    """The path of every dict key and list index in a JSON value, nested ones too."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for key, child in items for p in [path + (key,), *key_paths(child, path + (key,))]]
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.integers(min_value=2**63) | st.integers(max_value=-(2**63))
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+CASES = [(i, path) for i, spec in enumerate(FULL_SPECS) for path in key_paths(spec)]
+
+
+@given(case=st.sampled_from(CASES), value=JSON_VALUES)
+@example(case=(0, ("n",)), value=2**63)
+@example(case=(0, ("event_layout", "observation_days_before")), value=2**63)
+@example(case=(0, ("event_layout", "index_date")), value="0050-01-01")
+@example(case=(1, ("covariates", 1, "mu")), value=710)
+@example(case=(0, ("outcome_models", "CHF", "intercept")), value=40)
+@settings(max_examples=200, deadline=None)
+def test_any_json_value_at_any_key_exits_0_or_2(tmp_path_factory, case, value):
+    base, path = case
+    raw = copy.deepcopy(FULL_SPECS[base])
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    root = tmp_path_factory.mktemp("spec")
+    (root / "spec.json").write_text(json.dumps(raw))
+    err = io.StringIO()
+    # cli.main turns only PipelineErrors into exit codes, so a traceback fails here
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "o"),
+                         "--n-mc", "100"])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error["), (code, lines)
 
 
 class TestOracles:
