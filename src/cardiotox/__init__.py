@@ -19,6 +19,7 @@ from .cohort import (  # noqa: F401
 )
 from .preprocess import (  # noqa: F401
     BaselineFeatures,
+    Baselines,
     EligibilityReport,
     FeatureMatrix,
     PreprocessConfig,

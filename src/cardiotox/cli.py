@@ -227,45 +227,44 @@ def _load_features(cfg: RunConfig):
 # Commands
 
 
-def cmd_validate(cfg: RunConfig, outdir: Path) -> int:
+def cmd_validate(cfg: RunConfig, outdir: Path) -> None:
     code_map = cfg.code_map()
     cohort = load_cohort(cfg.inputs)
     report = preprocess.apply_eligibility(cohort, code_map, cfg.end_of_data)
     preprocess.write_exclusions_csv(outdir / "exclusions.csv", report)
-    _write_manifest(outdir, "validate", cfg.config_sha256, cfg.seed)
     print(f"loaded {len(cohort)} patients: {len(report.included)} included, "
           f"{len(report.excluded)} excluded")
-    return 0
 
 
-def cmd_features(cfg: RunConfig, outdir: Path) -> int:
+def cmd_features(cfg: RunConfig, outdir: Path) -> None:
     features, report = _load_features(cfg)
     preprocess.write_features_csv(outdir / "features.csv", features)
     preprocess.write_exclusions_csv(outdir / "exclusions.csv", report)
-    _write_manifest(outdir, "features", cfg.config_sha256, cfg.seed)
     print(f"wrote {len(features)} feature rows")
-    return 0
 
 
-def cmd_fit(cfg: RunConfig, outdir: Path, outcome: str | None) -> int:
+def _eliminate_and_report(
+    fm: preprocess.FeatureMatrix, alpha_stay: float, full: Path, eliminated: Path, trace: Path
+) -> None:
+    """Backward elimination, then the full and eliminated coefficient reports and the trace."""
+    result = glm.backward_eliminate(fm, alpha_stay)
+    glm.write_coefficient_report(full, result.full_model, fm)
+    glm.write_coefficient_report(
+        eliminated, result.final_model, fm.select_columns(result.final_model.column_names))
+    glm.write_elimination_trace(trace, result)
+
+
+def cmd_fit(cfg: RunConfig, outdir: Path, outcome: str | None) -> None:
     features, _ = _load_features(cfg)
     outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
     for oc in outcomes:
         fm = preprocess.build_matrix(features, "OUTCOME_MODEL", oc, cfg.feature_sets)
-        trace = glm.backward_eliminate(fm, cfg.alpha_stay)
-        glm.write_coefficient_report(
-            outdir / f"coefficients_full_{oc}.csv", trace.full_model, fm
-        )
-        reduced = fm.select_columns(trace.final_model.column_names)
-        glm.write_coefficient_report(
-            outdir / f"coefficients_eliminated_{oc}.csv", trace.final_model, reduced
-        )
-        glm.write_elimination_trace(outdir / f"elimination_trace_{oc}.csv", trace)
-    _write_manifest(outdir, "fit", cfg.config_sha256, cfg.seed)
-    return 0
+        _eliminate_and_report(fm, cfg.alpha_stay, *(
+            outdir / f"{report}_{oc}.csv"
+            for report in ("coefficients_full", "coefficients_eliminated", "elimination_trace")))
 
 
-def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = True) -> int:
+def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = True) -> None:
     seed = _require_seed(cfg)
     features, _ = _load_features(cfg)
     outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
@@ -281,11 +280,9 @@ def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = 
         curve = evaluate.roc_curve(scores, fm.y)
         evaluate.write_roc_points(outdir / f"roc_points_{oc}.csv", oc, curve)
     evaluate.write_cv_report(outdir / "cv_report.csv", reports)
-    _write_manifest(outdir, "cv", cfg.config_sha256, seed)
-    return 0
 
 
-def cmd_effects(cfg: RunConfig, outdir: Path) -> int:
+def cmd_effects(cfg: RunConfig, outdir: Path) -> None:
     seed = _require_seed(cfg)
     features, _ = _load_features(cfg)
     estimates = []
@@ -301,24 +298,19 @@ def cmd_effects(cfg: RunConfig, outdir: Path) -> int:
             )
         )
     causal.write_effects_csv(outdir / "effects.csv", estimates)
-    _write_manifest(outdir, "effects", cfg.config_sha256, seed)
-    return 0
 
 
-def cmd_compare(cfg: RunConfig, outdir: Path, contrast: str, feature_set: str) -> int:
+def cmd_compare(cfg: RunConfig, outdir: Path, contrast: str, feature_set: str) -> None:
     features, _ = _load_features(cfg)
     fm = preprocess.build_matrix(features, feature_set, contrast, cfg.feature_sets)
-    stem = f"compare_{contrast}_{feature_set}"
-    trace = glm.backward_eliminate(fm, cfg.alpha_stay)
-    glm.write_coefficient_report(outdir / f"{stem}_full.csv", trace.full_model, fm)
-    reduced = fm.select_columns(trace.final_model.column_names)
-    glm.write_coefficient_report(outdir / f"{stem}_eliminated.csv", trace.final_model, reduced)
-    glm.write_elimination_trace(outdir / f"{stem}_trace.csv", trace)
-    _write_manifest(outdir, "compare", cfg.config_sha256, cfg.seed)
-    return 0
+    _eliminate_and_report(fm, cfg.alpha_stay, *(
+        outdir / f"compare_{contrast}_{feature_set}_{report}.csv"
+        for report in ("full", "eliminated", "trace")))
 
 
 def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
+    if n_mc < 2:  # the Monte Carlo standard errors need two draws
+        raise ConfigError(f"--n-mc must be >= 2, got {n_mc}")
     spec = synth.load_spec(spec_path)
     cohort = synth.generate(spec)
     synth.write_cohort(cohort, outdir)
@@ -413,18 +405,21 @@ def main(argv: list[str] | None = None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "validate":
-            return cmd_validate(cfg, outdir)
-        if args.command == "features":
-            return cmd_features(cfg, outdir)
-        if args.command == "fit":
-            return cmd_fit(cfg, outdir, args.outcome)
-        if args.command == "cv":
-            return cmd_cv(cfg, outdir, args.outcome, eliminate=not args.no_eliminate)
-        if args.command == "effects":
-            return cmd_effects(cfg, outdir)
-        if args.command == "compare":
-            return cmd_compare(cfg, outdir, args.contrast, args.feature_set)
-        raise ConfigError(f"unknown command {args.command}")
+            cmd_validate(cfg, outdir)
+        elif args.command == "features":
+            cmd_features(cfg, outdir)
+        elif args.command == "fit":
+            cmd_fit(cfg, outdir, args.outcome)
+        elif args.command == "cv":
+            cmd_cv(cfg, outdir, args.outcome, eliminate=not args.no_eliminate)
+        elif args.command == "effects":
+            cmd_effects(cfg, outdir)
+        elif args.command == "compare":
+            cmd_compare(cfg, outdir, args.contrast, args.feature_set)
+        else:
+            raise ConfigError(f"unknown command {args.command}")
+        _write_manifest(outdir, args.command, cfg.config_sha256, cfg.seed)
+        return 0
     except PipelineError as err:
         print(f"error[{err.code}]: {str(err).translate(_LINE_BREAKS)}", file=sys.stderr)
         return err.exit_code

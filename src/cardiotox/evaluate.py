@@ -33,8 +33,8 @@ class RocCurve:
 @dataclass(frozen=True)
 class CvReport:
     k: int
-    per_fold_auc: tuple[float | None, ...]
-    mean_auc: float
+    per_fold_auc: tuple[float | None, ...]  # None where the test fold has one class
+    mean_auc: float | None  # None when no fold's AUC is defined
     pooled_auc: float
     seed: int
 
@@ -159,7 +159,7 @@ def cv_report_and_scores(
     report = CvReport(
         k=k,
         per_fold_auc=tuple(per_fold),
-        mean_auc=float(np.mean(defined)),
+        mean_auc=float(np.mean(defined)) if defined else None,
         pooled_auc=auc(scores, fm.y),
         seed=seed,
     )
@@ -174,12 +174,12 @@ def cross_validated_auc(
 
 
 def write_cv_report(path, reports: list[tuple[str, CvReport]]) -> None:
-    """One row per fold (NA when undefined), then MEAN and POOLED, per outcome."""
+    """One row per fold, then MEAN and POOLED, per outcome; NA when undefined."""
     rows: list[tuple] = []
     for outcome, report in reports:
         for fold, a in enumerate(report.per_fold_auc):
             rows.append((outcome, str(fold), a if a is not None else "NA"))
-        rows.append((outcome, "MEAN", report.mean_auc))
+        rows.append((outcome, "MEAN", report.mean_auc if report.mean_auc is not None else "NA"))
         rows.append((outcome, "POOLED", report.pooled_auc))
     write_csv(
         path,

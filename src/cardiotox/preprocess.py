@@ -15,10 +15,10 @@ looks into follow-up and outcomes never look into baseline.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -46,10 +46,6 @@ from .tableio import write_csv
 
 MIN_FOLLOWUP_DAYS = 365
 ADULT_AGE = 18
-
-HDL_IMPUTE = 55.0
-LDL_IMPUTE = 115.0
-HBA1C_IMPUTE = 6.0
 
 OUTCOME_NAMES = ("CHF", "CAD", "CM", "MI")
 
@@ -93,8 +89,7 @@ _DRUG_SLOT = np.array([list(DrugClass).index(cls) for cls in DRUG_CLASSES])
 _DAY_SPAN = date.max.toordinal()
 _EPOCH = date(1970, 1, 1).toordinal()
 
-MEAN_IMPUTED_FIELDS = ("triglyceride", "bmi", "dbp", "sbp")
-_CONSTANT_IMPUTE = {"hdl": HDL_IMPUTE, "ldl": LDL_IMPUTE, "hba1c": HBA1C_IMPUTE}
+_CONSTANT_IMPUTE = {"hdl": 55.0, "ldl": 115.0, "hba1c": 6.0}
 
 DEFAULT_ANTIHYPERTENSIVE_CLASSES = frozenset(
     {
@@ -135,28 +130,6 @@ class PreprocessConfig:
 class EligibilityReport:
     included: tuple[str, ...]
     excluded: tuple[tuple[str, ExclusionReason], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class RawBaseline:
-    """Pre-imputation summary: continuous fields may be None (missing)."""
-
-    patient_id: str
-    age: float
-    sbp: float | None
-    dbp: float | None
-    bmi: float | None
-    hdl: float | None
-    ldl: float | None
-    hba1c: float | None
-    triglyceride: float | None
-    troponin_flag: bool
-    hypertension: bool
-    diabetes: bool
-    hyperlipidemia: bool
-    medications: tuple[bool, ...]  # one flag per DrugClass, in its order
-    treatment: Treatment
-    outcomes: tuple[bool, ...]  # one flag per OUTCOME_NAMES entry, in its order
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,6 +174,25 @@ class BaselineFeatures:
 FEATURE_COLUMNS = [f.name for f in dataclass_fields(BaselineFeatures)]
 
 
+@dataclass(frozen=True)
+class Baselines:
+    """Baseline summaries of patient rows, as columns with one entry per row.
+
+    The 2-D columns are in order: ``labs`` by ``LAB_FIELDS`` (NaN where
+    missing), ``conditions`` hypertension, diabetes, hyperlipidemia,
+    ``medications`` by ``DrugClass``, ``outcomes`` by ``OUTCOME_NAMES``.
+    """
+
+    patient_ids: Sequence[str]
+    age: np.ndarray  # float, completed years on the index date
+    labs: np.ndarray  # float, rows x LAB_FIELDS
+    troponin_flag: np.ndarray  # bool
+    conditions: np.ndarray  # bool, rows x 3
+    medications: np.ndarray  # bool, rows x DrugClass
+    treatments: Sequence[Treatment]
+    outcomes: np.ndarray  # bool, rows x OUTCOME_NAMES
+
+
 def index_days(cohort: Cohort) -> np.ndarray:
     """Each patient's index date (first treatment) as a day ordinal, 0 if untreated."""
     bounds = cohort.treatments.bounds(len(cohort))
@@ -223,7 +215,6 @@ def _year_month_day(ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     month_of_year = (month - year.astype("datetime64[M]")).astype(np.int64)
     day_of_month = (days - month.astype("datetime64[D]")).astype(np.int64)
     return year.astype(np.int64), month_of_year * 32 + day_of_month
-
 
 
 def _categories(cohort: Cohort, code_map: CodeMap) -> list[DiagnosisCategory | None]:
@@ -280,7 +271,7 @@ def summarize_baselines(
     rows: Sequence[int],
     code_map: CodeMap,
     config: PreprocessConfig = PreprocessConfig(),
-) -> list[RawBaseline]:
+) -> Baselines:
     """Pre-imputation baseline summaries of the given treated patient rows, in order.
 
     Each lab value is the mean of the kind's observations on its latest day
@@ -325,18 +316,16 @@ def summarize_baselines(
 
     arm = cohort.treatments.code[cohort.treatments.bounds(n)[rows]]
     conditions = len(_CONDITION_CATEGORIES)
-    # RawBaseline fields as columns, so that rows are built without a list per row
-    return list(map(
-        RawBaseline,
+    return Baselines(
         [cohort.patient_ids[row] for row in rows.tolist()],
-        _age(cohort.birth_day[rows], index[rows]).astype(float).tolist(),
-        *([None if v != v else v for v in column] for column in labs.T.tolist()),
-        troponin_flags.tolist(),
-        *flags[:, :conditions].T.tolist(),
-        zip(*medications.T.tolist()),
+        _age(cohort.birth_day[rows], index[rows]).astype(float),
+        labs,
+        troponin_flags,
+        flags[:, :conditions],
+        medications,
         [TREATMENTS[code] for code in arm.tolist()],
-        zip(*flags[:, conditions:].T.tolist()),
-    ))
+        flags[:, conditions:],
+    )
 
 
 def _latest_means(m: int, at: np.ndarray, obs: EventTable, before: np.ndarray) -> np.ndarray:
@@ -365,97 +354,71 @@ def _latest_means(m: int, at: np.ndarray, obs: EventTable, before: np.ndarray) -
     return means
 
 
-def cohort_means(raws: list[RawBaseline]) -> dict[str, float]:
-    """Cohort means of the mean-imputed fields, over observed values only."""
-    means: dict[str, float] = {}
-    for name in MEAN_IMPUTED_FIELDS:
-        observed = [getattr(r, name) for r in raws if getattr(r, name) is not None]
-        if observed:
-            means[name] = sum(observed) / len(observed)
-    return means
-
-
 def impute(
-    raw: RawBaseline, means: dict[str, float], config: PreprocessConfig = PreprocessConfig()
-) -> BaselineFeatures:
-    """Fill missing continuous fields, then derive the features from them.
+    baselines: Baselines, config: PreprocessConfig = PreprocessConfig()
+) -> list[BaselineFeatures]:
+    """Fill the missing labs, then derive the feature rows from the filled values.
 
-    Triglyceride, BMI, DBP and SBP fall back to the cohort mean; HDL, LDL and
-    HbA1c to the constants 55, 115 and 6.0. The derived flags are evaluated on
-    post-imputation values, so imputation is idempotent.
+    Triglyceride, BMI, DBP and SBP fall back to the mean of their observed
+    values, summed left to right in row order as ``sum()`` does; HDL, LDL and
+    HbA1c to the constants 55, 115 and 6.0. A field with no finite mean (no
+    observed value, or a sum that overflows) raises EmptyCohortMeanError for
+    the first row that lacks it, naming that row's first such field.
     """
-    imputed: set[str] = set()
-    labs: list[float] = []
-    for name in LAB_FIELDS:
-        value = getattr(raw, name)
-        if value is None:
-            imputed.add(name)
-            if name in _CONSTANT_IMPUTE:
-                value = _CONSTANT_IMPUTE[name]
-            elif name not in means or not math.isfinite(means[name]):
-                raise EmptyCohortMeanError(name)
-            else:
-                value = means[name]
-        labs.append(float(value))
-
-    return baseline_features(
-        raw.patient_id,
-        raw.age,
-        labs,
-        raw.troponin_flag,
-        (raw.hypertension, raw.diabetes, raw.hyperlipidemia),
-        raw.medications,
-        raw.treatment,
-        raw.outcomes,
-        config,
-        frozenset(imputed),
-    )
+    labs = baselines.labs.copy()
+    missing = np.isnan(labs)
+    for j, name in enumerate(LAB_FIELDS):
+        if name in _CONSTANT_IMPUTE:
+            labs[missing[:, j], j] = _CONSTANT_IMPUTE[name]
+        elif missing[:, j].any():
+            observed = labs[~missing[:, j], j].tolist()
+            mean = sum(observed) / len(observed) if observed else math.nan
+            labs[missing[:, j], j] = mean if math.isfinite(mean) else math.nan
+    unfilled = np.argwhere(np.isnan(labs))  # by row, then by field
+    if len(unfilled):
+        raise EmptyCohortMeanError(LAB_FIELDS[unfilled[0, 1]])
+    # one set per pattern of imputed fields, shared by the rows that have it
+    codes = missing.dot(1 << np.arange(len(LAB_FIELDS))).tolist()
+    sets = {code: frozenset(name for j, name in enumerate(LAB_FIELDS) if code >> j & 1)
+            for code in set(codes)}
+    return feature_rows(replace(baselines, labs=labs), config, [sets[code] for code in codes])
 
 
-def baseline_features(
-    patient_id: str,
-    age: float,
-    labs: Sequence[float],
-    troponin_flag: bool,
-    conditions: Sequence[bool],
-    medications: Sequence[bool],
-    treatment: Treatment,
-    outcomes: Sequence[bool],
+def feature_rows(
+    baselines: Baselines,
     config: PreprocessConfig = PreprocessConfig(),
-    imputed: frozenset[str] = frozenset(),
-) -> BaselineFeatures:
-    """One feature row from complete baseline values.
+    imputed: Sequence[frozenset[str]] | None = None,
+) -> list[BaselineFeatures]:
+    """One feature row per baseline whose labs are all present.
 
-    ``labs`` holds the values of ``LAB_FIELDS``, ``conditions`` the
-    hypertension, diabetes and hyperlipidemia flags, ``medications`` one flag
-    per ``DrugClass`` and ``outcomes`` one flag per ``OUTCOME_NAMES`` entry,
-    each in that order. This is the one place that derives the abnormality
-    flags and the aggregate medication flags, for preprocessing and for
-    synthetic cohorts alike. Fields are filled by position (half the cost of
-    keywords), in the declaration order of ``BaselineFeatures``, where each
-    drug class has the medication field of its lower-cased name.
+    The one place that derives the abnormality flags and the aggregate
+    medication flags, on whole columns, for preprocessing and synthetic
+    cohorts alike. ``imputed`` holds each row's imputed fields (none by
+    default). Rows are filled by position (half the cost of keywords) from
+    Python values, in ``BaselineFeatures`` order.
     """
-    sbp, dbp, bmi, hdl, ldl, hba1c, triglyceride = labs
-    return BaselineFeatures(
-        patient_id,
-        age,
-        *labs,
-        troponin_flag,
-        sbp > 130.0 or dbp > 80.0,
-        ldl > 130.0 or hdl < 50.0 or triglyceride > 150.0,
-        *conditions,
-        *medications,
-        any([medications[i] for i in _class_positions(config.antihypertensive_classes)]),
-        any([medications[i] for i in _class_positions(config.antihyperlipidemia_classes)]),
-        treatment,
-        *outcomes,
-        imputed,
-    )
+    b = baselines
+    sbp, dbp, bmi, hdl, ldl, hba1c, triglyceride = b.labs.T
 
+    def any_of(classes: frozenset[DrugClass]) -> list[bool]:
+        return (b.medications & [cls in classes for cls in DrugClass]).any(axis=1).tolist()
 
-@functools.lru_cache(maxsize=8)
-def _class_positions(classes: frozenset[DrugClass]) -> tuple[int, ...]:
-    return tuple(i for i, cls in enumerate(DrugClass) if cls in classes)
+    return list(map(
+        BaselineFeatures,
+        b.patient_ids,
+        b.age.tolist(),
+        *b.labs.T.tolist(),
+        b.troponin_flag.tolist(),
+        ((sbp > 130.0) | (dbp > 80.0)).tolist(),
+        ((ldl > 130.0) | (hdl < 50.0) | (triglyceride > 150.0)).tolist(),
+        *b.conditions.T.tolist(),
+        *b.medications.T.tolist(),
+        any_of(config.antihypertensive_classes),
+        any_of(config.antihyperlipidemia_classes),
+        b.treatments,
+        *b.outcomes.T.tolist(),
+        itertools.repeat(frozenset()) if imputed is None else imputed,
+    ))
 
 
 def compute_features(
@@ -470,10 +433,9 @@ def compute_features(
     """
     report = apply_eligibility(cohort, code_map, end_of_data)
     row_of = dict(zip(cohort.patient_ids, range(len(cohort))))
-    raws = summarize_baselines(cohort, [row_of[pid] for pid in report.included], code_map, config)
-    means = cohort_means(raws)
-    features = [impute(r, means, config) for r in raws]
-    return features, report
+    baselines = summarize_baselines(
+        cohort, [row_of[pid] for pid in report.included], code_map, config)
+    return impute(baselines, config), report
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ import numpy as np
 
 from . import evaluate
 from .cohort import DrugClass, ObservationKind, Treatment, default_code_map_rows
-from .errors import InvalidSpecError, NonFiniteScoreError, OneClassError
+from .errors import InvalidSpecError, OneClassError
 from .glm import sigmoid
-from .preprocess import LAB_FIELDS, OUTCOME_NAMES, BaselineFeatures, baseline_features
+from .preprocess import LAB_FIELDS, OUTCOME_NAMES, BaselineFeatures, Baselines, feature_rows
 from .rng import SplitMix64, derive_seed
 from .tableio import write_csv
 
@@ -357,13 +357,29 @@ def _sample_covariates(spec: SyntheticSpec, rng: SplitMix64, n: int) -> dict[str
 
 
 def _linear_predictor(
-    coefs: dict[str, float], values: dict[str, np.ndarray], n: int
+    coefs: dict[str, float],
+    values: dict[str, np.ndarray],
+    n: int,
+    treatments: np.ndarray | None = None,
 ) -> np.ndarray:
-    eta = np.full(n, coefs.get("intercept", 0.0))
-    for name, coef in coefs.items():
-        if name in ("intercept",) + TREATMENT_KEYS:
-            continue
-        eta += coef * values[name]
+    """A model's linear predictor per draw, with its treatment terms given ``treatments``.
+
+    A predictor that overflows the float range makes the spec invalid.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        eta = np.full(n, coefs.get("intercept", 0.0))
+        for name, coef in coefs.items():
+            if name not in ("intercept",) + TREATMENT_KEYS:
+                eta += coef * values[name]
+        for key in TREATMENT_KEYS:
+            if treatments is not None and key in coefs:
+                eta = eta + coefs[key] * (treatments == Treatment(key))
+    return _finite(eta)
+
+
+def _finite(eta: np.ndarray) -> np.ndarray:
+    if not np.isfinite(eta).all():
+        raise InvalidSpecError("a model's linear predictor overflows the float range")
     return eta
 
 
@@ -406,17 +422,6 @@ def _arm_probabilities(
     }
 
 
-def _outcome_eta(
-    coefs: dict[str, float], values: dict[str, np.ndarray], treatments: np.ndarray, n: int
-) -> np.ndarray:
-    eta = _linear_predictor(coefs, values, n)
-    if "CHEMOTHERAPY" in coefs:
-        eta = eta + coefs["CHEMOTHERAPY"] * (treatments == Treatment.CHEMOTHERAPY)
-    if "TARGETED" in coefs:
-        eta = eta + coefs["TARGETED"] * (treatments == Treatment.TARGETED)
-    return eta
-
-
 def generate(spec: SyntheticSpec) -> SyntheticCohort:
     """Sample one cohort; deterministic in the spec (including its seed)."""
     n = spec.n
@@ -428,7 +433,7 @@ def generate(spec: SyntheticSpec) -> SyntheticCohort:
     outcomes: dict[str, np.ndarray] = {}
     for outcome in OUTCOME_NAMES:
         if outcome in spec.outcome_models:
-            eta = _outcome_eta(spec.outcome_models[outcome], values, treatments, n)
+            eta = _linear_predictor(spec.outcome_models[outcome], values, n, treatments)
             outcomes[outcome] = rng.uniform(n) < sigmoid(eta)
         else:
             outcomes[outcome] = np.zeros(n, dtype=bool)
@@ -480,34 +485,26 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
     med_date = (index + timedelta(days=layout.medication_days_after)).isoformat()
     out_date = (index + timedelta(days=layout.outcome_days_after)).isoformat()
 
-    ages = sc.slot("age")
-    patients = []
-    observations = []
-    diagnoses = []
-    medications = []
-    treatments = []
+    def present(slots: tuple[str, ...]) -> list[tuple[str, list]]:
+        """Each slot that has values, with its values as a list."""
+        return [(slot, sc.slot(slot).tolist()) for slot in slots if sc.slot(slot) is not None]
+
+    labs = [(ObservationKind(slot.upper()).value, values)
+            for slot, values in present(_OBSERVATION_SLOTS)]
+    troponin, conditions, drugs = map(present, (("troponin",), _CONDITION_SLOTS, _MEDICATION_SLOTS))
+    outcomes = [(name, sc.outcomes[name].tolist()) for name in OUTCOME_NAMES]
+    ages = sc.slot("age").tolist()
+    patients, observations, diagnoses, medications, treatments = [], [], [], [], []
     for i, pid in enumerate(sc.patient_ids):
         patients.append((pid, _birth_date(index, int(ages[i])).isoformat(), "F"))
-        for slot in _OBSERVATION_SLOTS:
-            column = sc.slot(slot)
-            if column is not None:
-                observations.append(
-                    (pid, obs_date, ObservationKind(slot.upper()).value, repr(float(column[i])))
-                )
-        troponin = sc.slot("troponin")
-        if troponin is not None and troponin[i] == 1.0:
-            observations.append((pid, obs_date, "TROPONIN", repr(TROPONIN_OBS_VALUE)))
-        for slot in _CONDITION_SLOTS:
-            column = sc.slot(slot)
-            if column is not None and column[i] == 1.0:
-                diagnoses.append((pid, dx_date, "ICD10", _DIAGNOSIS_CODES[slot]))
-        for outcome in OUTCOME_NAMES:
-            if sc.outcomes[outcome][i]:
-                diagnoses.append((pid, out_date, "ICD10", _DIAGNOSIS_CODES[outcome]))
-        for slot in _MEDICATION_SLOTS:
-            column = sc.slot(slot)
-            if column is not None and column[i] == 1.0:
-                medications.append((pid, med_date, slot.upper()))
+        observations += [(pid, obs_date, kind, repr(values[i])) for kind, values in labs]
+        observations += [(pid, obs_date, "TROPONIN", repr(TROPONIN_OBS_VALUE))
+                         for _, flags in troponin if flags[i] == 1.0]
+        diagnoses += [(pid, dx_date, "ICD10", _DIAGNOSIS_CODES[slot])
+                      for slot, flags in conditions if flags[i] == 1.0]
+        diagnoses += [(pid, out_date, "ICD10", _DIAGNOSIS_CODES[name])
+                      for name, flags in outcomes if flags[i]]
+        medications += [(pid, med_date, slot.upper()) for slot, flags in drugs if flags[i] == 1.0]
         treatments.append((pid, index.isoformat(), sc.treatments[i].value))
 
     write_csv(outdir / "patients.csv", ("patient_id", "birth_date", "sex"), patients)
@@ -527,7 +524,7 @@ def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
 
     Bypasses file emission for simulation loops; must stay exactly equivalent
     to generate -> write_cohort -> load_cohort -> compute_features, which the
-    test suite asserts. Features are derived by ``preprocess.baseline_features``,
+    test suite asserts. Features are derived by ``preprocess.feature_rows``,
     as in preprocessing. Requires a fully filled cohort.
     """
 
@@ -537,18 +534,19 @@ def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
             raise InvalidSpecError(f"cohort has no values for slot '{name}'")
         return column
 
-    ages = col("age").tolist()
-    labs = zip(*(col(name).tolist() for name in _OBSERVATION_SLOTS))
-    troponin = (col("troponin") != 0.0).tolist()
-    conditions = zip(*((col(name) != 0.0).tolist() for name in _CONDITION_SLOTS))
-    meds = zip(*((col(name) != 0.0).tolist() for name in _MEDICATION_SLOTS))
-    outcomes = zip(*(sc.outcomes[name].tolist() for name in OUTCOME_NAMES))
-    return [
-        baseline_features(*row)
-        for row in zip(
-            sc.patient_ids, ages, labs, troponin, conditions, meds, sc.treatments, outcomes
-        )
-    ]
+    def columns(names: tuple[str, ...]) -> np.ndarray:
+        return np.column_stack([col(name) for name in names])
+
+    return feature_rows(Baselines(
+        sc.patient_ids,
+        col("age"),
+        columns(_OBSERVATION_SLOTS),
+        col("troponin") != 0.0,
+        columns(_CONDITION_SLOTS) != 0.0,
+        columns(_MEDICATION_SLOTS) != 0.0,
+        sc.treatments,
+        np.column_stack([sc.outcomes[name] for name in OUTCOME_NAMES]),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +572,7 @@ def _treatment_key(treatment: str | Treatment) -> str:
 
 def _mc_effect(
     spec: SyntheticSpec, treatment: str, outcome: str, n_mc: int, estimand: str
-) -> tuple[float, float]:
+) -> tuple[float, float] | None:
     coefs = _require_outcome(spec, outcome)
     b_t = coefs.get(treatment, 0.0)
     b_0 = coefs.get("intercept", 0.0)
@@ -585,7 +583,8 @@ def _mc_effect(
     rng = SplitMix64(derive_seed(spec.seed, _TRUTH_COV_TAG))
     values = _sample_covariates(spec, rng, n_mc)
     eta_base = _linear_predictor(coefs, values, n_mc)
-    diff = sigmoid(eta_base + b_t) - sigmoid(eta_base)
+    with np.errstate(over="ignore"):  # checked by _finite
+        diff = sigmoid(_finite(eta_base + b_t)) - sigmoid(eta_base)
 
     if estimand == "ATE":
         return float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(n_mc))
@@ -594,7 +593,7 @@ def _mc_effect(
     weights = _arm_probabilities(spec.treatment_model, values, n_mc)[arm]
     w_mean = float(np.mean(weights))
     if w_mean <= 0.0:
-        raise InvalidSpecError(f"treatment model never assigns arm '{treatment}'")
+        return None  # ATT undefined: the arm is never assigned
     value = float(np.mean(weights * diff) / w_mean)
     resid = weights * (diff - value) / w_mean
     return value, float(np.std(resid, ddof=1) / math.sqrt(n_mc))
@@ -611,7 +610,11 @@ def true_att(
     spec: SyntheticSpec, treatment: str | Treatment, outcome: str, n_mc: int = 200_000
 ) -> float:
     """Generative-truth ATT: the same contrast averaged over the treated arm."""
-    return _mc_effect(spec, _treatment_key(treatment), outcome, n_mc, "ATT")[0]
+    key = _treatment_key(treatment)
+    effect = _mc_effect(spec, key, outcome, n_mc, "ATT")
+    if effect is None:
+        raise InvalidSpecError(f"treatment model never assigns arm '{key}'")
+    return effect[0]
 
 
 def true_auc(spec: SyntheticSpec, outcome: str, n_mc: int = 200_000) -> float:
@@ -624,7 +627,7 @@ def _mc_auc(spec: SyntheticSpec, outcome: str, n_mc: int) -> tuple[float, float]
     rng = SplitMix64(derive_seed(spec.seed, _TRUTH_AUC_TAG))
     values = _sample_covariates(spec, rng, n_mc)
     treatments = _sample_treatments(spec.treatment_model, values, rng, n_mc)
-    eta = _outcome_eta(coefs, values, treatments, n_mc)
+    eta = _linear_predictor(coefs, values, n_mc, treatments)
     y = rng.uniform(n_mc) < sigmoid(eta)
     value = evaluate.auc(eta, y.astype(np.int64))
     n1 = int(np.sum(y))
@@ -646,18 +649,16 @@ def truth_rows(spec: SyntheticSpec, n_mc: int = 200_000) -> list[tuple]:
             continue
         for treatment in TREATMENT_KEYS:
             for estimand in ("ATE", "ATT"):
-                try:
-                    value, se = _mc_effect(spec, treatment, outcome, n_mc, estimand)
-                except InvalidSpecError:
-                    continue  # ATT undefined for an arm that is never assigned
-                rows.append((estimand, treatment, outcome, value, se))
+                effect = _mc_effect(spec, treatment, outcome, n_mc, estimand)
+                if effect is not None:  # ATT undefined for an arm that is never assigned
+                    rows.append((estimand, treatment, outcome, *effect))
     for outcome in OUTCOME_NAMES:
         if outcome not in spec.outcome_models:
             continue
         try:
             value, se = _mc_auc(spec, outcome, n_mc)
-        except (OneClassError, NonFiniteScoreError):
-            continue  # AUC undefined: every draw has one outcome, or eta is not finite
+        except OneClassError:
+            continue  # AUC undefined: every draw has one outcome
         rows.append(("AUC", "", outcome, value, se))
     return rows
 

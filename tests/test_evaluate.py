@@ -315,3 +315,15 @@ class TestCrossValidation:
         assert None in report.per_fold_auc
         defined = [a for a in report.per_fold_auc if a is not None]
         assert report.mean_auc == pytest.approx(np.mean(defined))
+
+    def test_mean_is_na_when_no_fold_is_defined(self, tmp_path):
+        # one row per test fold (leave-one-out): no fold has both classes to rank
+        y = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        fm = FeatureMatrix(("intercept",), np.ones((5, 1)), y, ("",) * 5, "CHF")
+        report = evaluate.cross_validated_auc(fm, 5, seed=0, alpha_stay=None)
+        assert report.per_fold_auc == (None,) * 5
+        assert report.mean_auc is None
+        evaluate.write_cv_report(tmp_path / "cv_report.csv", [("CHF", report)])
+        rows = (tmp_path / "cv_report.csv").read_text().splitlines()
+        assert rows[1:7] == [f"CHF,{fold},NA" for fold in range(5)] + ["CHF,MEAN,NA"]
+        assert rows[7].startswith("CHF,POOLED,")

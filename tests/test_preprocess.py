@@ -1,6 +1,9 @@
+import functools
 import math
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -34,14 +37,13 @@ from cardiotox.preprocess import (
     MIN_FOLLOWUP_DAYS,
     OUTCOME_NAMES,
     BaselineFeatures,
+    Baselines,
     ExclusionReason,
     PreprocessConfig,
-    RawBaseline,
     apply_eligibility,
-    baseline_features,
     build_matrix,
-    cohort_means,
     compute_features,
+    feature_rows,
     impute,
     index_days,
     summarize_baselines,
@@ -66,9 +68,43 @@ def index_of(p):
     return date.fromordinal(day) if day else None
 
 
+# A baseline summary row by field: None for a missing lab, flag groups as tuples.
+SUMMARY_FIELDS = ("patient_id", "age", *LAB_FIELDS, "troponin_flag", "hypertension",
+                  "diabetes", "hyperlipidemia", "medications", "treatment", "outcomes")
+
+
+def summary_rows(baselines):
+    """Each row of a Baselines, by SUMMARY_FIELDS name."""
+    b = baselines
+    return [
+        SimpleNamespace(**dict(zip(SUMMARY_FIELDS, (
+            pid, age, *(None if math.isnan(v) else v for v in labs), troponin, *conditions,
+            tuple(medications), treatment, tuple(outcomes)))))
+        for pid, age, labs, troponin, conditions, medications, treatment, outcomes in zip(
+            b.patient_ids, b.age.tolist(), b.labs.tolist(), b.troponin_flag.tolist(),
+            b.conditions.tolist(), b.medications.tolist(), b.treatments, b.outcomes.tolist())
+    ]
+
+
+def baselines_of(*rows):
+    """A Baselines of summary rows given as dicts by SUMMARY_FIELDS name."""
+    return Baselines(
+        [row["patient_id"] for row in rows],
+        np.array([row["age"] for row in rows], float),
+        np.array([[math.nan if row[name] is None else row[name] for name in LAB_FIELDS]
+                  for row in rows], float).reshape(len(rows), len(LAB_FIELDS)),
+        np.array([row["troponin_flag"] for row in rows], bool),
+        np.array([[row[name] for name in ("hypertension", "diabetes", "hyperlipidemia")]
+                  for row in rows], bool).reshape(len(rows), 3),
+        np.array([row["medications"] for row in rows], bool).reshape(len(rows), len(DrugClass)),
+        [row["treatment"] for row in rows],
+        np.array([row["outcomes"] for row in rows], bool).reshape(len(rows), len(OUTCOME_NAMES)),
+    )
+
+
 def summary(p, config=PreprocessConfig()):
     """One treated record's baseline summary."""
-    return summarize_baselines(Cohort.from_records([p]), [0], CMAP, config)[0]
+    return summary_rows(summarize_baselines(Cohort.from_records([p]), [0], CMAP, config))[0]
 
 
 def radiation(on):
@@ -209,7 +245,7 @@ class TestSummarize:
     def test_untreated_row_is_rejected(self):
         treated = patient(pid="B", treatments=[chemo(INDEX)])
         cohort = Cohort.from_records([patient(pid="A"), treated])
-        assert summarize_baselines(cohort, [1], CMAP)[0].patient_id == "B"
+        assert summary_rows(summarize_baselines(cohort, [1], CMAP))[0].patient_id == "B"
         with pytest.raises(ValueError):
             summarize_baselines(cohort, [0, 1], CMAP)
 
@@ -258,7 +294,7 @@ class TestSummarize:
         assert taken[DrugClass.ARB] is True
         assert taken[DrugClass.INSULIN] is False
         means = {"sbp": 120.0, "dbp": 70.0, "bmi": 25.0, "triglyceride": 110.0}
-        assert impute(raw, means).antihypertensive_medication is True
+        assert impute(baselines_of({**vars(raw), **means}))[0].antihypertensive_medication is True
 
     def test_outcome_strictly_after_index(self):
         dx_on = DiagnosisEvent(INDEX, CodeSystem.ICD10, "I25.1")
@@ -277,8 +313,8 @@ class TestSummarize:
         assert summary(p, cfg).outcomes[chf] is True
 
 
-def raw_features(**overrides):
-    base = dict(
+def summary_row(**overrides):
+    row = dict(
         patient_id="P1", age=57.0, sbp=120.0, dbp=70.0, bmi=25.0, hdl=60.0,
         ldl=100.0, hba1c=5.5, triglyceride=110.0, troponin_flag=False,
         hypertension=False, diabetes=False, hyperlipidemia=False,
@@ -286,68 +322,77 @@ def raw_features(**overrides):
         treatment=Treatment.RADIATION,
         outcomes=(False,) * len(OUTCOME_NAMES),
     )
-    base.update(overrides)
-    return RawBaseline(**base)
+    row.update(overrides)
+    return row
+
+
+def one_row(**overrides):
+    """A one-row Baselines: the default summary row with ``overrides``."""
+    return baselines_of(summary_row(**overrides))
+
+
+def impute_first(*rows, config=PreprocessConfig()):
+    """The first feature row of the imputed summary rows (dicts of overrides)."""
+    return impute(baselines_of(*(summary_row(**row) for row in rows)), config)[0]
 
 
 class TestImpute:
     def test_hdl_constant(self):
-        bf = impute(raw_features(hdl=None), {})
+        bf = impute(one_row(hdl=None))[0]
         assert bf.hdl == 55.0 and bf.imputed == {"hdl"}
 
     def test_ldl_and_hba1c_constants(self):
-        bf = impute(raw_features(ldl=None, hba1c=None), {})
+        bf = impute(one_row(ldl=None, hba1c=None))[0]
         assert bf.ldl == 115.0 and bf.hba1c == 6.0
         assert bf.imputed == {"ldl", "hba1c"}
 
     def test_sbp_cohort_mean(self):
-        bf = impute(raw_features(sbp=None), {"sbp": 126.0})
+        bf = impute_first(dict(sbp=None), dict(sbp=120.0), dict(sbp=132.0))
         assert bf.sbp == 126.0 and bf.imputed == {"sbp"}
 
     def test_identity_when_complete(self):
-        raw = raw_features()
-        bf = impute(raw, {})
+        bf = impute(one_row())[0]
         assert bf.imputed == frozenset()
         assert (bf.sbp, bf.dbp, bf.bmi, bf.hdl, bf.ldl, bf.hba1c, bf.triglyceride) == (
             120.0, 70.0, 25.0, 60.0, 100.0, 5.5, 110.0)
 
     def test_empty_cohort_mean_raises(self):
         with pytest.raises(EmptyCohortMeanError):
-            impute(raw_features(bmi=None), {})
+            impute(one_row(bmi=None))
 
     def test_flags_follow_imputed_values(self):
-        bf = impute(raw_features(dbp=None, triglyceride=None),
-                    {"dbp": 85.0, "triglyceride": 160.0})
+        bf = impute_first(dict(dbp=None, triglyceride=None),
+                          dict(dbp=85.0, triglyceride=160.0))
         assert bf.abnormal_blood_pressure is True  # dbp 85 > 80
         assert bf.abnormal_blood_lipid is True     # trig 160 > 150
 
     def test_threshold_strictness(self):
-        bf = impute(raw_features(sbp=130.0, dbp=80.0, ldl=130.0, hdl=50.0,
-                                 triglyceride=150.0), {})
+        bf = impute(one_row(sbp=130.0, dbp=80.0, ldl=130.0, hdl=50.0,
+                            triglyceride=150.0))[0]
         assert bf.abnormal_blood_pressure is False
         assert bf.abnormal_blood_lipid is False
 
     def test_idempotence(self):
-        bf = impute(raw_features(hdl=None, sbp=None), {"sbp": 126.0})
-        again = impute(
-            raw_features(sbp=bf.sbp, dbp=bf.dbp, bmi=bf.bmi, hdl=bf.hdl,
-                         ldl=bf.ldl, hba1c=bf.hba1c, triglyceride=bf.triglyceride),
-            {"sbp": 999.0},
+        bf = impute_first(dict(hdl=None, sbp=None), dict(sbp=120.0), dict(sbp=132.0))
+        again = impute_first(
+            dict(sbp=bf.sbp, dbp=bf.dbp, bmi=bf.bmi, hdl=bf.hdl,
+                 ldl=bf.ldl, hba1c=bf.hba1c, triglyceride=bf.triglyceride),
+            dict(sbp=999.0),
         )
         for name in ("sbp", "dbp", "bmi", "hdl", "ldl", "hba1c", "triglyceride"):
             assert getattr(again, name) == getattr(bf, name)
         assert again.imputed == frozenset()
 
     def test_cohort_means_skip_missing(self):
-        raws = [raw_features(sbp=120.0), raw_features(patient_id="P2", sbp=None),
-                raw_features(patient_id="P3", sbp=132.0)]
-        assert cohort_means(raws)["sbp"] == 126.0
+        rows = impute(baselines_of(summary_row(sbp=120.0), summary_row(patient_id="P2", sbp=None),
+                                   summary_row(patient_id="P3", sbp=132.0)))
+        assert rows[1].sbp == 126.0
 
 
 class TestBaselineFeatures:
     def test_every_field_lands_under_its_name(self):
-        # baseline_features fills BaselineFeatures by position; distinct values,
-        # and one flag set at a time, show that each reaches the field of its name
+        # feature_rows fills BaselineFeatures by position; distinct values, and
+        # one flag set at a time, show that each reaches the field of its name
         labs = (131.0, 79.0, 27.5, 51.0, 129.5, 6.1, 149.0)  # only BP abnormal
         flags = {
             "troponin_flag": ("troponin_flag",),
@@ -359,10 +404,12 @@ class TestBaselineFeatures:
         def build(**set_flags):
             args = {key: tuple(False for _ in names) for key, names in flags.items()}
             args.update(set_flags)
-            return baseline_features("P9", 44.0, labs, args["troponin_flag"][0],
-                                     args["conditions"], args["medications"],
-                                     Treatment.TARGETED, args["outcomes"],
-                                     imputed=frozenset({"hdl"}))
+            row = summary_row(patient_id="P9", age=44.0, **dict(zip(LAB_FIELDS, labs)),
+                              troponin_flag=args["troponin_flag"][0],
+                              **dict(zip(flags["conditions"], args["conditions"])),
+                              medications=args["medications"], treatment=Treatment.TARGETED,
+                              outcomes=args["outcomes"])
+            return feature_rows(baselines_of(row), imputed=[frozenset({"hdl"})])[0]
 
         bf = build()
         assert (bf.patient_id, bf.age, bf.treatment, bf.imputed) == (
@@ -382,18 +429,17 @@ class TestBaselineFeatures:
                 assert {f for f in FEATURE_COLUMNS if getattr(row, f) is True} == expected
 
     def test_aggregate_flags_follow_configured_classes(self):
-        raw = raw_features(medications=tuple(cls is DrugClass.INSULIN for cls in DrugClass))
-        assert impute(raw, {}).antihypertensive_medication is False
+        raw = one_row(medications=tuple(cls is DrugClass.INSULIN for cls in DrugClass))
+        assert impute(raw)[0].antihypertensive_medication is False
         cfg = PreprocessConfig(antihypertensive_classes=frozenset({DrugClass.INSULIN}),
                                antihyperlipidemia_classes=frozenset())
-        bf = impute(raw, {}, cfg)
+        bf = impute(raw, cfg)[0]
         assert bf.antihypertensive_medication is True
         assert bf.antihyperlipidemia_medication is False
 
 
 def features_fixture(pid, treatment, **overrides):
-    raw = raw_features(patient_id=pid, treatment=treatment, **overrides)
-    return impute(raw, {})
+    return impute(one_row(patient_id=pid, treatment=treatment, **overrides))[0]
 
 
 class TestBuildMatrix:
@@ -627,7 +673,7 @@ DAY_BEFORE = INDEX - timedelta(days=1)
 
 
 def reference_wanted(p, index, config):
-    """The reference summary by RawBaseline field, flag groups as ordered tuples."""
+    """The reference summary by SUMMARY_FIELDS name, flag groups as ordered tuples."""
     want = reference_summary(p, index, CMAP, config)
     taken = want.pop("medication_flags")
     want["medications"] = tuple(taken[cls] for cls in DrugClass)
@@ -660,12 +706,12 @@ class TestSinglePassMatchesReferences:
                         treatments=[chemo(index)])
         want = reference_wanted(Cohort.from_records([p])[0], index, config)
         got = summary(p, config)
-        for f in dataclass_fields(RawBaseline):
-            value, expected = getattr(got, f.name), want[f.name]
-            assert value == expected, f.name
-            assert type(value) is type(expected), f.name
+        for name in SUMMARY_FIELDS:
+            value, expected = getattr(got, name), want[name]
+            assert value == expected, name
+            assert type(value) is type(expected), name
             if isinstance(value, tuple):
-                assert all(type(flag) is bool for flag in value), f.name
+                assert all(type(flag) is bool for flag in value), name
 
     @given(people=st.lists(records(), max_size=6), config=CONFIGS, data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -677,12 +723,12 @@ class TestSinglePassMatchesReferences:
         treated = [row for row, p in enumerate(cohort) if p.treatments]
         rows = data.draw(st.permutations(treated)) if treated else []
         rows = rows[: data.draw(st.integers(0, len(rows)))]
-        got = summarize_baselines(cohort, rows, CMAP, config)
+        got = summary_rows(summarize_baselines(cohort, rows, CMAP, config))
         assert len(got) == len(rows)
         for row, raw in zip(rows, got):
             p = cohort[row]
             want = reference_wanted(p, reference_index(p), config)
-            assert {f.name: getattr(raw, f.name) for f in dataclass_fields(RawBaseline)} == want
+            assert vars(raw) == want
 
     @given(people=st.lists(records(), max_size=6),
            end_shift=st.sampled_from([0, MIN_FOLLOWUP_DAYS]))
@@ -720,3 +766,180 @@ class TestSinglePassMatchesReferences:
             assert reference_exclusion(p, CMAP, END) is ExclusionReason.PRIOR_CANCER
             assert apply_eligibility(Cohort.from_records([p]), CMAP, END).excluded == (
                 ("P1", ExclusionReason.PRIOR_CANCER),)
+
+
+# ---------------------------------------------------------------------------
+# Reference: imputation and feature derivation as first written, one row at a
+# time, copied verbatim (only renamed) from the row-based implementation.
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceRawBaseline:
+    """Pre-imputation summary: continuous fields may be None (missing)."""
+
+    patient_id: str
+    age: float
+    sbp: float | None
+    dbp: float | None
+    bmi: float | None
+    hdl: float | None
+    ldl: float | None
+    hba1c: float | None
+    triglyceride: float | None
+    troponin_flag: bool
+    hypertension: bool
+    diabetes: bool
+    hyperlipidemia: bool
+    medications: tuple[bool, ...]  # one flag per DrugClass, in its order
+    treatment: Treatment
+    outcomes: tuple[bool, ...]  # one flag per OUTCOME_NAMES entry, in its order
+
+
+MEAN_IMPUTED_FIELDS = ("triglyceride", "bmi", "dbp", "sbp")
+_CONSTANT_IMPUTE = {"hdl": 55.0, "ldl": 115.0, "hba1c": 6.0}
+
+
+def reference_cohort_means(raws: list[ReferenceRawBaseline]) -> dict[str, float]:
+    """Cohort means of the mean-imputed fields, over observed values only."""
+    means: dict[str, float] = {}
+    for name in MEAN_IMPUTED_FIELDS:
+        observed = [getattr(r, name) for r in raws if getattr(r, name) is not None]
+        if observed:
+            means[name] = sum(observed) / len(observed)
+    return means
+
+
+def reference_impute(
+    raw: ReferenceRawBaseline, means: dict[str, float],
+    config: PreprocessConfig = PreprocessConfig()
+) -> BaselineFeatures:
+    imputed: set[str] = set()
+    labs: list[float] = []
+    for name in LAB_FIELDS:
+        value = getattr(raw, name)
+        if value is None:
+            imputed.add(name)
+            if name in _CONSTANT_IMPUTE:
+                value = _CONSTANT_IMPUTE[name]
+            elif name not in means or not math.isfinite(means[name]):
+                raise EmptyCohortMeanError(name)
+            else:
+                value = means[name]
+        labs.append(float(value))
+
+    return reference_baseline_features(
+        raw.patient_id,
+        raw.age,
+        labs,
+        raw.troponin_flag,
+        (raw.hypertension, raw.diabetes, raw.hyperlipidemia),
+        raw.medications,
+        raw.treatment,
+        raw.outcomes,
+        config,
+        frozenset(imputed),
+    )
+
+
+def reference_baseline_features(
+    patient_id: str,
+    age: float,
+    labs: Sequence[float],
+    troponin_flag: bool,
+    conditions: Sequence[bool],
+    medications: Sequence[bool],
+    treatment: Treatment,
+    outcomes: Sequence[bool],
+    config: PreprocessConfig = PreprocessConfig(),
+    imputed: frozenset[str] = frozenset(),
+) -> BaselineFeatures:
+    sbp, dbp, bmi, hdl, ldl, hba1c, triglyceride = labs
+    return BaselineFeatures(
+        patient_id,
+        age,
+        *labs,
+        troponin_flag,
+        sbp > 130.0 or dbp > 80.0,
+        ldl > 130.0 or hdl < 50.0 or triglyceride > 150.0,
+        *conditions,
+        *medications,
+        any([medications[i] for i in _class_positions(config.antihypertensive_classes)]),
+        any([medications[i] for i in _class_positions(config.antihyperlipidemia_classes)]),
+        treatment,
+        *outcomes,
+        imputed,
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _class_positions(classes: frozenset[DrugClass]) -> tuple[int, ...]:
+    return tuple(i for i, cls in enumerate(DrugClass) if cls in classes)
+
+
+# Lab values at and around every threshold, and one whose sum with itself
+# overflows, so that a mean can be infinite.
+LAB_VALUES = st.none() | st.sampled_from([0.0, 50.0, 80.0, 130.0, 150.0, 1e308]) | st.floats(
+    0.0, 300.0)
+FLAGS = st.booleans()
+
+
+@st.composite
+def summary_row_lists(draw):
+    """Summary rows; the labs drawn into ``absent`` are missing in every row."""
+    absent = draw(st.sets(st.sampled_from(LAB_FIELDS)))
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        rows.append(summary_row(
+            patient_id=f"P{i}",
+            age=float(draw(st.integers(18, 100))),
+            **{name: None if name in absent else draw(LAB_VALUES) for name in LAB_FIELDS},
+            troponin_flag=draw(FLAGS),
+            hypertension=draw(FLAGS), diabetes=draw(FLAGS), hyperlipidemia=draw(FLAGS),
+            medications=tuple(draw(st.lists(FLAGS, min_size=len(DrugClass),
+                                            max_size=len(DrugClass)))),
+            treatment=draw(st.sampled_from(list(Treatment))),
+            outcomes=tuple(draw(st.lists(FLAGS, min_size=4, max_size=4))),
+        ))
+    return rows
+
+
+DRUG_CLASS_SETS = st.frozensets(st.sampled_from(list(DrugClass)))
+IMPUTE_CONFIGS = st.builds(PreprocessConfig, antihypertensive_classes=DRUG_CLASS_SETS,
+                           antihyperlipidemia_classes=DRUG_CLASS_SETS) | st.just(PreprocessConfig())
+
+
+class TestImputeMatchesReference:
+    @given(rows=summary_row_lists(), config=IMPUTE_CONFIGS)
+    @settings(max_examples=400, deadline=None)
+    # the row-by-row reference names the first failing field of the first row
+    # that lacks one: here triglyceride (no observed value, missing in row 0),
+    # not sbp (its sum overflows, missing only from row 1 on)
+    @example(rows=[summary_row(sbp=1e308, triglyceride=None),
+                   summary_row(patient_id="P2", sbp=1e308, triglyceride=None),
+                   summary_row(patient_id="P3", sbp=None, triglyceride=None)],
+             config=PreprocessConfig())
+    @example(rows=[summary_row(sbp=1e308), summary_row(patient_id="P2", sbp=1e308),
+                   summary_row(patient_id="P3", sbp=None, dbp=None)],
+             config=PreprocessConfig())
+    # eight observed values whose left-to-right mean differs from np.mean's
+    @example(rows=[summary_row(patient_id=f"P{i}", bmi=value) for i, value in enumerate(
+        [130.0, 0.2, 0.7, 0.1, 0.7, 130.0, 1.1, 0.3, None])], config=PreprocessConfig())
+    def test_features_equal_reference(self, rows, config):
+        raws = [ReferenceRawBaseline(**row) for row in rows]
+        try:
+            means = reference_cohort_means(raws)
+            want = [reference_impute(raw, means, config) for raw in raws]
+        except EmptyCohortMeanError as err:
+            with pytest.raises(EmptyCohortMeanError) as got:
+                impute(baselines_of(*rows), config)
+            assert got.value.field == err.field
+            return
+        got = impute(baselines_of(*rows), config)
+        assert len(got) == len(want)
+        for row, expected in zip(got, want):
+            for name in FEATURE_COLUMNS:
+                value, wanted = getattr(row, name), getattr(expected, name)
+                assert type(value) is type(wanted), name
+                # repr tells -0.0 from 0.0
+                assert (repr(value) == repr(wanted)) if type(value) is float else (
+                    value == wanted), name

@@ -156,6 +156,45 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match="overflow"):
             synth.generate(spec)
 
+    def test_rejects_linear_predictor_beyond_the_float_range(self, tmp_path, capsys):
+        # age * 1e308 overflows to inf and hba1c * -1e308 to -inf; their sum is NaN
+        raw = raw_spec(covariates=[{"name": "age", "dist": "normal", "mu": 57.5, "sigma": 12.0},
+                                   {"name": "hba1c", "dist": "normal", "mu": 6.0, "sigma": 0.9}],
+                       outcome_models={"MI": {"intercept": -2.9, "age": 1e308,
+                                              "hba1c": -1e308}})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o"),
+                         "--n-mc", "100"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error[INVALID_SPEC]: a model's linear predictor overflows the float range"]
+        assert not (tmp_path / "o" / "truth.csv").exists()
+
+    @pytest.mark.parametrize("n_mc", ["1", "0", "-3"])
+    def test_rejects_too_few_monte_carlo_draws(self, tmp_path, capsys, n_mc):
+        # one draw has no standard error, none no mean; truth.csv would hold nan
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw_spec()))
+        code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o"),
+                         "--n-mc", n_mc])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[CONFIG]: --n-mc must be >= 2, got {n_mc}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_rejects_overflow_in_the_untreated_arms_truth(self):
+        # no patient is assigned chemotherapy, so the cohort is well defined;
+        # the truth's counterfactual linear predictor 1e308 + 1e308 is not
+        spec = base_spec(
+            covariates=[{"name": "hba1c", "dist": "normal", "mu": 6.0, "sigma": 0.9}],
+            treatment_model={"kind": "randomized", "p_chemo": 0.0, "p_targeted": 0.5},
+            outcome_models={"CHF": {"intercept": 1e308, "hba1c": 1.0, "CHEMOTHERAPY": 1e308}},
+        )
+        synth.generate(spec)
+        with pytest.raises(InvalidSpecError, match="overflow"):
+            synth.truth_rows(spec, 100)
+
     def test_rejects_missing_n(self):
         with pytest.raises(InvalidSpecError):
             synth.parse_spec({"seed": 1})
