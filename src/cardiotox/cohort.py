@@ -16,7 +16,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -102,9 +102,10 @@ OBSERVATION_KINDS = _by_name(ObservationKind)
 CODE_SYSTEMS = _by_name(CodeSystem)
 DRUG_CLASSES = _by_name(DrugClass)
 TREATMENTS = _by_name(Treatment)
+DIAGNOSIS_CATEGORIES = _by_name(DiagnosisCategory)
 
-_CODE = {members: {m.value: i for i, m in enumerate(members)}
-         for members in (SEXES, OBSERVATION_KINDS, CODE_SYSTEMS, DRUG_CLASSES, TREATMENTS)}
+_CODE = {members: {m.value: i for i, m in enumerate(members)} for members in (
+    SEXES, OBSERVATION_KINDS, CODE_SYSTEMS, DRUG_CLASSES, TREATMENTS, DIAGNOSIS_CATEGORIES)}
 _POSITION = {m: i for members in _CODE for i, m in enumerate(members)}
 
 
@@ -364,21 +365,26 @@ def default_code_map_rows() -> list[tuple[str, str, str]]:
 
 
 def load_code_map(path: str | Path) -> CodeMap:
-    """Load a code map from a CSV of (code_system, code_prefix, category)."""
+    """Load a code map from a CSV of (code_system, code_prefix, category).
+
+    Each row is checked for its code system, category, an empty prefix, then a
+    prefix repeated within its code system, and the first fault is reported.
+    """
     path = Path(path)
     entries: dict[CodeSystem, dict[str, DiagnosisCategory]] = {}
-    for lines, columns in _read_chunks(path, ("code_system", "code_prefix", "category")):
-        for line_no, (system, prefix, category) in zip(lines, zip(*columns)):
-            system = _parse_enum(CodeSystem, system, path, line_no, "code_system")
-            category = _parse_enum(DiagnosisCategory, category, path, line_no, "category")
-            if not prefix:
-                raise MalformedRowError(str(path), line_no, "code_prefix", "empty prefix")
-            table = entries.setdefault(system, {})
-            if prefix in table:
-                raise MalformedRowError(
-                    str(path), line_no, "code_prefix", f"duplicate prefix '{prefix}'"
-                )
-            table[prefix] = category
+    first_line: dict[tuple[str, str], int] = {}
+    for lines, (systems, prefixes, categories) in _read_chunks(path, _CODE_MAP_COLUMNS):
+        system, system_check = _member(systems, CODE_SYSTEMS, "code_system")
+        category, category_check = _member(categories, DIAGNOSIS_CATEGORIES, "category")
+        repeated = _repeated(zip(systems, prefixes), first_line, lines)
+        _raise_first_fault(path, lines, [
+            system_check,
+            category_check,
+            _empty(prefixes, "code_prefix", "empty prefix"),
+            (repeated, _malformed("code_prefix", lambda i: f"duplicate prefix '{prefixes[i]}'")),
+        ])
+        for s, prefix, c in zip(system.tolist(), prefixes, category.tolist()):
+            entries.setdefault(CODE_SYSTEMS[s], {})[prefix] = DIAGNOSIS_CATEGORIES[c]
     return CodeMap(entries)
 
 
@@ -402,86 +408,49 @@ class CohortPaths:
         )
 
 
-# Row parsers. They define what a valid row is and which fault it reports: each
-# checks its fields in a fixed order (an observation's value comes first), so a
-# row with several faults always reports the same one. Loading checks whole
-# columns at once and runs the parser only on the first faulty row.
+# Input checks. Each chunk of a table gets one ordered list of checks, each a
+# (fault mask, error of row i) pair built next to the column it converts. The
+# loader raises the error of the first failing check on the first faulty row,
+# so a row with several faults always reports the same one: an event's unknown
+# patient first, then its fields in the order of the table's list (an
+# observation's value comes first).
 
 
-def _patient(row: list[str], path: Path, line_no: int, declared: bool) -> None:
-    pid, birth_date, sex = row
-    if not pid:
-        raise MalformedRowError(str(path), line_no, "patient_id", "empty id")
-    if declared:
-        raise DuplicatePatientError(pid, str(path), line_no)
-    _parse_date(birth_date, path, line_no, "birth_date")
-    _parse_enum(Sex, sex, path, line_no, "sex")
+def _encode_observations(memo: dict, date_check, kinds, values):
+    code, kind_check = _member(kinds, OBSERVATION_KINDS, "kind")
+    value, value_check = _values(values)
+    return code, value, [value_check, date_check, kind_check]
 
 
-def _observation(row: list[str], path: Path, line_no: int) -> None:
-    _, day, kind, value = row
-    _parse_value(value, path, line_no)
-    _parse_date(day, path, line_no, "date")
-    _parse_enum(ObservationKind, kind, path, line_no, "kind")
-
-
-def _diagnosis(row: list[str], path: Path, line_no: int) -> None:
-    _, day, system, code = row
-    if not code:
-        raise MalformedRowError(str(path), line_no, "code", "empty code")
-    _parse_date(day, path, line_no, "date")
-    _parse_enum(CodeSystem, system, path, line_no, "code_system")
-
-
-def _medication(row: list[str], path: Path, line_no: int) -> None:
-    _, day, drug_class = row
-    _parse_date(day, path, line_no, "date")
-    _parse_enum(DrugClass, drug_class, path, line_no, "drug_class")
-
-
-def _treatment(row: list[str], path: Path, line_no: int) -> None:
-    _, day, treatment = row
-    _parse_date(day, path, line_no, "date")
-    _parse_enum(Treatment, treatment, path, line_no, "treatment")
-
-
-# Column encoders of the fields after patient_id and date: (code, value or
-# None, fault mask). ``memo`` lives as long as one table's load.
-
-
-def _encode_observations(memo: dict, kinds, values):
-    code = _codes(kinds, OBSERVATION_KINDS)
-    value = _floats(values)
-    return code, value, (code < 0) | ~(np.isfinite(value) & (value >= 0))
-
-
-def _encode_diagnoses(memo: dict, systems, codes):
+def _encode_diagnoses(memo: dict, date_check, systems, codes):
     # provisional codes in order of first appearance; load_cohort ranks them
     pairs = list(zip(systems, codes))
     for pair in set(pairs).difference(memo):
         memo[pair] = len(memo)
     code = np.fromiter(map(memo.__getitem__, pairs), np.int32, len(pairs))
-    empty = np.fromiter(map(len, codes), np.int64, len(codes)) == 0
-    return code, None, empty | (_codes(systems, CODE_SYSTEMS) < 0)
+    _, system_check = _member(systems, CODE_SYSTEMS, "code_system")
+    return code, None, [_empty(codes, "code", "empty code"), date_check, system_check]
 
 
-def _encode_member(members: tuple):
+def _encode_member(members: tuple, column: str):
     """The encoder of a column that names one of ``members``."""
-    def encode(memo: dict, texts):
-        code = _codes(texts, members)
-        return code, None, code < 0
+    def encode(memo: dict, date_check, texts):
+        code, check = _member(texts, members, column)
+        return code, None, [date_check, check]
     return encode
 
 
 # The event tables in PatientRecord field order: the field name (also the
-# CohortPaths field), the header, the row parser and the column encoder.
+# CohortPaths field), the header and the encoder of the columns after patient_id
+# and date. It returns (code, value or None, the checks after the patient's).
 _EVENT_TABLES = (
-    ("observations", ("patient_id", "date", "kind", "value"), _observation, _encode_observations),
-    ("diagnoses", ("patient_id", "date", "code_system", "code"), _diagnosis, _encode_diagnoses),
-    ("medications", ("patient_id", "date", "drug_class"), _medication,
-     _encode_member(DRUG_CLASSES)),
-    ("treatments", ("patient_id", "date", "treatment"), _treatment, _encode_member(TREATMENTS)),
+    ("observations", ("patient_id", "date", "kind", "value"), _encode_observations),
+    ("diagnoses", ("patient_id", "date", "code_system", "code"), _encode_diagnoses),
+    ("medications", ("patient_id", "date", "drug_class"),
+     _encode_member(DRUG_CLASSES, "drug_class")),
+    ("treatments", ("patient_id", "date", "treatment"), _encode_member(TREATMENTS, "treatment")),
 )
+_CODE_MAP_COLUMNS = ("code_system", "code_prefix", "category")
 
 
 def load_cohort(paths: CohortPaths) -> Cohort:
@@ -499,9 +468,9 @@ def load_cohort(paths: CohortPaths) -> Cohort:
     row_of = dict(zip(patient_ids, range(len(ids))))
 
     tables = []
-    for name, columns, parse, encode in _EVENT_TABLES:
+    for name, columns, encode in _EVENT_TABLES:
         (patient, day, code, value), memo = _load_events(
-            getattr(paths, name), columns, parse, encode, row_of, day_memo)
+            getattr(paths, name), columns, encode, row_of, day_memo)
         if name == "diagnoses":
             pairs = sorted(memo)
             rank = np.empty(len(pairs), np.int32)
@@ -523,46 +492,102 @@ def _load_patients(path: Path, day_memo: dict[str, int]):
     """Patient ids in file order, with birth day ordinals and sex codes."""
     columns = ("patient_id", "birth_date", "sex")
     ids: list[str] = []
-    first_row: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     days, sexes = [], []
     for lines, (pids, births, sex_texts) in _table_chunks(path, columns):
-        start = len(ids)
+        declared = _repeated(pids, first_line, lines)
+        day, birth_check = _date(births, day_memo, "birth_date")
+        sex, sex_check = _member(sex_texts, SEXES, "sex")
+        _raise_first_fault(path, lines, [
+            _empty(pids, "patient_id", "empty id"),
+            (declared, lambda i, file, line: DuplicatePatientError(pids[i], file, line)),
+            birth_check,
+            sex_check,
+        ])
         ids.extend(pids)
-        first = np.fromiter(map(first_row.setdefault, pids, count(start)), np.int64, len(pids))
-        declared = first < np.arange(start, len(ids))
-        day = _days(births, day_memo)
-        sex = _codes(sex_texts, SEXES)
-        empty = np.fromiter(map(len, pids), np.int64, len(pids)) == 0
-        bad = empty | declared | (day == 0) | (sex < 0)
-        if bad.any():
-            i = int(bad.argmax())
-            _patient([pids[i], births[i], sex_texts[i]], Path(path), lines[i], bool(declared[i]))
-            raise AssertionError(f"{path}:{lines[i]}: the row parser found no fault")
         days.append(day)
         sexes.append(sex)
     return ids, np.concatenate(days), np.concatenate(sexes)
 
 
-def _load_events(path, columns, parse, encode, row_of, day_memo):
+def _load_events(path, columns, encode, row_of, day_memo):
     """The table's columns (patient, day, code, value) in file order, and its memo."""
     memo: dict = {}
     parts = []
     for lines, (pids, days, *fields) in _table_chunks(path, columns):
         patient = _rows(pids, row_of)
-        day = _days(days, day_memo)
-        code, value, bad = encode(memo, *fields)
-        bad |= (patient < 0) | (day == 0)
-        if bad.any():
-            i = int(bad.argmax())
-            row = [pids[i], days[i], *(f[i] for f in fields)]
-            if row[0] not in row_of:
-                raise UnknownPatientError(row[0], str(path), lines[i])
-            parse(row, Path(path), lines[i])
-            raise AssertionError(f"{path}:{lines[i]}: the row parser found no fault")
+        day, date_check = _date(days, day_memo, "date")
+        code, value, checks = encode(memo, date_check, *fields)
+        unknown = (patient < 0, lambda i, file, line: UnknownPatientError(pids[i], file, line))
+        _raise_first_fault(path, lines, [unknown, *checks])
         parts.append((patient, day, code, value))
     patient, day, code, value = zip(*parts)
     columns = [np.concatenate(c) for c in (patient, day, code)]
     return (*columns, None if value[0] is None else np.concatenate(value)), memo
+
+
+def _raise_first_fault(path, lines: Sequence[int], checks) -> None:
+    """Raise the error of the first failing check on the first faulty row, if any."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(bad.argmax())
+        error = next(error for mask, error in checks if mask[i])
+        raise error(i, str(path), lines[i])
+
+
+def _malformed(column: str, reason):
+    """The error of row i whose ``column`` is malformed for ``reason(i)``."""
+    return lambda i, file, line: MalformedRowError(file, line, column, reason(i))
+
+
+def _empty(texts: Sequence[str], column: str, reason: str):
+    """The check that no text is empty."""
+    empty = np.fromiter(map(len, texts), np.int64, len(texts)) == 0
+    return empty, _malformed(column, lambda i: reason)
+
+
+def _date(texts: Sequence[str], memo: dict[str, int], column: str):
+    """Date ordinals (int32), 0 where a text is no ISO date, and their check.
+
+    Each distinct text is parsed once per load: ``memo`` holds its ordinal.
+    """
+    for text in set(texts).difference(memo):
+        try:
+            memo[text] = date.fromisoformat(text).toordinal()
+        except ValueError:
+            memo[text] = 0
+    day = np.fromiter(map(memo.__getitem__, texts), np.int32, len(texts))
+    return day, (day == 0, _malformed(column, lambda i: f"invalid ISO date '{texts[i]}'"))
+
+
+def _member(texts: Sequence[str], members: tuple, column: str):
+    """Positions (int8) of the named members, -1 where a text names none, and their check."""
+    code = np.fromiter(map(_CODE[members].get, texts, repeat(-1)), np.int8, len(texts))
+    allowed = ", ".join(m.value for m in type(members[0]))  # in declaration order
+    return code, (code < 0, _malformed(column, lambda i: f"'{texts[i]}' not one of {{{allowed}}}"))
+
+
+def _values(texts: Sequence[str]):
+    """``float(text)`` per text, NaN where it is not a number, and the check that
+    each is a finite number >= 0."""
+    try:
+        value = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        value = np.fromiter(map(_float_or_nan, texts), np.float64, len(texts))
+
+    def reason(i):
+        try:
+            float(texts[i])
+        except ValueError:
+            return f"'{texts[i]}' is not a number"
+        return f"value must be finite and >= 0, got '{texts[i]}'"
+    return value, (~(np.isfinite(value) & (value >= 0)), _malformed("value", reason))
+
+
+def _repeated(keys: Iterable, first_line: dict, lines: Sequence[int]) -> np.ndarray:
+    """Where the key of each line is in ``first_line`` at an earlier line; adds the new keys."""
+    first = np.fromiter(map(first_line.setdefault, keys, lines), np.int64, len(lines))
+    return first < np.asarray(lines, np.int64)
 
 
 # Rows are read in slices small enough that the cyclic garbage collector does not
@@ -583,9 +608,13 @@ def _read_chunks(path: str | Path, columns: Sequence[str]):
     yielded, so their faults come first.
     """
     path = Path(path)
-    if not path.exists():
-        raise MalformedRowError(str(path), 0, "", "file does not exist")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise MalformedRowError(str(path), 0, "", "file does not exist") from None
+    except OSError as err:  # a directory, or a file this process may not read
+        raise MalformedRowError(str(path), 0, "", f"cannot read file: {err.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -631,16 +660,6 @@ def _read_chunks(path: str | Path, columns: Sequence[str]):
             raise fault
 
 
-def _days(texts: Sequence[str], memo: dict[str, int]) -> np.ndarray:
-    """Date ordinals (int32), 0 where a text is no ISO date; parsed once per distinct text."""
-    for text in set(texts).difference(memo):
-        try:
-            memo[text] = date.fromisoformat(text).toordinal()
-        except ValueError:
-            memo[text] = 0
-    return np.fromiter(map(memo.__getitem__, texts), np.int32, len(texts))
-
-
 def _rows(pids: Sequence[str], row_of: dict[str, int]) -> np.ndarray:
     """The patient row (int32) of each id, -1 where an id is unknown."""
     try:
@@ -649,54 +668,8 @@ def _rows(pids: Sequence[str], row_of: dict[str, int]) -> np.ndarray:
         return np.fromiter(map(row_of.get, pids, repeat(-1)), np.int32, len(pids))
 
 
-def _codes(texts: Sequence[str], members: tuple) -> np.ndarray:
-    """Positions (int8) of the named members, -1 where a text names none."""
-    return np.fromiter(map(_CODE[members].get, texts, repeat(-1)), np.int8, len(texts))
-
-
-def _floats(texts: Sequence[str]) -> np.ndarray:
-    """``float(text)`` per text, NaN where it is not a number."""
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        return np.fromiter(map(_float_or_nan, texts), np.float64, len(texts))
-
-
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)
     except ValueError:
         return math.nan
-
-
-def _parse_date(text: str, path: Path, line_no: int, column: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise MalformedRowError(
-            str(path), line_no, column, f"invalid ISO date '{text}'"
-        ) from None
-
-
-def _parse_enum(enum_cls, text: str, path: Path, line_no: int, column: str):
-    try:
-        return enum_cls(text)
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise MalformedRowError(
-            str(path), line_no, column, f"'{text}' not one of {{{allowed}}}"
-        ) from None
-
-
-def _parse_value(text: str, path: Path, line_no: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise MalformedRowError(
-            str(path), line_no, "value", f"'{text}' is not a number"
-        ) from None
-    if not math.isfinite(value) or value < 0:
-        raise MalformedRowError(
-            str(path), line_no, "value", f"value must be finite and >= 0, got '{text}'"
-        )
-    return value

@@ -71,9 +71,11 @@ class DuplicatePatientError(InputError):
 class EmptyCohortMeanError(InputError):
     code = "EMPTY_COHORT_MEAN"
 
-    def __init__(self, field: str):
+    def __init__(self, field: str, overflow: bool = False):
         self.field = field
-        super().__init__(f"cannot mean-impute '{field}': no observed values in the cohort")
+        reason = "the sum of its observed values overflows" if overflow else (
+            "no observed values in the cohort")
+        super().__init__(f"cannot mean-impute '{field}': {reason}")
 
 
 class UnknownFeatureError(InputError):

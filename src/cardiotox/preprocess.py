@@ -376,7 +376,8 @@ def impute(
             labs[missing[:, j], j] = mean if math.isfinite(mean) else math.nan
     unfilled = np.argwhere(np.isnan(labs))  # by row, then by field
     if len(unfilled):
-        raise EmptyCohortMeanError(LAB_FIELDS[unfilled[0, 1]])
+        j = unfilled[0, 1]
+        raise EmptyCohortMeanError(LAB_FIELDS[j], overflow=not missing[:, j].all())
     # one set per pattern of imputed fields, shared by the rows that have it
     codes = missing.dot(1 << np.arange(len(LAB_FIELDS))).tolist()
     sets = {code: frozenset(name for j, name in enumerate(LAB_FIELDS) if code >> j & 1)

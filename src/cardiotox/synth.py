@@ -219,7 +219,9 @@ def load_spec(path: str | Path) -> SyntheticSpec:
             raw = json.load(fh)
     except FileNotFoundError:
         raise InvalidSpecError(f"spec file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except (OSError, UnicodeDecodeError) as err:
+        raise InvalidSpecError(f"cannot read spec {path}: {err}") from None
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
         raise InvalidSpecError(f"spec is not valid JSON: {err}") from None
     return parse_spec(raw)
 

@@ -192,6 +192,53 @@ def test_synth_invalid_spec_exits_2(tmp_path, capsys):
     assert "INVALID_SPEC" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read spec"),  # a directory
+    (b'{"n": 10, "seed": 1, "note": "\xff"}', "cannot read spec"),
+    (b'{"n": ' + b"9" * 5000 + b', "seed": 1}', "spec is not valid JSON"),
+], ids=["directory", "not_utf8", "integer_too_long"])
+def test_unreadable_spec_exits_2(tmp_path, capsys, content, message):
+    spec_path = tmp_path / "spec.json"
+    if content is None:
+        spec_path.mkdir()
+    else:
+        spec_path.write_bytes(content)
+    code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1, err
+    assert err[0].startswith(f"error[INVALID_SPEC]: {message}"), err
+
+
+def test_config_not_utf8_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(json.dumps(golden_config()).encode() + b" \xff")
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[CONFIG]: cannot read config {cfg}: "), err
+
+
+@pytest.mark.parametrize("key", ["observations", "code_map"])
+def test_directory_as_input_path_exits_2(tmp_path, capsys, key):
+    folder = tmp_path / "obsdir"
+    folder.mkdir()
+    config = golden_config()
+    if key == "code_map":
+        config["code_map"] = str(folder)
+    else:
+        config["inputs"][key] = str(folder)
+    assert run_validate(config, tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[MALFORMED_ROW]: {folder}:0 column '': cannot read file: Is a directory"]
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    config = golden_config()
+    config["inputs"]["treatments"] = str(tmp_path / "absent.csv")
+    assert run_validate(config, tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[MALFORMED_ROW]: {tmp_path / 'absent.csv'}:0 column '': file does not exist"]
+
+
 def test_bad_config_exits_4(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

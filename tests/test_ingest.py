@@ -4,7 +4,8 @@
 did: every row is checked in file order (an unknown patient first, then the
 fields in order), and each patient's events are sorted by their canonical
 keys. The columnar loader checks whole columns and must report the same
-first fault, or load the same records.
+first fault, with the same message, or load the same records.
+``reference_code_map`` does the same for a code map.
 """
 
 import csv
@@ -18,9 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 from cardiotox import cohort as cohort_module
 from cardiotox import preprocess, synth
 from cardiotox.cohort import (
+    CodeMap,
     CodeSystem,
     Cohort,
     CohortPaths,
+    DiagnosisCategory,
     DiagnosisEvent,
     DrugClass,
     MedicationEvent,
@@ -30,12 +33,14 @@ from cardiotox.cohort import (
     Sex,
     Treatment,
     TreatmentEvent,
+    load_code_map,
     load_cohort,
 )
 from cardiotox.errors import DuplicatePatientError, MalformedRowError, UnknownPatientError
 
-from test_cli import CELLS, TABLES, golden_rows
+from test_cli import CELLS, GOLDEN, TABLES, golden_rows
 
+CODE_MAP_HEADER = ["code_system", "code_prefix", "category"]
 HEADERS = {
     "patients": ["patient_id", "birth_date", "sex"],
     "observations": ["patient_id", "date", "kind", "value"],
@@ -45,48 +50,59 @@ HEADERS = {
 }
 
 
+def rows(path, header):
+    """(line, fields) of the non-empty data rows, checking the header and widths."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None:
+            raise MalformedRowError(str(path), 1, "", "missing header row")
+        if found != header:
+            raise MalformedRowError(str(path), 1, "", f"header {found!r} does not match {header!r}")
+        for line, raw in enumerate(reader, start=2):
+            if raw and len(raw) != len(header):
+                raise MalformedRowError(str(path), line, "",
+                                        f"expected {len(header)} fields, got {len(raw)}")
+            if raw:
+                yield line, raw
+
+
+def fault(path, line, column, reason):
+    raise MalformedRowError(str(path), line, column, reason)
+
+
+def day(text, path, line, column="date"):
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        fault(path, line, column, f"invalid ISO date '{text}'")
+
+
+def member(enum_cls, text, path, line, column):
+    if text not in {m.value for m in enum_cls}:
+        allowed = ", ".join(m.value for m in enum_cls)
+        fault(path, line, column, f"'{text}' not one of {{{allowed}}}")
+    return enum_cls(text)
+
+
+def value(text, path, line):
+    try:
+        number = float(text)
+    except ValueError:
+        fault(path, line, "value", f"'{text}' is not a number")
+    if not math.isfinite(number) or number < 0:
+        fault(path, line, "value", f"value must be finite and >= 0, got '{text}'")
+    return number
+
+
 def reference_load(paths):
-    def rows(path, name):
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != HEADERS[name]:
-                raise MalformedRowError(str(path), 1, "", "header")
-            for line, raw in enumerate(reader, start=2):
-                if raw and len(raw) != len(HEADERS[name]):
-                    raise MalformedRowError(str(path), line, "", "width")
-                if raw:
-                    yield line, raw
-
-    def fault(path, line, column):
-        raise MalformedRowError(str(path), line, column, "")
-
-    def day(text, path, line, column="date"):
-        try:
-            return date.fromisoformat(text)
-        except ValueError:
-            fault(path, line, column)
-
-    def member(enum_cls, text, path, line, column):
-        if text not in {m.value for m in enum_cls}:
-            fault(path, line, column)
-        return enum_cls(text)
-
-    def value(text, path, line):
-        try:
-            number = float(text)
-        except ValueError:
-            fault(path, line, "value")
-        if not math.isfinite(number) or number < 0:
-            fault(path, line, "value")
-        return number
-
     def observation(r, p, n):
         number = value(r[3], p, n)
         return Observation(day(r[1], p, n), member(ObservationKind, r[2], p, n, "kind"), number)
 
     def diagnosis(r, p, n):
         if not r[3]:
-            fault(p, n, "code")
+            fault(p, n, "code", "empty code")
         return DiagnosisEvent(day(r[1], p, n), member(CodeSystem, r[2], p, n, "code_system"),
                               r[3])
 
@@ -106,9 +122,9 @@ def reference_load(paths):
     }
 
     people = {}
-    for line, (pid, birth, sex) in rows(paths.patients, "patients"):
+    for line, (pid, birth, sex) in rows(paths.patients, HEADERS["patients"]):
         if not pid:
-            fault(paths.patients, line, "patient_id")
+            fault(paths.patients, line, "patient_id", "empty id")
         if pid in people:
             raise DuplicatePatientError(pid, str(paths.patients), line)
         people[pid] = (day(birth, paths.patients, line, "birth_date"),
@@ -116,7 +132,7 @@ def reference_load(paths):
     events = {pid: {name: [] for name in parsers} for pid in people}
     for name, parse in parsers.items():
         path = getattr(paths, name)
-        for line, raw in rows(path, name):
+        for line, raw in rows(path, HEADERS[name]):
             if raw[0] not in events:
                 raise UnknownPatientError(raw[0], str(path), line)
             events[raw[0]][name].append(parse(raw, path, line))
@@ -127,16 +143,26 @@ def reference_load(paths):
     ]
 
 
-def outcome(load, paths):
-    """The records loaded, or the fault as (type, file, line, column or patient)."""
+def reference_code_map(path):
+    entries = {}
+    for line, (system, prefix, category) in rows(path, CODE_MAP_HEADER):
+        system = member(CodeSystem, system, path, line, "code_system")
+        category = member(DiagnosisCategory, category, path, line, "category")
+        if not prefix:
+            fault(path, line, "code_prefix", "empty prefix")
+        if prefix in entries.setdefault(system, {}):
+            fault(path, line, "code_prefix", f"duplicate prefix '{prefix}'")
+        entries[system][prefix] = category
+    return CodeMap(entries)
+
+
+def outcome(load, path):
+    """The code map or records loaded, or the fault as (type, file, line, message)."""
     try:
-        return list(load(paths))
-    except MalformedRowError as err:
-        return type(err).__name__, err.file, err.line, err.column
-    except UnknownPatientError as err:
-        return type(err).__name__, err.file, err.line, err.patient_id
-    except DuplicatePatientError as err:
-        return type(err).__name__, err.file, err.line, err.patient_id
+        loaded = load(path)
+    except (MalformedRowError, UnknownPatientError, DuplicatePatientError) as err:
+        return type(err).__name__, err.file, err.line, str(err)
+    return loaded if isinstance(loaded, CodeMap) else list(loaded)
 
 
 def write_tables(root, tables):
@@ -187,6 +213,40 @@ def test_first_fault_and_records_equal_the_row_loader(tmp_path_factory, changes,
     want = outcome(reference_load, paths)
     with mock.patch.multiple(cohort_module, _SLICE_ROWS=slice_rows, _CHUNK_ROWS=chunk_rows):
         assert outcome(load_cohort, paths) == want
+
+
+MAP_CELLS = st.sampled_from(["ICD9", "ICD10", "C", "C44", "I50", "CHF", "MI", "HEART"]) | CELLS
+map_edits = st.tuples(st.just("code_map"), st.sampled_from(["cell", "cell", "cell", "copy"]),
+                      st.integers(0, 10**6), st.integers(0, 10**6), MAP_CELLS)
+
+
+@given(changes=st.lists(map_edits, min_size=1, max_size=3),
+       slice_rows=st.integers(1, 4), chunk_rows=st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+@example(changes=[("code_map", "cell", 2, 0, "ICD11")], slice_rows=1, chunk_rows=1)
+@example(changes=[("code_map", "cell", 5, 2, "HEART")], slice_rows=2, chunk_rows=3)
+@example(changes=[("code_map", "cell", 3, 1, "")], slice_rows=4, chunk_rows=9)
+@example(changes=[("code_map", "copy", 4, 0, "")], slice_rows=1, chunk_rows=2)
+# a prefix repeated under another code system is no fault
+@example(changes=[("code_map", "copy", 4, 0, ""), ("code_map", "cell", 4, 0, "ICD9")],
+         slice_rows=4, chunk_rows=9)
+# two faults in one row: the system before the prefix, the category before an
+# empty or repeated prefix
+@example(changes=[("code_map", "cell", 1, 0, "ICD11"), ("code_map", "cell", 1, 1, "")],
+         slice_rows=4, chunk_rows=9)
+@example(changes=[("code_map", "cell", 1, 2, "HEART"), ("code_map", "cell", 1, 1, "")],
+         slice_rows=4, chunk_rows=9)
+@example(changes=[("code_map", "copy", 4, 0, ""), ("code_map", "cell", 4, 2, "HEART")],
+         slice_rows=4, chunk_rows=9)
+def test_code_map_fault_and_entries_equal_the_row_loader(tmp_path_factory, changes,
+                                                         slice_rows, chunk_rows):
+    tables = {"code_map": list(csv.reader(open(GOLDEN / "code_map.csv", encoding="utf-8")))}
+    for change in changes:
+        apply(tables, change)
+    path = write_tables(tmp_path_factory.mktemp("map"), tables).patients.with_name("code_map.csv")
+    want = outcome(reference_code_map, path)
+    with mock.patch.multiple(cohort_module, _SLICE_ROWS=slice_rows, _CHUNK_ROWS=chunk_rows):
+        assert outcome(load_code_map, path) == want
 
 
 def test_unreadable_text_is_a_malformed_row(tmp_path):

@@ -360,6 +360,17 @@ class TestImpute:
         with pytest.raises(EmptyCohortMeanError):
             impute(one_row(bmi=None))
 
+    def test_overflowing_cohort_mean_names_its_reason(self):
+        rows = (summary_row(sbp=1e308), summary_row(patient_id="P2", sbp=1e308),
+                summary_row(patient_id="P3", sbp=None))
+        with pytest.raises(EmptyCohortMeanError) as err:
+            impute(baselines_of(*rows))
+        assert str(err.value) == (
+            "cannot mean-impute 'sbp': the sum of its observed values overflows")
+        with pytest.raises(EmptyCohortMeanError) as err:
+            impute(one_row(bmi=None))
+        assert str(err.value) == "cannot mean-impute 'bmi': no observed values in the cohort"
+
     def test_flags_follow_imputed_values(self):
         bf = impute_first(dict(dbp=None, triglyceride=None),
                           dict(dbp=85.0, triglyceride=160.0))
