@@ -200,8 +200,14 @@ def _require_seed(cfg: RunConfig) -> int:
     return cfg.seed
 
 
+def _make_outdir(outdir: Path) -> None:
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a regular file, or a place this process may not write
+        raise ConfigError(f"cannot create output directory '{outdir}': {err.strerror}") from None
+
+
 def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config_sha256": cfg_hash,
@@ -313,6 +319,7 @@ def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
         raise ConfigError(f"--n-mc must be >= 2, got {n_mc}")
     spec = synth.load_spec(spec_path)
     cohort = synth.generate(spec)
+    _make_outdir(outdir)
     synth.write_cohort(cohort, outdir)
     synth.write_truth_csv(outdir / "truth.csv", spec, n_mc)
     run_config = {
@@ -402,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.n_boot = args.b
         cfg.validate()
         outdir = Path(args.out) if args.out else cfg.out
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_outdir(outdir)
 
         if args.command == "validate":
             cmd_validate(cfg, outdir)

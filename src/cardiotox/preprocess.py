@@ -15,14 +15,12 @@ looks into follow-up and outcomes never look into baseline.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -91,6 +89,8 @@ _EPOCH = date(1970, 1, 1).toordinal()
 
 _CONSTANT_IMPUTE = {"hdl": 55.0, "ldl": 115.0, "hba1c": 6.0}
 
+_PART_ROWS = 4096  # rows per slice: only one slice of Python values is held in lists
+
 DEFAULT_ANTIHYPERTENSIVE_CLASSES = frozenset(
     {
         DrugClass.ACE_INHIBITOR,
@@ -132,8 +132,7 @@ class EligibilityReport:
     excluded: tuple[tuple[str, ExclusionReason], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class BaselineFeatures:
+class BaselineFeatures(NamedTuple):
     patient_id: str
     age: float
     sbp: float
@@ -168,10 +167,10 @@ class BaselineFeatures:
     cad: bool
     cm: bool
     mi: bool
-    imputed: frozenset[str] = field(default_factory=frozenset)
+    imputed: frozenset[str] = frozenset()
 
 
-FEATURE_COLUMNS = [f.name for f in dataclass_fields(BaselineFeatures)]
+FEATURE_COLUMNS = list(BaselineFeatures._fields)
 
 
 @dataclass(frozen=True)
@@ -395,31 +394,30 @@ def feature_rows(
     The one place that derives the abnormality flags and the aggregate
     medication flags, on whole columns, for preprocessing and synthetic
     cohorts alike. ``imputed`` holds each row's imputed fields (none by
-    default). Rows are filled by position (half the cost of keywords) from
-    Python values, in ``BaselineFeatures`` order.
+    default). Rows are tuples of Python values zipped from ``_PART_ROWS``-row
+    slices of the columns in ``BaselineFeatures`` order, taken whole by
+    ``_make`` (cheaper than filling a row from arguments).
     """
     b = baselines
+    n = len(b.patient_ids)
     sbp, dbp, bmi, hdl, ldl, hba1c, triglyceride = b.labs.T
 
-    def any_of(classes: frozenset[DrugClass]) -> list[bool]:
-        return (b.medications & [cls in classes for cls in DrugClass]).any(axis=1).tolist()
+    def any_of(classes: frozenset[DrugClass]) -> np.ndarray:
+        return (b.medications & [cls in classes for cls in DrugClass]).any(axis=1)
 
-    return list(map(
-        BaselineFeatures,
-        b.patient_ids,
-        b.age.tolist(),
-        *b.labs.T.tolist(),
-        b.troponin_flag.tolist(),
-        ((sbp > 130.0) | (dbp > 80.0)).tolist(),
-        ((ldl > 130.0) | (hdl < 50.0) | (triglyceride > 150.0)).tolist(),
-        *b.conditions.T.tolist(),
-        *b.medications.T.tolist(),
-        any_of(config.antihypertensive_classes),
-        any_of(config.antihyperlipidemia_classes),
-        b.treatments,
-        *b.outcomes.T.tolist(),
-        itertools.repeat(frozenset()) if imputed is None else imputed,
-    ))
+    columns = [
+        b.patient_ids, b.age, *b.labs.T, b.troponin_flag,
+        (sbp > 130.0) | (dbp > 80.0), (ldl > 130.0) | (hdl < 50.0) | (triglyceride > 150.0),
+        *b.conditions.T, *b.medications.T, any_of(config.antihypertensive_classes),
+        any_of(config.antihyperlipidemia_classes), b.treatments, *b.outcomes.T,
+        [frozenset()] * n if imputed is None else imputed,
+    ]
+    rows: list[BaselineFeatures] = []
+    for start in range(0, n, _PART_ROWS):
+        part = (c[start:start + _PART_ROWS] for c in columns)
+        rows += map(BaselineFeatures._make, zip(*(
+            c.tolist() if isinstance(c, np.ndarray) else c for c in part)))
+    return rows
 
 
 def compute_features(
@@ -475,7 +473,7 @@ TREATMENT_DUMMY_COLUMNS = ("treatment_chemotherapy", "treatment_targeted")
 # Scalar fields usable as predictors (booleans become 0/1 columns): every
 # float or bool field of BaselineFeatures except the outcome flags.
 _SCALAR_FEATURES = frozenset(
-    f.name for f in dataclass_fields(BaselineFeatures) if f.type in ("float", "bool")
+    name for name, kind in get_type_hints(BaselineFeatures).items() if kind in (float, bool)
 ) - {name.lower() for name in OUTCOME_NAMES}
 
 # Built-in predictor lists. "treatment" expands to the two dummy columns with
@@ -595,30 +593,30 @@ def build_matrix(
 
     rows = sorted(features, key=lambda f: f.patient_id)
     if outcome in CONTRASTS:
-        arm = CONTRASTS[outcome]
-        rows = [f for f in rows if f.treatment in (arm, Treatment.RADIATION)]
-        labels = [1.0 if f.treatment is arm else 0.0 for f in rows]
-    elif outcome in OUTCOME_NAMES:
-        labels = [1.0 if getattr(f, outcome.lower()) else 0.0 for f in rows]
-    else:
+        rows = [f for f in rows if f.treatment in (CONTRASTS[outcome], Treatment.RADIATION)]
+    elif outcome not in OUTCOME_NAMES:
         raise UnknownFeatureError(outcome)
+    column = dict(zip(FEATURE_COLUMNS, zip(*rows))) if rows else dict.fromkeys(FEATURE_COLUMNS, ())
+    dummy = {arm: [1.0 if t is arm else 0.0 for t in column["treatment"]]
+             for arm in (Treatment.CHEMOTHERAPY, Treatment.TARGETED)}
+    labels = dummy[CONTRASTS[outcome]] if outcome in CONTRASTS else [
+        1.0 if v else 0.0 for v in column[outcome.lower()]]
 
     columns: list[str] = ["intercept"]
-    values: list[list[float]] = [[1.0] * len(rows)]
+    values: list[Sequence[float]] = [(1.0,) * len(rows)]
     for name in names:
         if name == "treatment":
             columns.extend(TREATMENT_DUMMY_COLUMNS)
-            for arm in (Treatment.CHEMOTHERAPY, Treatment.TARGETED):
-                values.append([1.0 if f.treatment is arm else 0.0 for f in rows])
+            values.extend(dummy.values())
         else:
             columns.append(name)
-            values.append([float(getattr(f, name)) for f in rows])
+            values.append(column[name])
 
     return FeatureMatrix(
         column_names=tuple(columns),
         X=np.ascontiguousarray(np.array(values, dtype=np.float64).T),
         y=np.asarray(labels, dtype=np.float64),
-        row_ids=tuple(f.patient_id for f in rows),
+        row_ids=column["patient_id"],
         outcome=outcome,
     )
 
@@ -628,16 +626,13 @@ def build_matrix(
 
 
 def write_features_csv(path: str | Path, features: list[BaselineFeatures]) -> None:
-    values = operator.attrgetter(*FEATURE_COLUMNS)
-    treatment, imputed = FEATURE_COLUMNS.index("treatment"), FEATURE_COLUMNS.index("imputed")
+    treatment = FEATURE_COLUMNS.index("treatment")  # imputed is the last field
 
-    def row(f: BaselineFeatures) -> list:
-        cells = list(values(f))
-        cells[treatment] = cells[treatment].value
-        cells[imputed] = ";".join(sorted(cells[imputed]))
-        return cells
+    def cells(f: BaselineFeatures) -> tuple:
+        return f[:treatment] + (f.treatment.value,) + f[treatment + 1:-1] + (
+            ";".join(sorted(f.imputed)),)
 
-    write_csv(path, FEATURE_COLUMNS, map(row, features))
+    write_csv(path, FEATURE_COLUMNS, map(cells, features))
 
 
 def write_exclusions_csv(path: str | Path, report: EligibilityReport) -> None:

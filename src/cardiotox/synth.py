@@ -479,7 +479,6 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
     the 10-significant-digit convention.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     layout = sc.spec.layout
     index = layout.index_date
     obs_date = (index - timedelta(days=layout.observation_days_before)).isoformat()

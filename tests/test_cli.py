@@ -239,6 +239,28 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
         f"error[MALFORMED_ROW]: {tmp_path / 'absent.csv'}:0 column '': file does not exist"]
 
 
+@pytest.mark.parametrize("command", ["validate", "synth"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_a_directory_exits_4(tmp_path, capsys, command, below):
+    # an existing regular file, or a path through one
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if below else afile
+    if command == "synth":
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        argv = ["synth", "--spec", str(spec_path), "--n-mc", "100"]
+    else:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(golden_config()))
+        argv = ["validate", "--config", str(cfg_path)]
+    assert cli.main([*argv, "--out", str(out)]) == 4
+    reason = "Not a directory" if below else "File exists"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[CONFIG]: cannot create output directory '{out}': {reason}"]
+    assert afile.read_text() == ""
+
+
 def test_bad_config_exits_4(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

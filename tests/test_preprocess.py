@@ -4,11 +4,13 @@ from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from types import SimpleNamespace
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cardiotox import preprocess, synth
 from cardiotox.cohort import (
     HEART_DISEASE_CATEGORIES,
     CodeSystem,
@@ -28,17 +30,22 @@ from cardiotox.cohort import (
 )
 from cardiotox.errors import EmptyCohortMeanError, UnknownFeatureError
 from cardiotox.preprocess import (
+    _SCALAR_FEATURES,
     ADULT_AGE,
     CONTINUOUS_KINDS,
+    CONTRASTS,
     DEFAULT_ANTIHYPERLIPIDEMIA_CLASSES,
     DEFAULT_ANTIHYPERTENSIVE_CLASSES,
     FEATURE_COLUMNS,
+    FEATURE_SETS,
     LAB_FIELDS,
     MIN_FOLLOWUP_DAYS,
     OUTCOME_NAMES,
+    TREATMENT_DUMMY_COLUMNS,
     BaselineFeatures,
     Baselines,
     ExclusionReason,
+    FeatureMatrix,
     PreprocessConfig,
     apply_eligibility,
     build_matrix,
@@ -46,7 +53,9 @@ from cardiotox.preprocess import (
     feature_rows,
     impute,
     index_days,
+    resolve_feature_set,
     summarize_baselines,
+    write_features_csv,
 )
 
 CMAP = default_code_map()
@@ -535,6 +544,157 @@ def test_compute_features_end_to_end():
     by_id = {f.patient_id: f for f in feats}
     assert by_id["P2"].sbp == 120.0  # cohort mean of the single observed value
     assert "sbp" in by_id["P2"].imputed and "sbp" not in by_id["P1"].imputed
+
+
+# ---------------------------------------------------------------------------
+# build_matrix reads columns of the transposed rows; the reference is the
+# builder that read every cell with getattr, copied verbatim.
+
+
+def reference_build_matrix(features, feature_set, outcome, extra_sets=None):
+    names = resolve_feature_set(feature_set, extra_sets)
+    for name in names:
+        if name != "treatment" and name not in _SCALAR_FEATURES:
+            raise UnknownFeatureError(name)
+
+    rows = sorted(features, key=lambda f: f.patient_id)
+    if outcome in CONTRASTS:
+        arm = CONTRASTS[outcome]
+        rows = [f for f in rows if f.treatment in (arm, Treatment.RADIATION)]
+        labels = [1.0 if f.treatment is arm else 0.0 for f in rows]
+    elif outcome in OUTCOME_NAMES:
+        labels = [1.0 if getattr(f, outcome.lower()) else 0.0 for f in rows]
+    else:
+        raise UnknownFeatureError(outcome)
+
+    columns: list[str] = ["intercept"]
+    values: list[list[float]] = [[1.0] * len(rows)]
+    for name in names:
+        if name == "treatment":
+            columns.extend(TREATMENT_DUMMY_COLUMNS)
+            for arm in (Treatment.CHEMOTHERAPY, Treatment.TARGETED):
+                values.append([1.0 if f.treatment is arm else 0.0 for f in rows])
+        else:
+            columns.append(name)
+            values.append([float(getattr(f, name)) for f in rows])
+
+    return FeatureMatrix(
+        column_names=tuple(columns),
+        X=np.ascontiguousarray(np.array(values, dtype=np.float64).T),
+        y=np.asarray(labels, dtype=np.float64),
+        row_ids=tuple(f.patient_id for f in rows),
+        outcome=outcome,
+    )
+
+
+MATRIX_SPEC = {
+    "n": 400, "seed": 77,
+    "covariates": [
+        {"name": "age", "dist": "normal", "mu": 57.5, "sigma": 12.0},
+        {"name": "hba1c", "dist": "normal", "mu": 6.0, "sigma": 0.9},
+        {"name": "diabetes", "dist": "bernoulli", "p": 0.2},
+    ],
+    "treatment_model": {"kind": "randomized", "p_chemo": 0.3, "p_targeted": 0.3},
+    "outcome_models": {name: {"intercept": -1.5} for name in OUTCOME_NAMES},
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_features():
+    feats = synth.to_features(synth.generate(synth.parse_spec(MATRIX_SPEC)))
+    # a few rows whose cells are not the Python float or bool of a computed row
+    odd = [feats[0]._replace(patient_id="S000000a", age=44, sbp=np.float64(-0.0)),
+           feats[1]._replace(patient_id="S000000b", diabetes=np.bool_(True), hdl=1e308)]
+    return feats + odd
+
+
+def assert_same_matrix(got, want):
+    assert got.column_names == want.column_names
+    assert got.X.dtype == want.X.dtype == np.float64
+    assert got.X.flags.c_contiguous and want.X.flags.c_contiguous
+    assert got.X.shape == want.X.shape and np.array_equal(got.X, want.X)
+    assert np.array_equal(got.y, want.y) and got.y.dtype == want.y.dtype
+    assert got.row_ids == want.row_ids and type(got.row_ids) is tuple
+    assert got.outcome == want.outcome
+
+
+@pytest.mark.parametrize("feature_set", [*FEATURE_SETS, ("treatment", "age", "diabetes", "hdl"),
+                                         ("sbp",), ()])
+@pytest.mark.parametrize("outcome", [*OUTCOME_NAMES, *CONTRASTS])
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_build_matrix_equals_the_getattr_builder(matrix_features, feature_set, outcome, order):
+    feats = matrix_features if order == "sorted" else matrix_features[::-1]
+    assert_same_matrix(build_matrix(feats, feature_set, outcome),
+                       reference_build_matrix(feats, feature_set, outcome))
+
+
+@pytest.mark.parametrize("arms,outcome", [((), "CHF"), ((), "CHEMO_VS_RADIATION"),
+                                          ((Treatment.TARGETED,), "CHEMO_VS_RADIATION")])
+def test_build_matrix_of_no_rows_equals_the_getattr_builder(matrix_features, arms, outcome):
+    feats = [f for f in matrix_features if f.treatment in arms]
+    assert_same_matrix(build_matrix(feats, "OUTCOME_MODEL", outcome),
+                       reference_build_matrix(feats, "OUTCOME_MODEL", outcome))
+
+
+def test_features_csv_equals_the_attribute_writer(matrix_features, tmp_path):
+    # the reference reads every field by name and formats it like tableio.fmt_cell
+    feats = matrix_features + [matrix_features[2]._replace(
+        patient_id="S000000c", imputed=frozenset({"sbp", "hdl", "triglyceride"}))]
+    write_features_csv(tmp_path / "features.csv", feats)
+    lines = [",".join(FEATURE_COLUMNS)]
+    for f in feats:
+        cells = []
+        for name in FEATURE_COLUMNS:
+            value = getattr(f, name)
+            if name == "treatment":
+                cells.append(value.value)
+            elif name == "imputed":
+                cells.append(";".join(sorted(value)))
+            elif isinstance(value, (bool, np.bool_)):
+                cells.append(str(value) if isinstance(value, np.bool_) else str(int(value)))
+            elif isinstance(value, str):
+                cells.append(value)
+            else:
+                cells.append(format(float(value) + 0.0, ".10g"))
+        lines.append(",".join(cells))
+    assert (tmp_path / "features.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_feature_rows_do_not_depend_on_the_part_size(matrix_features):
+    cohort = synth.generate(synth.parse_spec(MATRIX_SPEC))
+    with mock.patch.object(preprocess, "_PART_ROWS", 7):
+        assert synth.to_features(cohort) == matrix_features[:-2]
+
+
+class TestBaselineFeaturesContract:
+    def test_feature_columns_are_pinned(self):
+        assert FEATURE_COLUMNS == [
+            "patient_id", "age", "sbp", "dbp", "bmi", "hdl", "ldl", "hba1c", "triglyceride",
+            "troponin_flag", "abnormal_blood_pressure", "abnormal_blood_lipid",
+            "hypertension", "diabetes", "hyperlipidemia", "insulin", "metformin", "statin",
+            "ace_inhibitor", "arb", "antihypertensive_combination", "vasodilator",
+            "antiarrhythmic", "beta_blocker", "calcium_blocker", "diuretic",
+            "antihyperlipidemic_other", "antihypertensive_medication",
+            "antihyperlipidemia_medication", "treatment", "chf", "cad", "cm", "mi", "imputed",
+        ]
+
+    def test_scalar_features_are_the_float_and_bool_fields(self):
+        # read from the annotations, which are forward references on every
+        # supported Python; every float or bool field but the outcome flags
+        outcomes = {"chf", "cad", "cm", "mi"}
+        assert len(_SCALAR_FEATURES) == 28
+        assert _SCALAR_FEATURES == set(FEATURE_COLUMNS) - {
+            "patient_id", "treatment", "imputed"} - outcomes
+
+    def test_rows_are_immutable_and_hashable(self):
+        row = features_fixture("A", Treatment.RADIATION)
+        with pytest.raises(AttributeError):
+            row.sbp = 1.0
+        with pytest.raises(TypeError):
+            row[2] = 1.0
+        same = features_fixture("A", Treatment.RADIATION)
+        assert row == same and hash(row) == hash(same) and len({row, same}) == 1
+        assert BaselineFeatures(*row[:-1]).imputed == frozenset()
 
 
 # ---------------------------------------------------------------------------
