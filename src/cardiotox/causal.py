@@ -38,10 +38,13 @@ from .tableio import write_csv
 ESTIMANDS = ("ATE", "ATT")
 EFFECT_TREATMENTS = (Treatment.CHEMOTHERAPY, Treatment.TARGETED)
 
-# Full outcome-model predictor list minus the treatment dummies themselves.
-DEFAULT_COVARIATES: tuple[str, ...] = tuple(
-    name for name in FEATURE_SETS["OUTCOME_MODEL"] if name != "treatment"
-)
+
+def outcome_covariates(outcome_model: tuple[str, ...]) -> tuple[str, ...]:
+    """An outcome model's predictors other than the treatment dummies themselves."""
+    return tuple(name for name in outcome_model if name != "treatment")
+
+
+DEFAULT_COVARIATES: tuple[str, ...] = outcome_covariates(FEATURE_SETS["OUTCOME_MODEL"])
 
 MIN_BOOTSTRAP = 100
 BOOTSTRAP_SUCCESS_FLOOR = 0.95

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -28,11 +28,12 @@ from .cohort import (
     load_code_map,
     load_cohort,
 )
-from .errors import ConfigError, PipelineError
-from .preprocess import OUTCOME_NAMES, PreprocessConfig
+from .errors import ConfigError, PipelineError, require_type
+from .preprocess import CONTRASTS, FEATURE_SETS, OUTCOME_NAMES, PreprocessConfig
 from .rng import derive_seed
 
-_CONTRAST_NAMES = ("CHEMO_VS_RADIATION", "TARGETED_VS_RADIATION")
+_TABLES = tuple(table.name for table in fields(CohortPaths))
+_CONTRAST_NAMES = tuple(CONTRASTS)
 _COMPARE_SETS = ("BASELINE_HEALTH", "MEDICATION_MODEL")
 # Escapes of the characters that end a line, so that an error quoting input text
 # stays on its one line.
@@ -51,24 +52,11 @@ class RunConfig:
     seed: int | None = None
     eliminate_in_causal: bool = False
     arms_only_ate: bool = False
-    outcome_horizon_days: int | None = None
-    troponin_threshold: float | None = None
-    feature_sets: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    antihypertensive_classes: frozenset[DrugClass] = (
-        preprocess.DEFAULT_ANTIHYPERTENSIVE_CLASSES
-    )
-    antihyperlipidemia_classes: frozenset[DrugClass] = (
-        preprocess.DEFAULT_ANTIHYPERLIPIDEMIA_CLASSES
-    )
+    # The predictor sets by name: the built-in ones, each replaced by the
+    # config's set of that name if it has one.
+    feature_sets: dict[str, tuple[str, ...]] = field(default_factory=lambda: dict(FEATURE_SETS))
+    preprocess: PreprocessConfig = PreprocessConfig()
     config_sha256: str = ""
-
-    def preprocess_config(self) -> PreprocessConfig:
-        return PreprocessConfig(
-            troponin_threshold=self.troponin_threshold,
-            outcome_horizon_days=self.outcome_horizon_days,
-            antihypertensive_classes=self.antihypertensive_classes,
-            antihyperlipidemia_classes=self.antihyperlipidemia_classes,
-        )
 
     def code_map(self) -> CodeMap:
         if self.code_map_path is None:
@@ -89,10 +77,11 @@ class RunConfig:
         _check("arms_only_ate", self.arms_only_ate, bool)
         if self.seed is not None:
             _check("seed", self.seed, int)
-        if self.outcome_horizon_days is not None:
-            _check("outcome_horizon_days", self.outcome_horizon_days, int)
-        if self.troponin_threshold is not None:
-            _check("troponin_threshold", self.troponin_threshold, float, math.isfinite, "finite")
+        rules = self.preprocess
+        if rules.outcome_horizon_days is not None:
+            _check("outcome_horizon_days", rules.outcome_horizon_days, int)
+        if rules.troponin_threshold is not None:
+            _check("troponin_threshold", rules.troponin_threshold, float, math.isfinite, "finite")
         if not isinstance(self.feature_sets, dict) or not all(
             isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
             for names in self.feature_sets.values()
@@ -101,20 +90,23 @@ class RunConfig:
 
 
 def _check(name: str, value, kind: type, ok=lambda v: True, expected: str = "") -> None:
-    """Raise ConfigError unless ``value`` is of type ``kind`` and ``ok(value)`` holds.
-
-    Booleans are not numbers here, and a float setting also takes an integer.
-    """
-    kinds = (int, float) if kind is float else (kind,)
-    typed = isinstance(value, kinds) and (kind is bool or not isinstance(value, bool))
-    if not typed:
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    """Raise ConfigError unless ``value`` is of type ``kind`` and ``ok(value)`` holds."""
+    require_type(name, value, kind, ConfigError)
     try:
         holds = ok(value)
     except OverflowError:  # an integer beyond the float range
         holds = False
     if not holds:
         raise ConfigError(f"{name} must be {expected}, got {value}")
+
+
+# Settings taken from the JSON as they are: each key's RunConfig field, then the
+# PreprocessConfig fields. The drug-class lists are parsed after validate().
+_RUN_FIELDS = {"alpha_stay": "alpha_stay", "k": "k", "B": "n_boot", "seed": "seed",
+               "eliminate_in_causal": "eliminate_in_causal", "arms_only_ate": "arms_only_ate",
+               "feature_sets": "feature_sets"}
+_PREPROCESS_FIELDS = ("outcome_horizon_days", "troponin_threshold")
+_CLASS_FIELDS = ("antihypertensive_classes", "antihyperlipidemia_classes")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -135,13 +127,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config needs an 'inputs' object with the five table paths")
     base = path.parent
     try:
-        paths = CohortPaths(
-            patients=_resolve(base, inputs["patients"]),
-            observations=_resolve(base, inputs["observations"]),
-            diagnoses=_resolve(base, inputs["diagnoses"]),
-            medications=_resolve(base, inputs["medications"]),
-            treatments=_resolve(base, inputs["treatments"]),
-        )
+        paths = CohortPaths(**{table: _resolve(base, inputs[table]) for table in _TABLES})
     except KeyError as err:
         raise ConfigError(f"inputs missing table {err}") from None
 
@@ -152,31 +138,25 @@ def load_config(path: str | Path) -> RunConfig:
     except (TypeError, ValueError):
         raise ConfigError(f"bad end_of_data '{raw['end_of_data']}'") from None
 
-    out = raw.get("out", "out")
-    if not isinstance(out, str):
-        raise ConfigError(f"out must be a path string, got {out!r}")
+    settings = {name: raw[key] for key, name in _RUN_FIELDS.items() if key in raw}
+    if "out" in raw:
+        if not isinstance(raw["out"], str):
+            raise ConfigError(f"out must be a path string, got {raw['out']!r}")
+        settings["out"] = Path(raw["out"])
     cfg = RunConfig(
         inputs=paths,
         end_of_data=end_of_data,
         code_map_path=_resolve(base, raw["code_map"]) if raw.get("code_map") else None,
-        out=Path(out),
-        alpha_stay=raw.get("alpha_stay", 0.15),
-        k=raw.get("k", 5),
-        n_boot=raw.get("B", 1000),
-        seed=raw.get("seed"),
-        eliminate_in_causal=raw.get("eliminate_in_causal", False),
-        arms_only_ate=raw.get("arms_only_ate", False),
-        outcome_horizon_days=raw.get("outcome_horizon_days"),
-        troponin_threshold=raw.get("troponin_threshold"),
-        feature_sets=raw.get("feature_sets", {}),
+        preprocess=PreprocessConfig(**{key: raw[key] for key in _PREPROCESS_FIELDS if key in raw}),
         config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        **settings,
     )
     cfg.validate()
-    cfg.feature_sets = {name: tuple(names) for name, names in cfg.feature_sets.items()}
-    if "antihypertensive_classes" in raw:
-        cfg.antihypertensive_classes = _parse_classes(raw["antihypertensive_classes"])
-    if "antihyperlipidemia_classes" in raw:
-        cfg.antihyperlipidemia_classes = _parse_classes(raw["antihyperlipidemia_classes"])
+    if "feature_sets" in raw:
+        cfg.feature_sets = {**FEATURE_SETS, **{
+            name: tuple(names) for name, names in raw["feature_sets"].items()}}
+    cfg.preprocess = replace(cfg.preprocess, **{
+        key: _parse_classes(raw[key]) for key in _CLASS_FIELDS if key in raw})
     return cfg
 
 
@@ -205,6 +185,8 @@ def _make_outdir(outdir: Path) -> None:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:  # a regular file, or a place this process may not write
         raise ConfigError(f"cannot create output directory '{outdir}': {err.strerror}") from None
+    except ValueError as err:  # a NUL character in the path
+        raise ConfigError(f"cannot create output directory '{outdir}': {err}") from None
 
 
 def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None) -> None:
@@ -224,9 +206,7 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None)
 def _load_features(cfg: RunConfig):
     code_map = cfg.code_map()
     cohort = load_cohort(cfg.inputs)
-    return preprocess.compute_features(
-        cohort, code_map, cfg.end_of_data, cfg.preprocess_config()
-    )
+    return preprocess.compute_features(cohort, code_map, cfg.end_of_data, cfg.preprocess)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +244,7 @@ def cmd_fit(cfg: RunConfig, outdir: Path, outcome: str | None) -> None:
     features, _ = _load_features(cfg)
     outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
     for oc in outcomes:
-        fm = preprocess.build_matrix(features, "OUTCOME_MODEL", oc, cfg.feature_sets)
+        fm = preprocess.build_matrix(features, cfg.feature_sets["OUTCOME_MODEL"], oc)
         _eliminate_and_report(fm, cfg.alpha_stay, *(
             outdir / f"{report}_{oc}.csv"
             for report in ("coefficients_full", "coefficients_eliminated", "elimination_trace")))
@@ -276,7 +256,7 @@ def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = 
     outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
     reports: list[tuple[str, evaluate.CvReport]] = []
     for oc in outcomes:
-        fm = preprocess.build_matrix(features, "OUTCOME_MODEL", oc, cfg.feature_sets)
+        fm = preprocess.build_matrix(features, cfg.feature_sets["OUTCOME_MODEL"], oc)
         oc_seed = derive_seed(seed, OUTCOME_NAMES.index(oc))
         report, scores = evaluate.cv_report_and_scores(
             fm, cfg.k, oc_seed, cfg.alpha_stay if eliminate else None
@@ -291,12 +271,14 @@ def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = 
 def cmd_effects(cfg: RunConfig, outdir: Path) -> None:
     seed = _require_seed(cfg)
     features, _ = _load_features(cfg)
+    covariates = causal.outcome_covariates(cfg.feature_sets["OUTCOME_MODEL"])
     estimates = []
     for oc in OUTCOME_NAMES:
         estimates.extend(
             causal.bootstrap_effects(
                 features,
                 oc,
+                covariates,
                 n_boot=cfg.n_boot,
                 seed=derive_seed(seed, 100 + OUTCOME_NAMES.index(oc)),
                 arms_only=cfg.arms_only_ate,
@@ -308,7 +290,7 @@ def cmd_effects(cfg: RunConfig, outdir: Path) -> None:
 
 def cmd_compare(cfg: RunConfig, outdir: Path, contrast: str, feature_set: str) -> None:
     features, _ = _load_features(cfg)
-    fm = preprocess.build_matrix(features, feature_set, contrast, cfg.feature_sets)
+    fm = preprocess.build_matrix(features, cfg.feature_sets[feature_set], contrast)
     _eliminate_and_report(fm, cfg.alpha_stay, *(
         outdir / f"compare_{contrast}_{feature_set}_{report}.csv"
         for report in ("full", "eliminated", "trace")))
@@ -323,13 +305,7 @@ def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
     synth.write_cohort(cohort, outdir)
     synth.write_truth_csv(outdir / "truth.csv", spec, n_mc)
     run_config = {
-        "inputs": {
-            "patients": "patients.csv",
-            "observations": "observations.csv",
-            "diagnoses": "diagnoses.csv",
-            "medications": "medications.csv",
-            "treatments": "treatments.csv",
-        },
+        "inputs": {table: f"{table}.csv" for table in _TABLES},
         "code_map": "code_map.csv",
         "end_of_data": spec.layout.end_of_data.isoformat(),
         "seed": spec.seed,
@@ -398,15 +374,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             return cmd_synth(Path(args.spec), Path(args.out), args.n_mc)
 
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.alpha_stay is not None:
-            cfg.alpha_stay = args.alpha_stay
-        if args.k is not None:
-            cfg.k = args.k
-        if args.b is not None:
-            cfg.n_boot = args.b
+        overrides = {"seed": args.seed, "alpha_stay": args.alpha_stay, "k": args.k,
+                     "n_boot": args.b}
+        cfg = replace(load_config(args.config),
+                      **{name: value for name, value in overrides.items() if value is not None})
         cfg.validate()
         outdir = Path(args.out) if args.out else cfg.out
         _make_outdir(outdir)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date
 from enum import Enum
 from itertools import chain, islice, repeat
@@ -399,13 +399,7 @@ class CohortPaths:
     @classmethod
     def in_dir(cls, directory: str | Path) -> "CohortPaths":
         d = Path(directory)
-        return cls(
-            patients=d / "patients.csv",
-            observations=d / "observations.csv",
-            diagnoses=d / "diagnoses.csv",
-            medications=d / "medications.csv",
-            treatments=d / "treatments.csv",
-        )
+        return cls(**{table.name: d / f"{table.name}.csv" for table in dataclass_fields(cls)})
 
 
 # Input checks. Each chunk of a table gets one ordered list of checks, each a
@@ -614,6 +608,8 @@ def _read_chunks(path: str | Path, columns: Sequence[str]):
         raise MalformedRowError(str(path), 0, "", "file does not exist") from None
     except OSError as err:  # a directory, or a file this process may not read
         raise MalformedRowError(str(path), 0, "", f"cannot read file: {err.strerror}") from None
+    except ValueError as err:  # a NUL character in the path
+        raise MalformedRowError(str(path), 0, "", f"cannot read file: {err}") from None
     with fh:
         reader = csv.reader(fh)
         try:

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the JSON type check of settings.
 
 Every exception carries a stable ``code`` string and an ``exit_code`` so the
 CLI can map failures onto process statuses without string matching.
@@ -147,3 +147,13 @@ class TooManyBootFailuresError(StatisticalError):
         super().__init__(
             f"only {succeeded}/{requested} bootstrap replicates succeeded ({taxonomy})"
         )
+
+
+def require_type(name: str, value, kind: type, error: type[PipelineError]) -> None:
+    """Raise ``error`` unless ``value`` has the JSON type ``kind``.
+
+    Booleans are not numbers here, and a float setting also takes an integer.
+    """
+    kinds = (int, float) if kind is float else (kind,)
+    if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
+        raise error(f"{name} must be of type {kind.__name__}, got {value!r}")

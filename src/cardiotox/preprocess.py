@@ -558,17 +558,11 @@ CONTRASTS = {
 }
 
 
-def resolve_feature_set(
-    feature_set: str | tuple[str, ...] | list[str],
-    extra_sets: dict[str, tuple[str, ...]] | None = None,
-) -> tuple[str, ...]:
+def resolve_feature_set(feature_set: str | tuple[str, ...] | list[str]) -> tuple[str, ...]:
     if isinstance(feature_set, str):
-        registry = dict(FEATURE_SETS)
-        if extra_sets:
-            registry.update(extra_sets)
-        if feature_set not in registry:
+        if feature_set not in FEATURE_SETS:
             raise UnknownFeatureError(feature_set)
-        return tuple(registry[feature_set])
+        return FEATURE_SETS[feature_set]
     return tuple(feature_set)
 
 
@@ -576,7 +570,6 @@ def build_matrix(
     features: list[BaselineFeatures],
     feature_set: str | tuple[str, ...] | list[str],
     outcome: str,
-    extra_sets: dict[str, tuple[str, ...]] | None = None,
 ) -> FeatureMatrix:
     """Assemble the design matrix for one analysis.
 
@@ -586,7 +579,7 @@ def build_matrix(
     in patient_id order regardless of input order; an intercept column is
     always prepended.
     """
-    names = resolve_feature_set(feature_set, extra_sets)
+    names = resolve_feature_set(feature_set)
     for name in names:
         if name != "treatment" and name not in _SCALAR_FEATURES:
             raise UnknownFeatureError(name)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import evaluate
 from .cohort import DrugClass, ObservationKind, Treatment, default_code_map_rows
-from .errors import InvalidSpecError, OneClassError
+from .errors import InvalidSpecError, OneClassError, require_type
 from .glm import sigmoid
 from .preprocess import LAB_FIELDS, OUTCOME_NAMES, BaselineFeatures, Baselines, feature_rows
 from .rng import SplitMix64, derive_seed
@@ -162,13 +162,8 @@ class SyntheticCohort:
 
 
 def _typed(name: str, value, kind: type):
-    """``value`` as ``kind``, or InvalidSpecError unless it has that JSON type.
-
-    Booleans are not numbers here, and a float value also takes an integer.
-    """
-    kinds = (int, float) if kind is float else (kind,)
-    if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
-        raise InvalidSpecError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    """``value`` as ``kind``, or InvalidSpecError unless it has that JSON type."""
+    require_type(name, value, kind, InvalidSpecError)
     try:
         return kind(value)
     except OverflowError:  # an integer beyond the float range

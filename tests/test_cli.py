@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardiotox import cli
+from cardiotox import causal, cli
 from cardiotox.preprocess import OUTCOME_NAMES
+from cardiotox.rng import derive_seed
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -267,12 +268,24 @@ def test_bad_config_exits_4(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
 
 
-def test_config_overrides_validated(synth_dir, tmp_path):
+def test_config_overrides_validated(synth_dir, tmp_path, capsys):
     config = str(synth_dir / "run_config.json")
-    assert cli.main(["cv", "--config", config, "--out", str(tmp_path / "o"),
-                     "--k", "1"]) == 4
-    assert cli.main(["fit", "--config", config, "--out", str(tmp_path / "o"),
-                     "--alpha-stay", "1.5"]) == 4
+    for argv, message in [(["cv", "--k", "1"], "k must be >= 2, got 1"),
+                          (["fit", "--alpha-stay", "1.5"], "alpha_stay must be in (0, 1), got 1.5"),
+                          (["effects", "--b", "99"], "B must be >= 100, got 99")]:
+        assert cli.main([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.splitlines() == [f"error[CONFIG]: {message}"]
+
+
+def test_overrides_win_over_the_config(synth_dir, tmp_path):
+    config = str(write_config(synth_dir, tmp_path / "cfg", seed=1, k=4))
+    assert cli.main(["validate", "--config", config, "--out", str(tmp_path / "v"),
+                     "--seed", "7"]) == 0
+    assert json.loads((tmp_path / "v" / "run_manifest.json").read_text())["seed"] == 7
+    assert cli.main(["cv", "--config", config, "--out", str(tmp_path / "cv"), "--outcome", "CHF",
+                     "--no-eliminate", "--k", "3"]) == 0
+    rows = (tmp_path / "cv" / "cv_report.csv").read_text().splitlines()[1:-1]
+    assert [row.split(",")[1] for row in rows] == ["0", "1", "2", "MEAN", "POOLED"]
 
 
 def test_manifest_contents(synth_dir, tmp_path):
@@ -286,17 +299,45 @@ def test_manifest_contents(synth_dir, tmp_path):
                              "numpy_version", "python_version"}
 
 
-def features_csv(synth_dir, root, **overrides):
-    """features.csv of the synthetic cohort, with settings added to its config."""
+def write_config(synth_dir, root, **overrides):
+    """root/config.json: the synthetic cohort's config with settings added."""
     config = json.loads((synth_dir / "run_config.json").read_text())
     config["inputs"] = {name: str(synth_dir / f) for name, f in config["inputs"].items()}
     config["code_map"] = str(synth_dir / config["code_map"])
     config.update(overrides)
     root.mkdir()
     (root / "config.json").write_text(json.dumps(config))
-    assert cli.main(["features", "--config", str(root / "config.json"),
-                     "--out", str(root / "o")]) == 0
+    return root / "config.json"
+
+
+def features_csv(synth_dir, root, **overrides):
+    """features.csv of the synthetic cohort, with settings added to its config."""
+    config = write_config(synth_dir, root, **overrides)
+    assert cli.main(["features", "--config", str(config), "--out", str(root / "o")]) == 0
     return (root / "o" / "features.csv").read_text()
+
+
+def test_effects_use_the_configs_outcome_model(tmp_path):
+    # 500 patients leave too many replicates singular under the full outcome model
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SPEC, "n": 2000}))
+    cohort = tmp_path / "synth"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(cohort),
+                     "--n-mc", "100"]) == 0
+    covariates = ("age", "hba1c", "hypertension")
+    config = write_config(cohort, tmp_path / "short",
+                          feature_sets={"OUTCOME_MODEL": ["treatment", *covariates]})
+    for name, path in (("default", cohort / "run_config.json"), ("short", config)):
+        assert cli.main(["effects", "--config", str(path), "--b", "100",
+                         "--out", str(tmp_path / name)]) == 0
+    features, _ = cli._load_features(cli.load_config(config))
+    expected = [estimate for i, oc in enumerate(OUTCOME_NAMES)
+                for estimate in causal.bootstrap_effects(
+                    features, oc, covariates, n_boot=100, seed=derive_seed(SPEC["seed"], 100 + i))]
+    causal.write_effects_csv(tmp_path / "expected.csv", expected)
+    short = (tmp_path / "short" / "effects.csv").read_bytes()
+    assert short == (tmp_path / "expected.csv").read_bytes()
+    assert short != (tmp_path / "default" / "effects.csv").read_bytes()
 
 
 def test_outcome_horizon_beyond_the_date_range(synth_dir, tmp_path):
@@ -379,6 +420,60 @@ def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
     # json reads a 401-digit integer exactly; it has no float value to check
     assert run_validate(golden_config(troponin_threshold=10**400), tmp_path) == 4
     assert "error[CONFIG]: troponin_threshold must be finite" in capsys.readouterr().err
+
+
+def inputs_without(table):
+    return {name: path for name, path in golden_config()["inputs"].items() if name != table}
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"k": "abc"}, "k must be of type int, got 'abc'"),
+    ({"alpha_stay": 1.5}, "alpha_stay must be in (0, 1), got 1.5"),
+    ({"feature_sets": {"MINE": "age"}}, "feature_sets must map names to lists of feature names"),
+    ({"antihypertensive_classes": 5}, "drug classes must be a list of names, got 5"),
+    ({"antihyperlipidemia_classes": ["STATIN", "NOPE"]},
+     "bad drug class: 'NOPE' is not a valid DrugClass"),
+    ({"inputs": inputs_without("diagnoses")}, "inputs missing table 'diagnoses'"),
+    ({"inputs": None}, "config needs an 'inputs' object with the five table paths"),
+    ({"end_of_data": "2020-02-30"}, "bad end_of_data '2020-02-30'"),
+    ({"end_of_data": None}, "bad end_of_data 'None'"),
+    ({"out": 7}, "out must be a path string, got 7"),
+], ids=["type", "range", "feature_sets", "class_list_type", "class_name", "missing_table",
+        "no_inputs", "end_of_data", "end_of_data_null", "out"])
+def test_config_fault_prints_its_whole_line(tmp_path, capsys, overrides, message):
+    assert run_validate(golden_config(**overrides), tmp_path) == 4
+    assert capsys.readouterr().err.splitlines() == [f"error[CONFIG]: {message}"]
+
+
+def test_missing_end_of_data_prints_its_whole_line(tmp_path, capsys):
+    config = golden_config()
+    del config["end_of_data"]
+    assert run_validate(config, tmp_path) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error[CONFIG]: config needs 'end_of_data' (ISO date)"]
+
+
+NUL_INPUT = "error[MALFORMED_ROW]: {}:0 column '': cannot read file: embedded null byte"
+
+
+@pytest.mark.parametrize("key,code,line", [
+    ("observations", 2, NUL_INPUT),
+    ("code_map", 2, NUL_INPUT),
+    ("out", 4, "error[CONFIG]: cannot create output directory '{}': embedded null byte"),
+])
+def test_nul_in_a_config_path_prints_one_error_line(tmp_path, capsys, key, code, line):
+    nul = str(tmp_path / "a\0b")
+    config = golden_config()
+    if key == "observations":
+        config["inputs"][key] = nul
+    else:
+        config[key] = nul
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    # without --out, the config's out is the output directory
+    out = [] if key == "out" else ["--out", str(tmp_path / "o")]
+    assert cli.main(["validate", "--config", str(cfg_path), *out]) == code
+    assert capsys.readouterr().err.splitlines() == [line.format(nul)]
 
 
 def test_integer_too_long_to_read_is_a_config_error(tmp_path, capsys):

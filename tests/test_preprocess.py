@@ -551,8 +551,8 @@ def test_compute_features_end_to_end():
 # builder that read every cell with getattr, copied verbatim.
 
 
-def reference_build_matrix(features, feature_set, outcome, extra_sets=None):
-    names = resolve_feature_set(feature_set, extra_sets)
+def reference_build_matrix(features, feature_set, outcome):
+    names = resolve_feature_set(feature_set)
     for name in names:
         if name != "treatment" and name not in _SCALAR_FEATURES:
             raise UnknownFeatureError(name)
