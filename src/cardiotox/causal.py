@@ -153,14 +153,17 @@ def _weighted_effects(
 def _weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row-wise count-weighted means of (fits, rows) values.
 
-    A row whose drawn values (positive count) are all equal averages to that
-    value exactly: no-covariate models then keep ATE == ATT bitwise.
+    A row whose values are all equal averages to that value exactly:
+    no-covariate models then keep ATE == ATT bitwise. Equality is tested over
+    all values, drawn or not (a row equal everywhere is also equal on its drawn
+    values). A row equal on its drawn values only gets the weighted mean, which
+    may differ from that value in the last bits; for counterfactual differences
+    that needs drawn patients with identical covariates, or exactly-zero
+    covariate coefficients.
     """
     means = np.sum(counts * values, axis=1) / np.sum(counts, axis=1)
-    drawn = counts > 0
-    low = np.min(values, axis=1, where=drawn, initial=np.inf)
-    high = np.max(values, axis=1, where=drawn, initial=-np.inf)
-    return np.where(low == high, low, means)
+    first = values[:, 0]
+    return np.where((values == first[:, None]).all(axis=1), first, means)
 
 
 def _fit_and_estimate(

@@ -29,15 +29,15 @@ from .cohort import (
     load_cohort,
 )
 from .errors import ConfigError, PipelineError, require_type
-from .preprocess import CONTRASTS, FEATURE_SETS, OUTCOME_NAMES, PreprocessConfig
+from .preprocess import CONTRASTS, FEATURE_SETS, OUTCOME_NAMES, PREDICTOR_NAMES, PreprocessConfig
 from .rng import derive_seed
 
 _TABLES = tuple(table.name for table in fields(CohortPaths))
 _CONTRAST_NAMES = tuple(CONTRASTS)
 _COMPARE_SETS = ("BASELINE_HEALTH", "MEDICATION_MODEL")
-# Escapes of the characters that end a line, so that an error quoting input text
-# stays on its one line.
-_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+# Escapes of the control characters (C0, DEL, C1) and of the other line breaks, so
+# that an error quoting input text stays one line of printable text.
+_CONTROLS = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
 
 
 @dataclass
@@ -87,6 +87,10 @@ class RunConfig:
             for names in self.feature_sets.values()
         ):
             raise ConfigError("feature_sets must map names to lists of feature names")
+        for set_name, names in self.feature_sets.items():
+            unknown = next((n for n in names if n not in PREDICTOR_NAMES), None)
+            if unknown is not None:
+                raise ConfigError(f"feature set '{set_name}' names unknown feature '{unknown}'")
 
 
 def _check(name: str, value, kind: type, ok=lambda v: True, expected: str = "") -> None:
@@ -399,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         _write_manifest(outdir, args.command, cfg.config_sha256, cfg.seed)
         return 0
     except PipelineError as err:
-        print(f"error[{err.code}]: {str(err).translate(_LINE_BREAKS)}", file=sys.stderr)
+        print(f"error[{err.code}]: {str(err).translate(_CONTROLS)}", file=sys.stderr)
         return err.exit_code
 
 

@@ -63,7 +63,11 @@ def sigmoid(eta: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable standard logistic function."""
     eta = np.asarray(eta, dtype=np.float64)
     # exp(-eta) where eta >= 0 and exp(eta) elsewhere: never overflows
-    e = np.exp(-np.abs(eta))
+    return _logistic(eta, np.exp(-np.abs(eta)))
+
+
+def _logistic(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``sigmoid(eta)`` from ``e = exp(-|eta|)``, computed once for the log-likelihood too."""
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -151,14 +155,20 @@ def _irls(
     matrix that repeats each row that often (a bootstrap replicate). Every fit
     starts from ``start``, steps and halves on its own, and fails on the first
     failed check: too few rows, one outcome class, a wrong ``start`` shape
-    (raised), then at each pass, the optimum's included: iterations run out,
-    separation on drawn rows, information not positive definite or singular.
-    ``products`` is ``pairwise_products(X)``, for a block's information in one
-    product. None is for one fit: ``(X * w).T @ X`` and ``logaddexp`` then keep
-    the digits single fits have always had.
+    (raised), then at each pass: iterations run out, separation on drawn rows,
+    information not positive definite or singular.
 
-    Returns per fit the coefficients, information, log-likelihood and Newton steps
-    at the optimum (NaN or 0 if it failed), and None or (error type, message).
+    ``products`` is ``pairwise_products(X)``, for a block's information in one
+    product. A blocked fit's last checks are those of the pass whose step met
+    the convergence test: its information there, and separation at the final
+    coefficients at the start of the next pass, which factors no information
+    for it. None is for one fit: ``(X * w).T @ X`` and ``logaddexp`` then keep
+    the digits single fits have always had, and the fit runs one more whole
+    pass at the optimum, whose information gives its covariance.
+
+    Returns per fit the coefficients (NaN if it failed) and None or (error type,
+    message). A single fit that succeeds also gets its information,
+    log-likelihood and Newton steps at the optimum; other entries are NaN or 0.
     """
     p = X.shape[1]
     counts = np.asarray(counts, dtype=np.float64)
@@ -182,27 +192,41 @@ def _irls(
         raise DimensionMismatchError(f"start vector has shape {start.shape}, expected ({p},)")
     C = counts if len(fit) == len(counts) else counts[fit]
     drawn = C > 0.0
-    if products is not None:
+    blocked = products is not None
+    if blocked:
         rows, cols = np.triu_indices(p)
     else:
         scaled = np.empty_like(X)
     beta = np.repeat(start[None, :], len(fit), axis=0)
     eta = beta @ X.T
-    ll = _log_likelihood(eta, y, C, products is not None)
+    # expneg is exp(-|eta|) from the log-likelihood, reused by the next sigmoid (None if single)
+    ll, expneg = _log_likelihood(eta, y, C, blocked)
     done = np.zeros(len(fit), dtype=bool)
 
     for iteration in range(MAX_ITERATIONS + 1):
         # A fit marked done stepped to its optimum last pass, and stops now.
-        prob = sigmoid(eta)
+        prob = sigmoid(eta) if expneg is None else _logistic(eta, expneg)
         pinned = (prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)
         separated = np.zeros(len(fit), dtype=bool)
         if pinned.any():
             diverging = np.abs(beta).max(axis=1) > SEPARATION_BETA_BOUND
             separated = (pinned & drawn).any(axis=1) & diverging
+        if blocked and done.any():
+            # The last pass already factored its information; only separation is left.
+            for k in np.flatnonzero(done):
+                failures[fit[k]] = _failure(False, separated[k], False, False)
+                if failures[fit[k]] is None:
+                    beta_out[fit[k]] = beta[k]
+            keep = ~done
+            if not keep.any():
+                break
+            fit, C, drawn, beta, eta, ll, expneg, prob, separated, done = (
+                state[keep] for state in (fit, C, drawn, beta, eta, ll, expneg, prob, separated,
+                                          done))
         weights = 1.0 - prob
         weights *= prob
         weights *= C
-        if products is not None:
+        if blocked:
             info = np.empty((len(fit), p, p))
             upper = weights @ products
             info[:, rows, cols] = upper
@@ -227,6 +251,8 @@ def _irls(
                 break
             fit, C, drawn, beta = fit[keep], C[keep], drawn[keep], beta[keep]
             eta, ll, chol, prob = eta[keep], ll[keep], chol[keep], prob[keep]
+            if blocked:
+                expneg = expneg[keep]
 
         score = (C * (y - prob)) @ X
         z = np.linalg.solve(chol, score[:, :, None])
@@ -234,7 +260,7 @@ def _irls(
 
         new_beta = beta + delta
         new_eta = new_beta @ X.T
-        new_ll = _log_likelihood(new_eta, y, C, products is not None)
+        new_ll, new_expneg = _log_likelihood(new_eta, y, C, blocked)
         # a fit keeps a step once it is kept, so all retrying fits have halved as often
         for halvings in range(1, MAX_STEP_HALVINGS + 1):
             retry = ~np.isfinite(new_ll) | (new_ll < ll)
@@ -242,23 +268,27 @@ def _irls(
                 break
             new_beta[retry] = beta[retry] + 0.5**halvings * delta[retry]
             new_eta[retry] = new_beta[retry] @ X.T
-            new_ll[retry] = _log_likelihood(new_eta[retry], y, C[retry], products is not None)
+            new_ll[retry], retried = _log_likelihood(new_eta[retry], y, C[retry], blocked)
+            if blocked:
+                new_expneg[retry] = retried
 
         # relative deviance change |dD| / (|D| + 1), D = -2 ll, with the 2 cancelled
         dev_change = np.abs(new_ll - ll) / (np.abs(ll) + 0.5)
         done = (np.abs(new_beta - beta).max(axis=1) < BETA_TOL) | (dev_change < DEVIANCE_TOL)
-        beta, eta, ll = new_beta, new_eta, new_ll
+        beta, eta, ll, expneg = new_beta, new_eta, new_ll, new_expneg
 
     return beta_out, info_out, ll_out, steps_out, failures
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray, blocked: bool):
-    """Count-weighted log-likelihood of each row of ``eta``."""
+    """Count-weighted log-likelihood of each row of ``eta``, and ``exp(-|eta|)`` if blocked."""
     if blocked:  # log(1 + exp(eta)) from one exp and one log1p, cheaper than logaddexp
-        softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+        expneg = np.exp(-np.abs(eta))
+        softplus = np.log1p(expneg) + np.maximum(eta, 0.0)
     else:
+        expneg = None
         softplus = np.logaddexp(0.0, eta)
-    return (counts * (y * eta - softplus)).sum(axis=1)
+    return (counts * (y * eta - softplus)).sum(axis=1), expneg
 
 
 def _failure(stalled: bool, separated: bool, not_definite: bool, ill_conditioned: bool):

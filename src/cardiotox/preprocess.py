@@ -475,6 +475,8 @@ TREATMENT_DUMMY_COLUMNS = ("treatment_chemotherapy", "treatment_targeted")
 _SCALAR_FEATURES = frozenset(
     name for name, kind in get_type_hints(BaselineFeatures).items() if kind in (float, bool)
 ) - {name.lower() for name in OUTCOME_NAMES}
+# Every name a predictor list may hold; "treatment" is the two arm dummies.
+PREDICTOR_NAMES = _SCALAR_FEATURES | {"treatment"}
 
 # Built-in predictor lists. "treatment" expands to the two dummy columns with
 # radiation as the reference arm.
@@ -581,7 +583,7 @@ def build_matrix(
     """
     names = resolve_feature_set(feature_set)
     for name in names:
-        if name != "treatment" and name not in _SCALAR_FEATURES:
+        if name not in PREDICTOR_NAMES:
             raise UnknownFeatureError(name)
 
     rows = sorted(features, key=lambda f: f.patient_id)

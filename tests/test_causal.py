@@ -3,13 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cardiotox import causal, glm, synth
 from cardiotox.cohort import Treatment
 from cardiotox.errors import (
     ConfigError,
+    DegenerateOutcomeError,
     MissingArmError,
+    NotConvergedError,
     SeparationError,
+    SingularInformationError,
     StatisticalError,
     TooManyBootFailuresError,
 )
@@ -328,3 +332,207 @@ def test_bootstrap_memory_does_not_grow_with_b():
             tracemalloc.stop()
     # B x n int64 indices alone would add 800 * 800 * 8 bytes = 5 MB at B=1000
     assert peaks[1000] < 1.1 * peaks[200]
+
+
+# ---------------------------------------------------------------------------
+# Blocked fits against a copy of the stop rule they used to have: a fit whose
+# step met the convergence test ran one more whole pass at its optimum, which
+# factored and checked its information again before it stopped.
+
+
+def reference_blocked_irls(X, y, counts, start, products):
+    """The blocked ``glm._irls`` of old: the coefficients and each fit's error code."""
+    p = X.shape[1]
+    beta_out = np.full((len(counts), p), np.nan)
+    codes = [None] * len(counts)
+    totals, positives = counts.sum(axis=1), counts @ y
+    for b in range(len(counts)):
+        if totals[b] <= p:
+            codes[b] = SingularInformationError.code
+        elif positives[b] == 0.0 or positives[b] == totals[b]:
+            codes[b] = DegenerateOutcomeError.code
+    fit = np.array([b for b, code in enumerate(codes) if code is None], dtype=np.int64)
+    if not len(fit):
+        return beta_out, codes
+    C = counts[fit]
+    drawn = C > 0.0
+    rows, cols = np.triu_indices(p)
+
+    def log_likelihood(eta, C):
+        softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+        return (C * (y * eta - softplus)).sum(axis=1)
+
+    beta = np.repeat(start[None, :], len(fit), axis=0)
+    eta = beta @ X.T
+    ll = log_likelihood(eta, C)
+    done = np.zeros(len(fit), dtype=bool)
+    for iteration in range(glm.MAX_ITERATIONS + 1):
+        e = np.exp(-np.abs(eta))
+        prob = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+        pinned = (prob < glm.SEPARATION_PROB_EPS) | (prob > 1.0 - glm.SEPARATION_PROB_EPS)
+        diverging = np.abs(beta).max(axis=1) > glm.SEPARATION_BETA_BOUND
+        separated = (pinned & drawn).any(axis=1) & diverging
+        weights = prob * (1.0 - prob) * C
+        info = np.empty((len(fit), p, p))
+        upper = weights @ products
+        info[:, rows, cols] = upper
+        info[:, cols, rows] = upper
+        chol, not_definite, ill_conditioned = glm._factor(info)
+        stop = done | separated | not_definite | ill_conditioned
+        if iteration == glm.MAX_ITERATIONS:
+            stop[:] = True
+        for k in np.flatnonzero(stop):
+            if iteration == glm.MAX_ITERATIONS and not done[k]:
+                codes[fit[k]] = NotConvergedError.code
+            elif separated[k]:
+                codes[fit[k]] = SeparationError.code
+            elif not_definite[k] or ill_conditioned[k]:
+                codes[fit[k]] = SingularInformationError.code
+            else:
+                beta_out[fit[k]] = beta[k]
+        keep = ~stop
+        if not keep.any():
+            break
+        fit, C, drawn, beta = fit[keep], C[keep], drawn[keep], beta[keep]
+        eta, ll, chol, prob = eta[keep], ll[keep], chol[keep], prob[keep]
+
+        score = (C * (y - prob)) @ X
+        z = np.linalg.solve(chol, score[:, :, None])
+        delta = np.linalg.solve(np.swapaxes(chol, 1, 2), z)[:, :, 0]
+        new_beta = beta + delta
+        new_eta = new_beta @ X.T
+        new_ll = log_likelihood(new_eta, C)
+        for halvings in range(1, glm.MAX_STEP_HALVINGS + 1):
+            retry = ~np.isfinite(new_ll) | (new_ll < ll)
+            if not retry.any():
+                break
+            new_beta[retry] = beta[retry] + 0.5**halvings * delta[retry]
+            new_eta[retry] = new_beta[retry] @ X.T
+            new_ll[retry] = log_likelihood(new_eta[retry], C[retry])
+        dev_change = np.abs(new_ll - ll) / (np.abs(ll) + 0.5)
+        done = (np.abs(new_beta - beta).max(axis=1) < glm.BETA_TOL) | (
+            dev_change < glm.DEVIANCE_TOL)
+        beta, eta, ll = new_beta, new_eta, new_ll
+    return beta_out, codes
+
+
+def replicate_blocks(feats, covariates, n_boot, seed):
+    """The design, full-sample start and count blocks ``bootstrap_effects`` fits."""
+    fm = causal.build_causal_matrix(feats, "CHF", covariates)
+    masks = causal._arm_masks(fm)
+    rng = SplitMix64(seed)
+    blocks = []
+    for first in range(0, n_boot, causal.REPLICATE_BLOCK):
+        block = min(causal.REPLICATE_BLOCK, n_boot - first)
+        index = rng.integers(fm.n, block * fm.n).reshape(block, fm.n)
+        counts = np.stack([np.bincount(idx, minlength=fm.n) for idx in index]).astype(float)
+        # replicates missing an arm are never fitted
+        blocks.append(counts[np.all([counts @ masks[t] > 0 for t in masks], axis=0)])
+    return fm, glm.fit_logistic(fm).beta, blocks
+
+
+def compare_with_reference(feats, covariates, n_boot, seed):
+    """Failure counts by code, after comparing every replicate with the old stop rule."""
+    fm, start, blocks = replicate_blocks(feats, covariates, n_boot, seed)
+    products = glm.pairwise_products(fm.X)
+    failures = {}
+    for counts in blocks:
+        # fitted alone, a replicate meets the same products under both rules
+        for alone in counts[:, None, :]:
+            betas, codes = glm.fit_logistic_counts(fm.X, fm.y, alone, start, products)
+            expected_betas, expected_codes = reference_blocked_irls(
+                fm.X, fm.y, alone, start, products)
+            assert codes == expected_codes
+            assert np.array_equal(betas, expected_betas, equal_nan=True)
+        # In a block, fits now leave a pass sooner, and the BLAS may round a row's
+        # products differently once the block holds fewer rows (a few ulp, rarely).
+        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+        expected_betas, expected_codes = reference_blocked_irls(
+            fm.X, fm.y, counts, start, products)
+        assert codes == expected_codes
+        np.testing.assert_allclose(betas, expected_betas, rtol=1e-12, atol=1e-12)
+        for code in codes:
+            failures[code] = failures.get(code, 0) + 1
+    return failures
+
+
+class TestBlockedStopRule:
+    @pytest.mark.parametrize("case", sorted(TestLockstepMatchesRowCopies.CASES))
+    def test_fixtures_match_the_old_stop_rule(self, case):
+        make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES[case]
+        compare_with_reference(make(), covariates, n_boot, seed)
+
+    def test_rare_outcome_seeds_match_the_old_stop_rule(self):
+        codes, cohorts = {}, 0
+        for k in range(40):
+            try:
+                failures = compare_with_reference(
+                    rare_outcome_features(seed=4300 + k), ("hba1c",), 32, 600 + k)
+            except SeparationError:  # the full sample separates: nothing to resample
+                continue
+            cohorts += 1
+            for code, count in failures.items():
+                codes[code] = codes.get(code, 0) + count
+        assert cohorts >= 20
+        # the cases that once ended only on the pass at the optimum all occur
+        assert codes.get(SeparationError.code, 0) > 0 and codes.get(None, 0) > 0
+
+    def test_blocked_fits_skip_the_pass_at_the_optimum(self, monkeypatch):
+        factored = []
+        factor = glm._factor
+        monkeypatch.setattr(glm, "_factor", lambda info: factored.append(len(info)) or factor(info))
+        make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES["plain"]
+        fm, start, blocks = replicate_blocks(make(), covariates, n_boot, seed)
+        products = glm.pairwise_products(fm.X)
+        for counts in blocks:
+            del factored[:]
+            _, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+            now = sum(factored)
+            del factored[:]
+            reference_blocked_irls(fm.X, fm.y, counts, start, products)
+            assert codes == [None] * len(counts)
+            # each fit's information is factored once fewer: at its optimum
+            assert sum(factored) - now == len(counts)
+        # a single fit still factors its information at the optimum, for its covariance
+        del factored[:]
+        model = glm.fit_logistic(fm)
+        assert factored == [1] * (model.iterations + 1)
+
+
+def masked_weighted_mean(values, counts):
+    """``causal._weighted_mean`` of old: a row is constant if its drawn values are."""
+    means = np.sum(counts * values, axis=1) / np.sum(counts, axis=1)
+    drawn = counts > 0
+    low = np.min(values, axis=1, where=drawn, initial=np.inf)
+    high = np.max(values, axis=1, where=drawn, initial=-np.inf)
+    return np.where(low == high, low, means)
+
+
+@st.composite
+def weighted_rows(draw):
+    fits, n = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    # few distinct values, so rows equal on their drawn values only also come up
+    pool = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=3))
+    values, counts = [], []
+    for _ in range(fits):
+        row = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        values.append([row[0]] * n if draw(st.booleans()) else row)
+        drawn = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        drawn[draw(st.integers(0, n - 1))] += 1  # every replicate draws someone
+        counts.append(drawn)
+    return np.array(values), np.array(counts, dtype=np.float64)
+
+
+@given(weighted_rows())
+@settings(max_examples=300, deadline=None)
+def test_weighted_mean_matches_the_masked_reference(rows):
+    values, counts = rows
+    got = causal._weighted_mean(values, counts)
+    expected = masked_weighted_mean(values, counts)
+    means = np.sum(counts * values, axis=1) / np.sum(counts, axis=1)
+    for b in range(len(values)):
+        if np.all(values[b] == values[b, 0]) or len(set(values[b][counts[b] > 0])) > 1:
+            assert got[b] == expected[b]
+        else:  # equal on its drawn values only: the weighted mean, within rounding
+            assert got[b] == means[b]
+            assert abs(got[b] - expected[b]) <= 4 * np.spacing(abs(expected[b]))

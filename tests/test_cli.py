@@ -430,6 +430,8 @@ def inputs_without(table):
     ({"k": "abc"}, "k must be of type int, got 'abc'"),
     ({"alpha_stay": 1.5}, "alpha_stay must be in (0, 1), got 1.5"),
     ({"feature_sets": {"MINE": "age"}}, "feature_sets must map names to lists of feature names"),
+    ({"feature_sets": {"OUTCOME_MODEL": ["treatment", "age", "nope"]}},
+     "feature set 'OUTCOME_MODEL' names unknown feature 'nope'"),
     ({"antihypertensive_classes": 5}, "drug classes must be a list of names, got 5"),
     ({"antihyperlipidemia_classes": ["STATIN", "NOPE"]},
      "bad drug class: 'NOPE' is not a valid DrugClass"),
@@ -438,7 +440,7 @@ def inputs_without(table):
     ({"end_of_data": "2020-02-30"}, "bad end_of_data '2020-02-30'"),
     ({"end_of_data": None}, "bad end_of_data 'None'"),
     ({"out": 7}, "out must be a path string, got 7"),
-], ids=["type", "range", "feature_sets", "class_list_type", "class_name", "missing_table",
+], ids=["type", "range", "feature_sets", "unknown_feature", "class_list_type", "class_name", "missing_table",
         "no_inputs", "end_of_data", "end_of_data_null", "out"])
 def test_config_fault_prints_its_whole_line(tmp_path, capsys, overrides, message):
     assert run_validate(golden_config(**overrides), tmp_path) == 4
@@ -473,7 +475,16 @@ def test_nul_in_a_config_path_prints_one_error_line(tmp_path, capsys, key, code,
     # without --out, the config's out is the output directory
     out = [] if key == "out" else ["--out", str(tmp_path / "o")]
     assert cli.main(["validate", "--config", str(cfg_path), *out]) == code
-    assert capsys.readouterr().err.splitlines() == [line.format(nul)]
+    assert capsys.readouterr().err.splitlines() == [line.format(nul.replace("\0", "\\x00"))]
+
+
+def test_error_line_escapes_every_control_character(tmp_path, capsys):
+    controls = "".join(map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]))
+    assert run_validate(golden_config(end_of_data=f"a\\{controls}\u00e9"), tmp_path) == 4
+    err = capsys.readouterr().err
+    escaped = "".join(repr(c)[1:-1] for c in controls)
+    assert err == f"error[CONFIG]: bad end_of_data 'a\\{escaped}\u00e9'\n"
+    assert escaped.isprintable() and "\\x00" in escaped and "\\x9f" in escaped
 
 
 def test_integer_too_long_to_read_is_a_config_error(tmp_path, capsys):
