@@ -373,6 +373,12 @@ def backward_eliminate(
     Columns named in ``protected`` (by default the intercept) are never
     candidates. Exact p-value ties are broken by removing the column declared
     later. The trace keeps the first fit, on all columns, as ``full_model``.
+
+    The full model starts from zero. Each refit starts from the one-step
+    estimate of the model without the dropped column j: ``β − Σ[:, j] β_j / Σ_jj``
+    with entry j removed, from the previous fit's β and covariance Σ (Lawless &
+    Singhal 1978). The optimum does not depend on the start, but its last
+    digits may differ from those of a refit started at zero.
     """
     current = fm
     steps: list[tuple[str, float]] = []
@@ -393,7 +399,9 @@ def backward_eliminate(
         steps.append((removed, worst_p))
         kept = tuple(n for n in current.column_names if n != removed)
         current = current.select_columns(kept)
-        model = fit_logistic(current)
+        shift = model.covariance[:, worst_j] / model.covariance[worst_j, worst_j]
+        start = np.delete(model.beta - shift * model.beta[worst_j], worst_j)
+        model = fit_logistic(current, start=start)
     return EliminationTrace(steps=tuple(steps), final_model=model, full_model=full_model)
 
 
