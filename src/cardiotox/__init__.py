@@ -12,7 +12,6 @@ from .cohort import (  # noqa: F401
     PatientRecord,
     Treatment,
     TreatmentEvent,
-    classify_diagnosis,
     default_code_map,
     load_code_map,
     load_cohort,
@@ -36,7 +35,6 @@ from .glm import (  # noqa: F401
     backward_eliminate,
     fit_logistic,
     normalized_coefficients,
-    predict_prob,
     wald,
 )
 from .evaluate import (  # noqa: F401

@@ -314,13 +314,11 @@ def _eliminated_replicates(
     fm: FeatureMatrix, index: np.ndarray, arms_only: bool, eliminate_alpha: float
 ) -> tuple[dict[tuple[str, str], np.ndarray], list[str | None]]:
     """Per-replicate refits with elimination on resampled rows, for one block."""
-    empty_ids = ("",) * fm.n  # resampled rows lose their identities anyway
     values: dict[tuple[str, str], list[float]] = {}
     codes: list[str | None] = []
     for idx in index:
-        resampled = FeatureMatrix(fm.column_names, fm.X[idx], fm.y[idx], empty_ids, fm.outcome)
         try:
-            points = _fit_and_estimate(resampled, arms_only, eliminate_alpha)
+            points = _fit_and_estimate(fm.subset_rows(idx), arms_only, eliminate_alpha)
         except StatisticalError as err:
             codes.append(err.code)
             continue

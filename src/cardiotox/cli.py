@@ -129,11 +129,12 @@ def load_config(path: str | Path) -> RunConfig:
     inputs = raw.get("inputs")
     if not isinstance(inputs, dict):
         raise ConfigError("config needs an 'inputs' object with the five table paths")
+    for table in _TABLES:
+        if table not in inputs:
+            raise ConfigError(f"inputs missing table '{table}'")
+        require_type(f"inputs.{table}", inputs[table], str, ConfigError)
     base = path.parent
-    try:
-        paths = CohortPaths(**{table: _resolve(base, inputs[table]) for table in _TABLES})
-    except KeyError as err:
-        raise ConfigError(f"inputs missing table {err}") from None
+    paths = CohortPaths(**{table: _resolve(base, inputs[table]) for table in _TABLES})
 
     if "end_of_data" not in raw:
         raise ConfigError("config needs 'end_of_data' (ISO date)")
@@ -147,10 +148,15 @@ def load_config(path: str | Path) -> RunConfig:
         if not isinstance(raw["out"], str):
             raise ConfigError(f"out must be a path string, got {raw['out']!r}")
         settings["out"] = Path(raw["out"])
+    code_map = raw.get("code_map")  # absent or null: the built-in map
+    if code_map is not None:
+        require_type("code_map", code_map, str, ConfigError)
+        if not code_map:
+            raise ConfigError("code_map must name a file, got ''")
     cfg = RunConfig(
         inputs=paths,
         end_of_data=end_of_data,
-        code_map_path=_resolve(base, raw["code_map"]) if raw.get("code_map") else None,
+        code_map_path=None if code_map is None else _resolve(base, code_map),
         preprocess=PreprocessConfig(**{key: raw[key] for key in _PREPROCESS_FIELDS if key in raw}),
         config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         **settings,
@@ -164,8 +170,8 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _resolve(base: Path, value) -> Path:
-    p = Path(str(value))
+def _resolve(base: Path, value: str) -> Path:
+    p = Path(value)
     return p if p.is_absolute() else base / p
 
 

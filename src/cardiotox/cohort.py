@@ -308,6 +308,7 @@ class CodeMap:
     entries: Mapping[CodeSystem, Mapping[str, DiagnosisCategory]] = field(default_factory=dict)
 
     def classify(self, code_system: CodeSystem, code: str) -> DiagnosisCategory | None:
+        """Category of the longest matching code prefix, or None if nothing matches."""
         table = self.entries.get(code_system)
         if not table:
             return None
@@ -318,12 +319,8 @@ class CodeMap:
         return None
 
 
-def classify_diagnosis(event: DiagnosisEvent, code_map: CodeMap) -> DiagnosisCategory | None:
-    """Category of the longest matching code prefix, or None if nothing matches."""
-    return code_map.classify(event.code_system, event.code)
-
-
-_DEFAULT_MAP_ROWS = [
+# The built-in map as (code_system, code_prefix, category) rows, as in code_map.csv
+DEFAULT_CODE_MAP_ROWS = (
     ("ICD10", "C50", "BREAST_CANCER"),
     ("ICD10", "C44", "PRIOR_CANCER_ALLOWED"),
     ("ICD10", "D06", "PRIOR_CANCER_ALLOWED"),
@@ -349,19 +346,15 @@ _DEFAULT_MAP_ROWS = [
     ("ICD9", "250", "DIABETES"),
     ("ICD9", "272", "HYPERLIPIDEMIA"),
     ("ICD9", "V58.0", "RADIATION_PROCEDURE"),
-]
+)
 
 
 def default_code_map() -> CodeMap:
     """Built-in illustrative prefix map covering the categories the pipeline uses."""
     entries: dict[CodeSystem, dict[str, DiagnosisCategory]] = {}
-    for system, prefix, category in _DEFAULT_MAP_ROWS:
+    for system, prefix, category in DEFAULT_CODE_MAP_ROWS:
         entries.setdefault(CodeSystem(system), {})[prefix] = DiagnosisCategory(category)
     return CodeMap(entries)
-
-
-def default_code_map_rows() -> list[tuple[str, str, str]]:
-    return list(_DEFAULT_MAP_ROWS)
 
 
 def load_code_map(path: str | Path) -> CodeMap:

@@ -6,7 +6,6 @@ CLI can map failures onto process statuses without string matching.
 
 from __future__ import annotations
 
-EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STATISTICAL = 3
 EXIT_CONFIG = 4

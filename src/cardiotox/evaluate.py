@@ -1,8 +1,8 @@
 """ROC/AUC computation and stratified cross-validation.
 
 AUC is the Mann-Whitney statistic with half credit for ties, computed from
-average ranks in O(n log n); it equals the trapezoidal area under the
-tie-aware ROC curve and the naive O(n^2) pairwise count.
+average ranks in O(n log n) by ``auc``; it equals the trapezoidal area under
+the tie-aware ROC curve of ``roc_curve`` and the naive O(n^2) pairwise count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .tableio import write_csv
 @dataclass(frozen=True)
 class RocCurve:
     points: tuple[tuple[float, float, float], ...]  # (fpr, tpr, threshold)
-    auc: float
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,8 @@ def roc_curve(scores, labels) -> RocCurve:
     tp = np.cumsum(sorted_labels == 1)[last]
     fp = np.cumsum(sorted_labels == 0)[last]
 
-    points: list[tuple[float, float, float]] = [(0.0, 0.0, float("inf"))]
-    points.extend(zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), sorted_scores[first].tolist()))
-
-    area = 0.0
-    for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
-        area += (fpr1 - fpr0) * (tpr1 + tpr0) / 2.0
-    return RocCurve(points=tuple(points), auc=area)
+    points = zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), sorted_scores[first].tolist())
+    return RocCurve(points=((0.0, 0.0, float("inf")), *points))
 
 
 def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:

@@ -34,6 +34,9 @@ SINGULAR_RTOL = 1e-12
 SEPARATION_PROB_EPS = 1e-10
 SEPARATION_BETA_BOUND = 20.0
 MAX_STEP_HALVINGS = 20
+# P-values this close (relative) are an elimination tie. A fit stopped by the
+# deviance test can leave p-values that are equal in exact arithmetic 3e-11 apart.
+TIE_RTOL = 1e-9
 
 # Smallest positive probability reported; keeps predictions inside (0, 1).
 _PROB_FLOOR = 5e-324
@@ -164,7 +167,8 @@ def _irls(
     coefficients at the start of the next pass, which factors no information
     for it. None is for one fit: ``(X * w).T @ X`` and ``logaddexp`` then keep
     the digits single fits have always had, and the fit runs one more whole
-    pass at the optimum, whose information gives its covariance.
+    pass at the optimum, whose information gives its covariance. Both take
+    each pass's probabilities from the ``exp(-|eta|)`` of its log-likelihood.
 
     Returns per fit the coefficients (NaN if it failed) and None or (error type,
     message). A single fit that succeeds also gets its information,
@@ -199,13 +203,13 @@ def _irls(
         scaled = np.empty_like(X)
     beta = np.repeat(start[None, :], len(fit), axis=0)
     eta = beta @ X.T
-    # expneg is exp(-|eta|) from the log-likelihood, reused by the next sigmoid (None if single)
+    # expneg is exp(-|eta|) from the log-likelihood, reused by the next pass's sigmoid
     ll, expneg = _log_likelihood(eta, y, C, blocked)
     done = np.zeros(len(fit), dtype=bool)
 
     for iteration in range(MAX_ITERATIONS + 1):
         # A fit marked done stepped to its optimum last pass, and stops now.
-        prob = sigmoid(eta) if expneg is None else _logistic(eta, expneg)
+        prob = _logistic(eta, expneg)
         pinned = (prob < SEPARATION_PROB_EPS) | (prob > 1.0 - SEPARATION_PROB_EPS)
         separated = np.zeros(len(fit), dtype=bool)
         if pinned.any():
@@ -250,9 +254,7 @@ def _irls(
             if not keep.any():
                 break
             fit, C, drawn, beta = fit[keep], C[keep], drawn[keep], beta[keep]
-            eta, ll, chol, prob = eta[keep], ll[keep], chol[keep], prob[keep]
-            if blocked:
-                expneg = expneg[keep]
+            eta, ll, expneg, chol, prob = eta[keep], ll[keep], expneg[keep], chol[keep], prob[keep]
 
         score = (C * (y - prob)) @ X
         z = np.linalg.solve(chol, score[:, :, None])
@@ -268,9 +270,7 @@ def _irls(
                 break
             new_beta[retry] = beta[retry] + 0.5**halvings * delta[retry]
             new_eta[retry] = new_beta[retry] @ X.T
-            new_ll[retry], retried = _log_likelihood(new_eta[retry], y, C[retry], blocked)
-            if blocked:
-                new_expneg[retry] = retried
+            new_ll[retry], new_expneg[retry] = _log_likelihood(new_eta[retry], y, C[retry], blocked)
 
         # relative deviance change |dD| / (|D| + 1), D = -2 ll, with the 2 cancelled
         dev_change = np.abs(new_ll - ll) / (np.abs(ll) + 0.5)
@@ -281,12 +281,11 @@ def _irls(
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray, blocked: bool):
-    """Count-weighted log-likelihood of each row of ``eta``, and ``exp(-|eta|)`` if blocked."""
-    if blocked:  # log(1 + exp(eta)) from one exp and one log1p, cheaper than logaddexp
-        expneg = np.exp(-np.abs(eta))
+    """Count-weighted log-likelihood of each row of ``eta``, and ``exp(-|eta|)``."""
+    expneg = np.exp(-np.abs(eta))
+    if blocked:  # log(1 + exp(eta)) from that exp and one log1p, cheaper than logaddexp
         softplus = np.log1p(expneg) + np.maximum(eta, 0.0)
     else:
-        expneg = None
         softplus = np.logaddexp(0.0, eta)
     return (counts * (y * eta - softplus)).sum(axis=1), expneg
 
@@ -323,17 +322,6 @@ def _factor(info: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return chol, not_definite, eigvals[:, 0] <= eigvals[:, -1] * SINGULAR_RTOL
 
 
-def predict_prob(model: LogisticModel, x: np.ndarray) -> float:
-    """Event probability for one feature row, clipped inside (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.beta.shape:
-        raise DimensionMismatchError(
-            f"row has {x.shape} entries, model has {model.beta.shape}"
-        )
-    p = float(sigmoid(float(x @ model.beta)))
-    return min(max(p, _PROB_FLOOR), _PROB_CEIL)
-
-
 def predict_matrix(model: LogisticModel, X: np.ndarray) -> np.ndarray:
     """Event probabilities for each row of a design matrix."""
     if X.shape[1] != len(model.beta):
@@ -354,10 +342,8 @@ def normal_two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def wald(model: LogisticModel, j: int | str) -> tuple[float, float]:
-    """(z, two-sided p) for one coefficient."""
-    if isinstance(j, str):
-        j = model.column_names.index(j)
+def wald(model: LogisticModel, j: int) -> tuple[float, float]:
+    """(z, two-sided p) for coefficient j."""
     se = float(model.se[j])
     if not (se > 0.0) or not math.isfinite(se):
         raise ZeroSeError(f"standard error of '{model.column_names[j]}' is not positive")
@@ -371,8 +357,10 @@ def backward_eliminate(
     """Drop the largest-p predictor until all remaining p-values <= alpha_stay.
 
     Columns named in ``protected`` (by default the intercept) are never
-    candidates. Exact p-value ties are broken by removing the column declared
-    later. The trace keeps the first fit, on all columns, as ``full_model``.
+    candidates. P-values within ``TIE_RTOL`` (relative) of the largest are ties,
+    which remove the column declared later: neither rounding nor where a fit
+    stopped orders p-values that are equal in exact arithmetic. The trace keeps
+    the first fit, on all columns, as ``full_model``.
 
     The full model starts from zero. Each refit starts from the one-step
     estimate of the model without the dropped column j: ``β − Σ[:, j] β_j / Σ_jj``
@@ -384,19 +372,14 @@ def backward_eliminate(
     steps: list[tuple[str, float]] = []
     model = full_model = fit_logistic(current)
     while True:
-        worst_j = -1
-        worst_p = -1.0
-        for j, name in enumerate(current.column_names):
-            if name in protected:
-                continue
-            _, p_value = wald(model, j)
-            if p_value >= worst_p:  # >= keeps the later column on ties
-                worst_p = p_value
-                worst_j = j
-        if worst_j < 0 or worst_p <= alpha_stay:
+        p_values = {j: wald(model, j)[1]
+                    for j, name in enumerate(current.column_names) if name not in protected}
+        largest = max(p_values.values(), default=None)
+        if largest is None or largest <= alpha_stay:
             break
+        worst_j = max(j for j, p_value in p_values.items() if p_value >= largest * (1 - TIE_RTOL))
         removed = current.column_names[worst_j]
-        steps.append((removed, worst_p))
+        steps.append((removed, p_values[worst_j]))
         kept = tuple(n for n in current.column_names if n != removed)
         current = current.select_columns(kept)
         shift = model.covariance[:, worst_j] / model.covariance[worst_j, worst_j]

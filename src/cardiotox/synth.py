@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate
-from .cohort import DrugClass, ObservationKind, Treatment, default_code_map_rows
+from .cohort import DEFAULT_CODE_MAP_ROWS, DrugClass, ObservationKind, Treatment
 from .errors import InvalidSpecError, OneClassError, require_type
 from .glm import sigmoid
 from .preprocess import LAB_FIELDS, OUTCOME_NAMES, BaselineFeatures, Baselines, feature_rows
@@ -58,32 +58,42 @@ _BINARY_SLOTS = frozenset(("troponin",) + _CONDITION_SLOTS + _MEDICATION_SLOTS)
 # Canonical filler order; declared covariates are skipped.
 FILLER_SLOTS = ("age",) + _OBSERVATION_SLOTS + ("troponin",) + _CONDITION_SLOTS + _MEDICATION_SLOTS
 
-DEFAULT_FILLERS: dict[str, tuple] = {
-    "age": ("normal", 57.5, 12.0),
-    "sbp": ("normal", 126.0, 15.0),
-    "dbp": ("normal", 74.0, 10.0),
-    "bmi": ("normal", 28.5, 6.0),
-    "hdl": ("normal", 65.0, 15.0),
-    "ldl": ("normal", 112.0, 20.0),
-    "hba1c": ("normal", 6.0, 0.8),
-    "triglyceride": ("normal", 128.0, 44.0),
-    "troponin": ("bernoulli", 0.04),
-    "hypertension": ("bernoulli", 0.30),
-    "diabetes": ("bernoulli", 0.165),
-    "hyperlipidemia": ("bernoulli", 0.24),
-    "insulin": ("bernoulli", 0.043),
-    "metformin": ("bernoulli", 0.047),
-    "statin": ("bernoulli", 0.217),
-    "ace_inhibitor": ("bernoulli", 0.155),
-    "arb": ("bernoulli", 0.09),
-    "antihypertensive_combination": ("bernoulli", 0.036),
-    "vasodilator": ("bernoulli", 0.175),
-    "antiarrhythmic": ("bernoulli", 0.049),
-    "beta_blocker": ("bernoulli", 0.223),
-    "calcium_blocker": ("bernoulli", 0.123),
-    "diuretic": ("bernoulli", 0.10),
-    "antihyperlipidemic_other": ("bernoulli", 0.017),
-}
+
+@dataclass(frozen=True)
+class CovariateSpec:
+    name: str
+    dist: str  # normal | bernoulli | lognormal
+    mu: float = 0.0
+    sigma: float = 1.0
+    p: float = 0.5
+
+
+DEFAULT_FILLERS: dict[str, CovariateSpec] = {c.name: c for c in (
+    CovariateSpec("age", "normal", 57.5, 12.0),
+    CovariateSpec("sbp", "normal", 126.0, 15.0),
+    CovariateSpec("dbp", "normal", 74.0, 10.0),
+    CovariateSpec("bmi", "normal", 28.5, 6.0),
+    CovariateSpec("hdl", "normal", 65.0, 15.0),
+    CovariateSpec("ldl", "normal", 112.0, 20.0),
+    CovariateSpec("hba1c", "normal", 6.0, 0.8),
+    CovariateSpec("triglyceride", "normal", 128.0, 44.0),
+    CovariateSpec("troponin", "bernoulli", p=0.04),
+    CovariateSpec("hypertension", "bernoulli", p=0.30),
+    CovariateSpec("diabetes", "bernoulli", p=0.165),
+    CovariateSpec("hyperlipidemia", "bernoulli", p=0.24),
+    CovariateSpec("insulin", "bernoulli", p=0.043),
+    CovariateSpec("metformin", "bernoulli", p=0.047),
+    CovariateSpec("statin", "bernoulli", p=0.217),
+    CovariateSpec("ace_inhibitor", "bernoulli", p=0.155),
+    CovariateSpec("arb", "bernoulli", p=0.09),
+    CovariateSpec("antihypertensive_combination", "bernoulli", p=0.036),
+    CovariateSpec("vasodilator", "bernoulli", p=0.175),
+    CovariateSpec("antiarrhythmic", "bernoulli", p=0.049),
+    CovariateSpec("beta_blocker", "bernoulli", p=0.223),
+    CovariateSpec("calcium_blocker", "bernoulli", p=0.123),
+    CovariateSpec("diuretic", "bernoulli", p=0.10),
+    CovariateSpec("antihyperlipidemic_other", "bernoulli", p=0.017),
+)}
 
 _DIAGNOSIS_CODES = {
     "CHF": "I50.9",
@@ -97,15 +107,6 @@ _DIAGNOSIS_CODES = {
 
 _TRUTH_COV_TAG = 7001
 _TRUTH_AUC_TAG = 7002
-
-
-@dataclass(frozen=True)
-class CovariateSpec:
-    name: str
-    dist: str  # normal | bernoulli | lognormal
-    mu: float = 0.0
-    sigma: float = 1.0
-    p: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -137,24 +138,14 @@ class SyntheticSpec:
     outcome_models: dict[str, dict[str, float]]
     layout: EventLayout = EventLayout()
 
-    @property
-    def covariate_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.covariates)
-
 
 @dataclass(frozen=True)
 class SyntheticCohort:
     spec: SyntheticSpec
     patient_ids: tuple[str, ...]
-    values: dict[str, np.ndarray]        # declared covariates, modeled values
-    fillers: dict[str, np.ndarray]       # undeclared slots
+    values: dict[str, np.ndarray]        # declared covariates, then fillers; modeled values
     treatments: np.ndarray               # array of Treatment
     outcomes: dict[str, np.ndarray]      # outcome name -> bool array
-
-    def slot(self, name: str) -> np.ndarray | None:
-        if name in self.values:
-            return self.values[name]
-        return self.fillers.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +316,25 @@ def _parse_layout(raw: dict) -> EventLayout:
 # Sampling
 
 
-def _sample_slot(name: str, dist: tuple, rng: SplitMix64, n: int) -> np.ndarray:
-    kind = dist[0]
-    if kind == "bernoulli":
-        return rng.bernoulli(dist[1], n).astype(np.float64)
+def _sample_slot(c: CovariateSpec, rng: SplitMix64, n: int) -> np.ndarray:
+    if c.dist == "bernoulli":
+        return rng.bernoulli(c.p, n).astype(np.float64)
     with np.errstate(over="ignore"):  # draws beyond the float range fail below
-        if kind == "normal":
-            raw = dist[1] + dist[2] * rng.normal(n)
-        elif kind == "lognormal":
-            raw = np.exp(dist[1] + dist[2] * rng.normal(n))
+        if c.dist == "normal":
+            raw = c.mu + c.sigma * rng.normal(n)
+        elif c.dist == "lognormal":
+            raw = np.exp(c.mu + c.sigma * rng.normal(n))
         else:  # pragma: no cover - guarded by validation
-            raise InvalidSpecError(f"unknown distribution '{kind}'")
-    if name == "age":
+            raise InvalidSpecError(f"unknown distribution '{c.dist}'")
+    if c.name == "age":
         return np.clip(np.floor(raw), AGE_MIN, AGE_MAX)
     if not np.isfinite(raw).all():
-        raise InvalidSpecError(f"draws of '{name}' overflow the float range")
+        raise InvalidSpecError(f"draws of '{c.name}' overflow the float range")
     return np.maximum(raw, 0.0)
 
 
-def _covariate_dist(c: CovariateSpec) -> tuple:
-    if c.dist == "bernoulli":
-        return ("bernoulli", c.p)
-    return (c.dist, c.mu, c.sigma)
-
-
 def _sample_covariates(spec: SyntheticSpec, rng: SplitMix64, n: int) -> dict[str, np.ndarray]:
-    return {c.name: _sample_slot(c.name, _covariate_dist(c), rng, n) for c in spec.covariates}
+    return {c.name: _sample_slot(c, rng, n) for c in spec.covariates}
 
 
 def _linear_predictor(
@@ -435,13 +419,12 @@ def generate(spec: SyntheticSpec) -> SyntheticCohort:
         else:
             outcomes[outcome] = np.zeros(n, dtype=bool)
 
-    fillers: dict[str, np.ndarray] = {}
     if spec.layout.fill_defaults:
         for slot in FILLER_SLOTS:
             if slot not in values:
-                fillers[slot] = _sample_slot(slot, DEFAULT_FILLERS[slot], rng, n)
+                values[slot] = _sample_slot(DEFAULT_FILLERS[slot], rng, n)
     elif "age" not in values:
-        fillers["age"] = np.full(n, 55.0)
+        values["age"] = np.full(n, 55.0)
 
     width = max(6, len(str(n)))
     ids = tuple(f"S{i:0{width}d}" for i in range(1, n + 1))
@@ -449,7 +432,6 @@ def generate(spec: SyntheticSpec) -> SyntheticCohort:
         spec=spec,
         patient_ids=ids,
         values=values,
-        fillers=fillers,
         treatments=treatments,
         outcomes=outcomes,
     )
@@ -483,13 +465,13 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
 
     def present(slots: tuple[str, ...]) -> list[tuple[str, list]]:
         """Each slot that has values, with its values as a list."""
-        return [(slot, sc.slot(slot).tolist()) for slot in slots if sc.slot(slot) is not None]
+        return [(slot, sc.values[slot].tolist()) for slot in slots if slot in sc.values]
 
     labs = [(ObservationKind(slot.upper()).value, values)
             for slot, values in present(_OBSERVATION_SLOTS)]
     troponin, conditions, drugs = map(present, (("troponin",), _CONDITION_SLOTS, _MEDICATION_SLOTS))
     outcomes = [(name, sc.outcomes[name].tolist()) for name in OUTCOME_NAMES]
-    ages = sc.slot("age").tolist()
+    ages = sc.values["age"].tolist()
     patients, observations, diagnoses, medications, treatments = [], [], [], [], []
     for i, pid in enumerate(sc.patient_ids):
         patients.append((pid, _birth_date(index, int(ages[i])).isoformat(), "F"))
@@ -511,7 +493,7 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
     write_csv(
         outdir / "code_map.csv",
         ("code_system", "code_prefix", "category"),
-        default_code_map_rows(),
+        DEFAULT_CODE_MAP_ROWS,
     )
 
 
@@ -525,10 +507,9 @@ def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
     """
 
     def col(name: str) -> np.ndarray:
-        column = sc.slot(name)
-        if column is None:
+        if name not in sc.values:
             raise InvalidSpecError(f"cohort has no values for slot '{name}'")
-        return column
+        return sc.values[name]
 
     def columns(names: tuple[str, ...]) -> np.ndarray:
         return np.column_stack([col(name) for name in names])

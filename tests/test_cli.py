@@ -372,23 +372,47 @@ def run_validate(config, root):
     return cli.main(["validate", "--config", str(cfg_path), "--out", str(root / "o")])
 
 
-@pytest.mark.parametrize("key,value", [
-    ("k", "abc"),
-    ("alpha_stay", "x"),
-    ("seed", "s"),
-    ("feature_sets", ["a"]),
-    ("feature_sets", {"MINE": "age"}),
-    ("eliminate_in_causal", "false"),
-    ("arms_only_ate", 0),
-    ("B", 1000.7),
-    ("k", True),
-    ("troponin_threshold", float("nan")),
-    ("antihypertensive_classes", 5),
-    ("out", 7),
+def config_fault(key, value, message, id=None):
+    """A mistyped setting and its whole error line; the id defaults to ``key-value``."""
+    return pytest.param(key, value, f"error[CONFIG]: {message}", id=id or f"{key}-{value}")
+
+
+def inputs_with(**paths):
+    return {**golden_config()["inputs"], **paths}
+
+
+@pytest.mark.parametrize("key,value,line", [
+    config_fault("k", "abc", "k must be of type int, got 'abc'"),
+    config_fault("alpha_stay", "x", "alpha_stay must be of type float, got 'x'"),
+    config_fault("seed", "s", "seed must be of type int, got 's'"),
+    config_fault("feature_sets", ["a"], "feature_sets must map names to lists of feature names",
+                 id="feature_sets-value3"),
+    config_fault("feature_sets", {"MINE": "age"},
+                 "feature_sets must map names to lists of feature names", id="feature_sets-value4"),
+    config_fault("eliminate_in_causal", "false",
+                 "eliminate_in_causal must be of type bool, got 'false'"),
+    config_fault("arms_only_ate", 0, "arms_only_ate must be of type bool, got 0"),
+    config_fault("B", 1000.7, "B must be of type int, got 1000.7"),
+    config_fault("k", True, "k must be of type int, got True"),
+    config_fault("troponin_threshold", float("nan"), "troponin_threshold must be finite, got nan"),
+    config_fault("antihypertensive_classes", 5, "drug classes must be a list of names, got 5"),
+    config_fault("out", 7, "out must be a path string, got 7"),
+    # a path that is not a JSON string is a config fault, not a missing file
+    config_fault("code_map", 5, "code_map must be of type str, got 5"),
+    config_fault("code_map", False, "code_map must be of type str, got False"),
+    config_fault("code_map", "", "code_map must name a file, got ''", id="code_map-empty"),
+    config_fault("inputs", inputs_with(patients=None),
+                 "inputs.patients must be of type str, got None", id="inputs-patients-null"),
+    config_fault("inputs", inputs_with(treatments=["t.csv"]),
+                 "inputs.treatments must be of type str, got ['t.csv']", id="inputs-treatments-list"),
 ])
-def test_mistyped_config_value_exits_4(tmp_path, capsys, key, value):
+def test_mistyped_config_value_exits_4(tmp_path, capsys, key, value, line):
     assert run_validate(golden_config(**{key: value}), tmp_path) == 4
-    assert "error[CONFIG]" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_null_code_map_selects_the_built_in_map(tmp_path):
+    assert run_validate(golden_config(code_map=None), tmp_path) == 0
 
 
 def test_well_typed_config_values_pass(tmp_path):

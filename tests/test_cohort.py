@@ -9,7 +9,6 @@ from cardiotox.cohort import (
     CohortPaths,
     DiagnosisCategory,
     DiagnosisEvent,
-    classify_diagnosis,
     default_code_map,
     load_code_map,
     load_cohort,
@@ -164,25 +163,25 @@ def _map(entries):
 def test_classify_prefix_match():
     cmap = _map({"I50": "CHF"})
     event = DiagnosisEvent(date(2020, 1, 1), CodeSystem.ICD10, "I50.9")
-    assert classify_diagnosis(event, cmap) is DiagnosisCategory.CHF
+    assert cmap.classify(event.code_system, event.code) is DiagnosisCategory.CHF
 
 
 def test_classify_no_match_returns_none():
     cmap = _map({"I50": "CHF"})
     event = DiagnosisEvent(date(2020, 1, 1), CodeSystem.ICD10, "Z99")
-    assert classify_diagnosis(event, cmap) is None
+    assert cmap.classify(event.code_system, event.code) is None
 
 
 def test_classify_longest_prefix_wins():
     cmap = _map({"I5": "CAD", "I50": "CHF"})
     event = DiagnosisEvent(date(2020, 1, 1), CodeSystem.ICD10, "I50.9")
-    assert classify_diagnosis(event, cmap) is DiagnosisCategory.CHF
+    assert cmap.classify(event.code_system, event.code) is DiagnosisCategory.CHF
 
 
 def test_classify_respects_code_system():
     cmap = _map({"I50": "CHF"})
     event = DiagnosisEvent(date(2020, 1, 1), CodeSystem.ICD9, "I50.9")
-    assert classify_diagnosis(event, cmap) is None
+    assert cmap.classify(event.code_system, event.code) is None
 
 
 @given(
@@ -196,7 +195,7 @@ def test_classify_respects_code_system():
 def test_classify_longest_prefix_property(code, prefixes):
     cmap = _map(prefixes)
     event = DiagnosisEvent(date(2020, 1, 1), CodeSystem.ICD10, code)
-    got = classify_diagnosis(event, cmap)
+    got = cmap.classify(event.code_system, event.code)
     matching = [p for p in prefixes if code.startswith(p)]
     if not matching:
         assert got is None

@@ -24,6 +24,14 @@ def brute_force_auc(scores, labels):
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def trapezoid(points):
+    """Trapezoidal area under ROC points (fpr, tpr, threshold), in sweep order."""
+    area = 0.0
+    for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
+        area += (fpr1 - fpr0) * (tpr1 + tpr0) / 2.0
+    return area
+
+
 def while_loop_auc(scores, labels):
     """The earlier rank-by-while-loop ``auc``, kept as a bit-exact reference."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -93,7 +101,7 @@ class TestTieGroupingMatchesWhileLoops:
         assert evaluate.auc(scores, labels) == while_loop_auc(scores, labels)
         points, area = while_loop_roc(scores, labels)
         curve = evaluate.roc_curve(scores, labels)
-        assert curve.auc == area
+        assert trapezoid(curve.points) == area
         assert len(curve.points) == len(points)
         for got, want in zip(curve.points, points):
             assert got == want
@@ -166,12 +174,12 @@ class TestRoc:
         assert (0.0, 1.0) in [(fpr, tpr) for fpr, tpr, _ in curve.points]
         assert curve.points[0][:2] == (0.0, 0.0)
         assert curve.points[-1][:2] == (1.0, 1.0)
-        assert curve.auc == 1.0
+        assert trapezoid(curve.points) == 1.0
 
     def test_all_ties_is_diagonal(self):
         curve = evaluate.roc_curve([0.4, 0.4, 0.4], [1, 0, 1])
         assert [(fpr, tpr) for fpr, tpr, _ in curve.points] == [(0.0, 0.0), (1.0, 1.0)]
-        assert curve.auc == 0.5
+        assert trapezoid(curve.points) == 0.5
 
     def test_monotone_points(self):
         g = SplitMix64(103)
@@ -190,7 +198,7 @@ class TestRoc:
             if labels.sum() in (0, 100):
                 continue
             curve = evaluate.roc_curve(scores, labels)
-            assert curve.auc == pytest.approx(evaluate.auc(scores, labels), abs=1e-12)
+            assert trapezoid(curve.points) == pytest.approx(evaluate.auc(scores, labels), abs=1e-12)
 
 
 class TestStratifiedKfold:

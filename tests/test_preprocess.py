@@ -25,7 +25,6 @@ from cardiotox.cohort import (
     Sex,
     Treatment,
     TreatmentEvent,
-    classify_diagnosis,
     default_code_map,
 )
 from cardiotox.errors import EmptyCohortMeanError, UnknownFeatureError
@@ -746,7 +745,7 @@ def reference_summary(p, index, code_map, config):
     if config.outcome_horizon_days is not None:
         horizon_end = index + timedelta(days=config.outcome_horizon_days)
     for d in p.diagnoses:
-        category = classify_diagnosis(d, code_map)
+        category = code_map.classify(d.code_system, d.code)
         if category is None:
             continue
         if d.date < index:
@@ -784,11 +783,11 @@ def reference_exclusion(p, code_map, end_of_data):
     if len({t.treatment for t in p.treatments}) > 1:
         return ExclusionReason.MULTIPLE_TREATMENT_TYPES
     for d in p.diagnoses:
-        if (d.date < index and classify_diagnosis(d, code_map)
+        if (d.date < index and code_map.classify(d.code_system, d.code)
                 is DiagnosisCategory.PRIOR_CANCER_EXCLUDING):
             return ExclusionReason.PRIOR_CANCER
     for d in p.diagnoses:
-        if d.date <= index and classify_diagnosis(d, code_map) in HEART_DISEASE_CATEGORIES:
+        if d.date <= index and code_map.classify(d.code_system, d.code) in HEART_DISEASE_CATEGORIES:
             return ExclusionReason.PRIOR_HEART_DISEASE
     if (end_of_data - index).days < MIN_FOLLOWUP_DAYS:
         return ExclusionReason.INSUFFICIENT_FOLLOWUP

@@ -65,7 +65,7 @@ class TestGenerate:
             pre_index_diabetes = [
                 d for d in p.diagnoses
                 if d.date < index
-                and cohort.classify_diagnosis(d, cmap) is cohort.DiagnosisCategory.DIABETES
+                and cmap.classify(d.code_system, d.code) is cohort.DiagnosisCategory.DIABETES
             ]
             assert pre_index_diabetes, p.patient_id
 
