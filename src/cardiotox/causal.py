@@ -28,7 +28,7 @@ from .preprocess import (
     BaselineFeatures,
     FEATURE_SETS,
     FeatureMatrix,
-    TREATMENT_DUMMY_COLUMNS,
+    TREATMENT_DUMMIES,
     Treatment,
     build_matrix,
 )
@@ -36,7 +36,7 @@ from .rng import SplitMix64
 from .tableio import write_csv
 
 ESTIMANDS = ("ATE", "ATT")
-EFFECT_TREATMENTS = (Treatment.CHEMOTHERAPY, Treatment.TARGETED)
+EFFECT_TREATMENTS = tuple(TREATMENT_DUMMIES)
 
 
 def outcome_covariates(outcome_model: tuple[str, ...]) -> tuple[str, ...]:
@@ -78,22 +78,16 @@ def build_causal_matrix(
     return build_matrix(features, ("treatment",) + tuple(covariates), outcome)
 
 
+def _dummy_columns(fm: FeatureMatrix) -> dict[Treatment, int]:
+    """The column index of each treated arm's dummy in ``fm``."""
+    return {arm: fm.column_names.index(name) for arm, name in TREATMENT_DUMMIES.items()}
+
+
 def _arm_masks(fm: FeatureMatrix) -> dict[Treatment, np.ndarray]:
-    chemo_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[0])
-    targeted_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[1])
-    chemo = fm.X[:, chemo_col] == 1.0
-    targeted = fm.X[:, targeted_col] == 1.0
-    return {
-        Treatment.CHEMOTHERAPY: chemo,
-        Treatment.TARGETED: targeted,
-        Treatment.RADIATION: ~(chemo | targeted),
-    }
-
-
-def _require_all_arms(masks: dict[Treatment, np.ndarray]) -> None:
-    missing = [t.value for t in Treatment if not np.any(masks[t])]
-    if missing:
-        raise MissingArmError(f"no patients in arm(s): {', '.join(missing)}")
+    """Rows of each arm; radiation rows are those with no treated dummy set."""
+    masks = {arm: fm.X[:, col] == 1.0 for arm, col in _dummy_columns(fm).items()}
+    masks[Treatment.RADIATION] = ~np.any(list(masks.values()), axis=0)
+    return masks
 
 
 def _counterfactual_diffs(fm: FeatureMatrix, beta: np.ndarray) -> dict[Treatment, np.ndarray]:
@@ -102,17 +96,12 @@ def _counterfactual_diffs(fm: FeatureMatrix, beta: np.ndarray) -> dict[Treatment
     ``beta`` is one coefficient vector or a (p, fits) matrix; the result has
     shape (n, fits), one column per fit.
     """
-    chemo_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[0])
-    targeted_col = fm.column_names.index(TREATMENT_DUMMY_COLUMNS[1])
+    columns = _dummy_columns(fm)
     X_cf = fm.X.copy()
-    X_cf[:, chemo_col] = 0.0
-    X_cf[:, targeted_col] = 0.0
+    X_cf[:, list(columns.values())] = 0.0
     p_ref = glm.predict_beta(beta, X_cf)
     out = {}
-    for treatment, col in (
-        (Treatment.CHEMOTHERAPY, chemo_col),
-        (Treatment.TARGETED, targeted_col),
-    ):
+    for treatment, col in columns.items():
         X_cf[:, col] = 1.0
         out[treatment] = (glm.predict_beta(beta, X_cf) - p_ref).reshape(fm.n, -1)
         X_cf[:, col] = 0.0
@@ -168,18 +157,21 @@ def _weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _fit_and_estimate(
     fm: FeatureMatrix, arms_only: bool, eliminate_alpha: float | None
-) -> dict[tuple[str, str], float]:
+) -> tuple[glm.LogisticModel, dict[tuple[str, str], float]]:
+    """The full-sample model and its effects; MissingArmError before any fit."""
     masks = _arm_masks(fm)
-    _require_all_arms(masks)
+    missing = [t.value for t in Treatment if not np.any(masks[t])]
+    if missing:
+        raise MissingArmError(f"no patients in arm(s): {', '.join(missing)}")
     if eliminate_alpha is None:
         model = glm.fit_logistic(fm)
-        return effects_from_model(model, fm, arms_only)
-    # Elimination prunes covariates only: the estimand needs the dummies.
-    model = glm.backward_eliminate(
-        fm, eliminate_alpha, protected=frozenset({"intercept", *TREATMENT_DUMMY_COLUMNS})
-    ).final_model
-    reduced = fm.select_columns(model.column_names)
-    return effects_from_model(model, reduced, arms_only)
+    else:
+        # Elimination prunes covariates only: the estimand needs the dummies.
+        model = glm.backward_eliminate(
+            fm, eliminate_alpha, protected=frozenset({"intercept", *TREATMENT_DUMMIES.values()})
+        ).final_model
+        fm = fm.select_columns(model.column_names)
+    return model, effects_from_model(model, fm, arms_only)
 
 
 def estimate_effects(
@@ -192,7 +184,7 @@ def estimate_effects(
 ) -> list[EffectEstimate]:
     """Point estimates of ATE and ATT for both treatments on one outcome."""
     fm = build_causal_matrix(features, outcome, covariates)
-    points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
+    _, points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
     return [
         EffectEstimate(
             treatment=t.value, outcome=outcome, estimand=est, point=points[(t.value, est)]
@@ -228,15 +220,9 @@ def bootstrap_effects(
     if n_boot < MIN_BOOTSTRAP:
         raise ConfigError(f"bootstrap needs at least {MIN_BOOTSTRAP} replicates, got {n_boot}")
     fm = build_causal_matrix(features, outcome, covariates)
-    masks = _arm_masks(fm)
-    _require_all_arms(masks)
-
+    full_model, full_points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
     if eliminate_alpha is None:
-        full_model = glm.fit_logistic(fm)
-        full_points = effects_from_model(full_model, fm, arms_only)
         products = glm.pairwise_products(fm.X)
-    else:
-        full_points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
 
     rng = SplitMix64(seed)
     draws: dict[tuple[str, str], list[np.ndarray]] = {key: [] for key in full_points}
@@ -252,9 +238,7 @@ def bootstrap_effects(
             counts = np.bincount(index.ravel(), minlength=block * fm.n)
             del index
             counts = counts.reshape(block, fm.n).astype(np.float64)
-            points, codes = _weighted_replicates(
-                fm, counts, masks, full_model.beta, products, arms_only
-            )
+            points, codes = _weighted_replicates(fm, counts, full_model.beta, products, arms_only)
         for code in codes:
             if code is not None:
                 failures[code] = failures.get(code, 0) + 1
@@ -290,14 +274,13 @@ def bootstrap_effects(
 def _weighted_replicates(
     fm: FeatureMatrix,
     counts: np.ndarray,
-    masks: dict[Treatment, np.ndarray],
     start: np.ndarray,
     products: np.ndarray,
     arms_only: bool,
 ) -> tuple[dict[tuple[str, str], np.ndarray], list[str | None]]:
     """Effects of the successful replicates in one block, and each one's error code."""
     codes: list[str | None] = [None] * len(counts)
-    arm_counts = np.column_stack([counts @ masks[t] for t in Treatment])
+    arm_counts = np.column_stack([counts @ rows for rows in _arm_masks(fm).values()])
     for b in np.flatnonzero(np.any(arm_counts == 0.0, axis=1)):
         codes[b] = MissingArmError.code
     fitted = np.array([b for b, code in enumerate(codes) if code is None], dtype=np.int64)
@@ -318,7 +301,7 @@ def _eliminated_replicates(
     codes: list[str | None] = []
     for idx in index:
         try:
-            points = _fit_and_estimate(fm.subset_rows(idx), arms_only, eliminate_alpha)
+            _, points = _fit_and_estimate(fm.subset_rows(idx), arms_only, eliminate_alpha)
         except StatisticalError as err:
             codes.append(err.code)
             continue

@@ -31,9 +31,9 @@ from .cohort import (
 from .errors import ConfigError, PipelineError, require_type
 from .preprocess import CONTRASTS, FEATURE_SETS, OUTCOME_NAMES, PREDICTOR_NAMES, PreprocessConfig
 from .rng import derive_seed
+from .tableio import open_report
 
 _TABLES = tuple(table.name for table in fields(CohortPaths))
-_CONTRAST_NAMES = tuple(CONTRASTS)
 _COMPARE_SETS = ("BASELINE_HEALTH", "MEDICATION_MODEL")
 # Escapes of the control characters (C0, DEL, C1) and of the other line breaks, so
 # that an error quoting input text stays one line of printable text.
@@ -91,6 +91,9 @@ class RunConfig:
             unknown = next((n for n in names if n not in PREDICTOR_NAMES), None)
             if unknown is not None:
                 raise ConfigError(f"feature set '{set_name}' names unknown feature '{unknown}'")
+            twice = next((n for i, n in enumerate(names) if n in names[:i]), None)
+            if twice is not None:
+                raise ConfigError(f"feature set '{set_name}' names '{twice}' twice")
 
 
 def _check(name: str, value, kind: type, ok=lambda v: True, expected: str = "") -> None:
@@ -208,7 +211,7 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None)
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
     }
-    with open(outdir / "run_manifest.json", "w", encoding="utf-8") as fh:
+    with open_report(outdir / "run_manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -320,7 +323,7 @@ def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
         "end_of_data": spec.layout.end_of_data.isoformat(),
         "seed": spec.seed,
     }
-    with open(outdir / "run_config.json", "w", encoding="utf-8") as fh:
+    with open_report(outdir / "run_config.json") as fh:
         json.dump(run_config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     spec_hash = hashlib.sha256(Path(spec_path).read_bytes()).hexdigest()
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="arm-vs-arm characteristic models")
     add_common(compare)
-    compare.add_argument("--contrast", choices=_CONTRAST_NAMES, required=True)
+    compare.add_argument("--contrast", choices=tuple(CONTRASTS), required=True)
     compare.add_argument("--feature-set", choices=_COMPARE_SETS, required=True)
 
     synth_p = sub.add_parser("synth", help="generate a synthetic cohort with truth values")
@@ -404,8 +407,6 @@ def main(argv: list[str] | None = None) -> int:
             cmd_effects(cfg, outdir)
         elif args.command == "compare":
             cmd_compare(cfg, outdir, args.contrast, args.feature_set)
-        else:
-            raise ConfigError(f"unknown command {args.command}")
         _write_manifest(outdir, args.command, cfg.config_sha256, cfg.seed)
         return 0
     except PipelineError as err:

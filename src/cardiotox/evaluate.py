@@ -111,11 +111,9 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     folds = np.empty(n, dtype=np.int64)
     cursor = 0
     for cls in sorted(np.unique(labels), reverse=True):
-        idx = np.flatnonzero(labels == cls)
-        idx = rng.shuffled(idx)
-        for row in idx:
-            folds[row] = cursor % k
-            cursor += 1
+        idx = rng.shuffled(np.flatnonzero(labels == cls))
+        folds[idx] = (cursor + np.arange(len(idx))) % k
+        cursor += len(idx)
     return folds
 
 

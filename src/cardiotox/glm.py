@@ -406,7 +406,7 @@ def normalized_coefficients(model: LogisticModel, fm: FeatureMatrix) -> np.ndarr
     return model.beta * sd
 
 
-def coefficient_report_rows(model: LogisticModel, fm: FeatureMatrix) -> list[tuple]:
+def write_coefficient_report(path, model: LogisticModel, fm: FeatureMatrix) -> None:
     sd = column_std(fm)
     normalized = normalized_coefficients(model, fm)
     rows = []
@@ -423,14 +423,10 @@ def coefficient_report_rows(model: LogisticModel, fm: FeatureMatrix) -> list[tup
                 p_value,
             )
         )
-    return rows
-
-
-def write_coefficient_report(path, model: LogisticModel, fm: FeatureMatrix) -> None:
     write_csv(
         path,
         ("variable", "coefficient", "std_error", "std_dev", "normalized_coefficient", "z", "p_value"),
-        coefficient_report_rows(model, fm),
+        rows,
     )
 
 

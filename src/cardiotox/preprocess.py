@@ -53,6 +53,9 @@ _CONDITION_CATEGORIES = (
     DiagnosisCategory.HYPERLIPIDEMIA,
 )
 
+# Feature names of the condition flags, in _CONDITION_CATEGORIES order.
+CONDITION_FIELDS = tuple(category.value.lower() for category in _CONDITION_CATEGORIES)
+
 # The slot of each diagnosis flag's category: the conditions first, then the
 # outcomes in OUTCOME_NAMES order.
 _FLAG_SLOT = {
@@ -178,15 +181,15 @@ class Baselines:
     """Baseline summaries of patient rows, as columns with one entry per row.
 
     The 2-D columns are in order: ``labs`` by ``LAB_FIELDS`` (NaN where
-    missing), ``conditions`` hypertension, diabetes, hyperlipidemia,
-    ``medications`` by ``DrugClass``, ``outcomes`` by ``OUTCOME_NAMES``.
+    missing), ``conditions`` by ``CONDITION_FIELDS``, ``medications`` by
+    ``DrugClass``, ``outcomes`` by ``OUTCOME_NAMES``.
     """
 
     patient_ids: Sequence[str]
     age: np.ndarray  # float, completed years on the index date
     labs: np.ndarray  # float, rows x LAB_FIELDS
     troponin_flag: np.ndarray  # bool
-    conditions: np.ndarray  # bool, rows x 3
+    conditions: np.ndarray  # bool, rows x CONDITION_FIELDS
     medications: np.ndarray  # bool, rows x DrugClass
     treatments: Sequence[Treatment]
     outcomes: np.ndarray  # bool, rows x OUTCOME_NAMES
@@ -468,18 +471,22 @@ class FeatureMatrix:
         return FeatureMatrix(tuple(names), self.X[:, idx], self.y, self.row_ids, self.outcome)
 
 
-TREATMENT_DUMMY_COLUMNS = ("treatment_chemotherapy", "treatment_targeted")
+# The treated arms, each with its dummy column; radiation is the reference arm.
+TREATMENT_DUMMIES = {
+    Treatment.CHEMOTHERAPY: "treatment_chemotherapy",
+    Treatment.TARGETED: "treatment_targeted",
+}
+TREATMENT_DUMMY_COLUMNS = tuple(TREATMENT_DUMMIES.values())
 
 # Scalar fields usable as predictors (booleans become 0/1 columns): every
 # float or bool field of BaselineFeatures except the outcome flags.
 _SCALAR_FEATURES = frozenset(
     name for name, kind in get_type_hints(BaselineFeatures).items() if kind in (float, bool)
 ) - {name.lower() for name in OUTCOME_NAMES}
-# Every name a predictor list may hold; "treatment" is the two arm dummies.
+# Every name a predictor list may hold; "treatment" is the arm dummies.
 PREDICTOR_NAMES = _SCALAR_FEATURES | {"treatment"}
 
-# Built-in predictor lists. "treatment" expands to the two dummy columns with
-# radiation as the reference arm.
+# Built-in predictor lists. "treatment" expands to the TREATMENT_DUMMIES columns.
 FEATURE_SETS: dict[str, tuple[str, ...]] = {
     "OUTCOME_MODEL": (
         "sbp",
@@ -593,7 +600,7 @@ def build_matrix(
         raise UnknownFeatureError(outcome)
     column = dict(zip(FEATURE_COLUMNS, zip(*rows))) if rows else dict.fromkeys(FEATURE_COLUMNS, ())
     dummy = {arm: [1.0 if t is arm else 0.0 for t in column["treatment"]]
-             for arm in (Treatment.CHEMOTHERAPY, Treatment.TARGETED)}
+             for arm in TREATMENT_DUMMIES}
     labels = dummy[CONTRASTS[outcome]] if outcome in CONTRASTS else [
         1.0 if v else 0.0 for v in column[outcome.lower()]]
 

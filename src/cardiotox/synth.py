@@ -39,24 +39,23 @@ from . import evaluate
 from .cohort import DEFAULT_CODE_MAP_ROWS, DrugClass, ObservationKind, Treatment
 from .errors import InvalidSpecError, OneClassError, require_type
 from .glm import sigmoid
-from .preprocess import LAB_FIELDS, OUTCOME_NAMES, BaselineFeatures, Baselines, feature_rows
+from .preprocess import CONDITION_FIELDS, LAB_FIELDS, OUTCOME_NAMES, TREATMENT_DUMMIES
+from .preprocess import BaselineFeatures, Baselines, feature_rows
 from .rng import SplitMix64, derive_seed
 from .tableio import write_csv
 
-TREATMENT_KEYS = ("CHEMOTHERAPY", "TARGETED")
+TREATMENT_KEYS = tuple(arm.value for arm in TREATMENT_DUMMIES)
 
 AGE_MIN = 18
 AGE_MAX = 100
 MAX_N = 1_000_000  # patients one spec may ask for
 TROPONIN_OBS_VALUE = 0.05
 
-_OBSERVATION_SLOTS = LAB_FIELDS
-_CONDITION_SLOTS = ("hypertension", "diabetes", "hyperlipidemia")
 _MEDICATION_SLOTS = tuple(cls.value.lower() for cls in DrugClass)
-_BINARY_SLOTS = frozenset(("troponin",) + _CONDITION_SLOTS + _MEDICATION_SLOTS)
+_BINARY_SLOTS = frozenset(("troponin",) + CONDITION_FIELDS + _MEDICATION_SLOTS)
 
 # Canonical filler order; declared covariates are skipped.
-FILLER_SLOTS = ("age",) + _OBSERVATION_SLOTS + ("troponin",) + _CONDITION_SLOTS + _MEDICATION_SLOTS
+FILLER_SLOTS = ("age", *LAB_FIELDS, "troponin", *CONDITION_FIELDS, *_MEDICATION_SLOTS)
 
 
 @dataclass(frozen=True)
@@ -468,8 +467,8 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
         return [(slot, sc.values[slot].tolist()) for slot in slots if slot in sc.values]
 
     labs = [(ObservationKind(slot.upper()).value, values)
-            for slot, values in present(_OBSERVATION_SLOTS)]
-    troponin, conditions, drugs = map(present, (("troponin",), _CONDITION_SLOTS, _MEDICATION_SLOTS))
+            for slot, values in present(LAB_FIELDS)]
+    troponin, conditions, drugs = map(present, (("troponin",), CONDITION_FIELDS, _MEDICATION_SLOTS))
     outcomes = [(name, sc.outcomes[name].tolist()) for name in OUTCOME_NAMES]
     ages = sc.values["age"].tolist()
     patients, observations, diagnoses, medications, treatments = [], [], [], [], []
@@ -517,9 +516,9 @@ def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
     return feature_rows(Baselines(
         sc.patient_ids,
         col("age"),
-        columns(_OBSERVATION_SLOTS),
+        columns(LAB_FIELDS),
         col("troponin") != 0.0,
-        columns(_CONDITION_SLOTS) != 0.0,
+        columns(CONDITION_FIELDS) != 0.0,
         columns(_MEDICATION_SLOTS) != 0.0,
         sc.treatments,
         np.column_stack([sc.outcomes[name] for name in OUTCOME_NAMES]),
@@ -528,10 +527,6 @@ def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
 
 # ---------------------------------------------------------------------------
 # Oracles
-
-
-def _is_closed_form(coefs: dict[str, float]) -> bool:
-    return all(key in ("intercept",) + TREATMENT_KEYS for key in coefs)
 
 
 def _require_outcome(spec: SyntheticSpec, outcome: str) -> dict[str, float]:
@@ -553,24 +548,22 @@ def _mc_effect(
     coefs = _require_outcome(spec, outcome)
     b_t = coefs.get(treatment, 0.0)
     b_0 = coefs.get("intercept", 0.0)
-    if _is_closed_form(coefs):
+    rng = SplitMix64(derive_seed(spec.seed, _TRUTH_COV_TAG))
+    values = _sample_covariates(spec, rng, n_mc)
+    weights = _arm_probabilities(spec.treatment_model, values, n_mc)[Treatment(treatment)]
+    w_mean = float(np.mean(weights))
+    if estimand == "ATT" and w_mean <= 0.0:
+        return None  # ATT undefined: the arm is never assigned
+    if all(key in ("intercept",) + TREATMENT_KEYS for key in coefs):  # no covariates
         value = float(sigmoid(np.array([b_0 + b_t]))[0] - sigmoid(np.array([b_0]))[0])
         return value, 0.0
 
-    rng = SplitMix64(derive_seed(spec.seed, _TRUTH_COV_TAG))
-    values = _sample_covariates(spec, rng, n_mc)
     eta_base = _linear_predictor(coefs, values, n_mc)
     with np.errstate(over="ignore"):  # checked by _finite
         diff = sigmoid(_finite(eta_base + b_t)) - sigmoid(eta_base)
 
     if estimand == "ATE":
         return float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(n_mc))
-
-    arm = Treatment(treatment)
-    weights = _arm_probabilities(spec.treatment_model, values, n_mc)[arm]
-    w_mean = float(np.mean(weights))
-    if w_mean <= 0.0:
-        return None  # ATT undefined: the arm is never assigned
     value = float(np.mean(weights * diff) / w_mean)
     resid = weights * (diff - value) / w_mean
     return value, float(np.std(resid, ddof=1) / math.sqrt(n_mc))

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import csv
 import itertools
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .errors import ConfigError
 
 # A chunk of the 35-column feature table makes fewer new containers than the
 # collector's first threshold (700), so writing starts no collection of the rows.
@@ -42,16 +45,25 @@ def _fmt_column(cells: tuple) -> Iterable[str]:
     return map(fmt_cell, cells)
 
 
+@contextmanager
+def open_report(path: str | Path):
+    """``path`` opened to write text, its directory made; a ConfigError if it cannot be."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as err:  # a directory in its place, no permission, a full disk
+        raise ConfigError(f"cannot write '{path}': {err.strerror}") from None
+
+
 def write_csv(
     path: str | Path,
     header: Sequence[str],
     rows: Iterable[Sequence],
     footer_comments: Sequence[str] = (),
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = iter(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_report(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):

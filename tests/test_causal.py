@@ -298,6 +298,29 @@ class TestLockstepMatchesRowCopies:
                              start=start)
 
 
+def test_each_effects_call_fits_its_full_sample_model_once(monkeypatch):
+    _, feats = cohort_features(seed=4011, n=800)
+    calls = []
+    fit = glm.fit_logistic
+
+    def counted_fit(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(glm, "fit_logistic", counted_fit)
+    causal.bootstrap_effects(feats, "CHF", ("hba1c",), n_boot=100, seed=7)
+    assert len(calls) == 1
+    causal.estimate_effects(feats, "CHF", ("hba1c",))
+    assert len(calls) == 2
+    # an empty arm is found before any fit
+    only_two = [f for f in feats if f.treatment is not PTreatment.TARGETED]
+    with pytest.raises(MissingArmError):
+        causal.bootstrap_effects(only_two, "CHF", ("hba1c",), n_boot=100, seed=7)
+    with pytest.raises(MissingArmError):
+        causal.estimate_effects(only_two, "CHF", ("hba1c",))
+    assert len(calls) == 2
+
+
 def test_eliminated_replicates_match_row_copy_elimination():
     _, feats = cohort_features(seed=4016, n=600)  # hba1c has no effect: mostly dropped
     fm = causal.build_causal_matrix(feats, "CHF", ("hba1c",))

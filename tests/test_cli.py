@@ -262,6 +262,28 @@ def test_out_that_cannot_be_a_directory_exits_4(tmp_path, capsys, command, below
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("command,report", [
+    ("validate", "exclusions.csv"),
+    ("validate", "run_manifest.json"),
+    ("synth", "patients.csv"),
+])
+def test_report_that_cannot_be_written_exits_4(tmp_path, capsys, command, report):
+    # a directory where the report file goes
+    out = tmp_path / "o"
+    (out / report).mkdir(parents=True)
+    if command == "synth":
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        argv = ["synth", "--spec", str(spec_path), "--n-mc", "100"]
+    else:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(golden_config()))
+        argv = ["validate", "--config", str(cfg_path)]
+    assert cli.main([*argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[CONFIG]: cannot write '{out / report}': Is a directory"]
+
+
 def test_bad_config_exits_4(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -456,6 +478,10 @@ def inputs_without(table):
     ({"feature_sets": {"MINE": "age"}}, "feature_sets must map names to lists of feature names"),
     ({"feature_sets": {"OUTCOME_MODEL": ["treatment", "age", "nope"]}},
      "feature set 'OUTCOME_MODEL' names unknown feature 'nope'"),
+    ({"feature_sets": {"OUTCOME_MODEL": ["treatment", "age", "hba1c", "age"]}},
+     "feature set 'OUTCOME_MODEL' names 'age' twice"),
+    ({"feature_sets": {"BASELINE_HEALTH": ["treatment", "age", "treatment"]}},
+     "feature set 'BASELINE_HEALTH' names 'treatment' twice"),
     ({"antihypertensive_classes": 5}, "drug classes must be a list of names, got 5"),
     ({"antihyperlipidemia_classes": ["STATIN", "NOPE"]},
      "bad drug class: 'NOPE' is not a valid DrugClass"),
@@ -464,8 +490,9 @@ def inputs_without(table):
     ({"end_of_data": "2020-02-30"}, "bad end_of_data '2020-02-30'"),
     ({"end_of_data": None}, "bad end_of_data 'None'"),
     ({"out": 7}, "out must be a path string, got 7"),
-], ids=["type", "range", "feature_sets", "unknown_feature", "class_list_type", "class_name", "missing_table",
-        "no_inputs", "end_of_data", "end_of_data_null", "out"])
+], ids=["type", "range", "feature_sets", "unknown_feature", "feature_twice", "treatment_twice",
+        "class_list_type", "class_name", "missing_table", "no_inputs", "end_of_data",
+        "end_of_data_null", "out"])
 def test_config_fault_prints_its_whole_line(tmp_path, capsys, overrides, message):
     assert run_validate(golden_config(**overrides), tmp_path) == 4
     assert capsys.readouterr().err.splitlines() == [f"error[CONFIG]: {message}"]

@@ -244,6 +244,33 @@ class TestStratifiedKfold:
             assert max(counts) - min(counts) <= 1
 
 
+def loop_stratified_kfold(labels, k, seed):
+    """The earlier row-at-a-time fold assignment, kept as a reference."""
+    labels = np.asarray(labels)
+    rng = SplitMix64(seed)
+    folds = np.empty(len(labels), dtype=np.int64)
+    cursor = 0
+    for cls in sorted(np.unique(labels), reverse=True):
+        for row in rng.shuffled(np.flatnonzero(labels == cls)):
+            folds[row] = cursor % k
+            cursor += 1
+    return folds
+
+
+@given(
+    labels=st.lists(st.integers(0, 2), min_size=2, max_size=80),
+    k=st.integers(2, 10),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_stratified_kfold_matches_the_loop(labels, k, seed):
+    if k > len(labels):
+        return
+    folds = evaluate.stratified_kfold(labels, k, seed)
+    assert folds.dtype == np.int64
+    assert np.array_equal(folds, loop_stratified_kfold(labels, k, seed))
+
+
 def simulated_matrix(seed, n, signal=0.0, binary_outcome_feature=False):
     g = SplitMix64(seed)
     x1, x2 = g.normal(n), g.normal(n)

@@ -343,6 +343,24 @@ class TestOracles:
         # treated patients have higher hba1c, hence larger risk differences
         assert att > ate
 
+    @pytest.mark.parametrize("treatment_model", [
+        {"kind": "randomized", "p_chemo": 0.4, "p_targeted": 0.0},
+        # sigmoid(50) rounds to 1: every patient gets chemotherapy
+        {"kind": "logistic", "chemo_vs_rest": {"intercept": 50.0}},
+    ], ids=["randomized", "logistic"])
+    @pytest.mark.parametrize("chf", [
+        {"intercept": -1.0, "TARGETED": 0.5},
+        {"intercept": -1.0, "TARGETED": 0.5, "hba1c": 0.3},
+    ], ids=["closed_form", "monte_carlo"])
+    def test_att_of_an_arm_never_assigned_is_left_out(self, treatment_model, chf):
+        spec = base_spec(treatment_model=treatment_model, outcome_models={"CHF": chf})
+        rows = {(r[0], r[1], r[2]) for r in synth.truth_rows(spec, 2000)}
+        assert ("ATE", "TARGETED", "CHF") in rows
+        assert ("ATT", "TARGETED", "CHF") not in rows
+        assert ("ATT", "CHEMOTHERAPY", "CHF") in rows
+        with pytest.raises(InvalidSpecError, match="never assigns arm 'TARGETED'"):
+            synth.true_att(spec, "TARGETED", "CHF", 2000)
+
     def test_auc_half_when_outcome_independent(self):
         spec = base_spec(outcome_models={"CHF": {"intercept": -1.0}})
         assert synth.true_auc(spec, "CHF", 50_000) == pytest.approx(0.5, abs=0.02)
