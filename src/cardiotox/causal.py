@@ -13,7 +13,7 @@ fitted together, in blocks, by ``glm.fit_logistic_counts``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -312,31 +312,9 @@ def _eliminated_replicates(
 
 
 def write_effects_csv(path, estimates: list[EffectEstimate]) -> None:
-    write_csv(
-        path,
-        (
-            "treatment",
-            "outcome",
-            "estimand",
-            "point",
-            "boot_se",
-            "ci_low",
-            "ci_high",
-            "n_boot_succeeded",
-            "seed",
-        ),
-        [
-            (
-                e.treatment,
-                e.outcome,
-                e.estimand,
-                e.point,
-                e.boot_se if e.boot_se is not None else "NA",
-                e.ci_low if e.ci_low is not None else "NA",
-                e.ci_high if e.ci_high is not None else "NA",
-                e.n_boot_succeeded,
-                e.seed if e.seed is not None else "NA",
-            )
-            for e in estimates
-        ],
-    )
+    """One row per estimate, a column per field but ``n_boot_requested``; an unset value is NA."""
+    columns = [f.name for f in fields(EffectEstimate) if f.name != "n_boot_requested"]
+    write_csv(path, columns, [
+        ["NA" if value is None else value for value in (getattr(e, name) for name in columns)]
+        for e in estimates
+    ])

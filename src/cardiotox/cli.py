@@ -28,7 +28,7 @@ from .cohort import (
     load_code_map,
     load_cohort,
 )
-from .errors import ConfigError, PipelineError, require_type
+from .errors import ConfigError, PipelineError, require_known, require_type
 from .preprocess import CONTRASTS, FEATURE_SETS, OUTCOME_NAMES, PREDICTOR_NAMES, PreprocessConfig
 from .rng import derive_seed
 from .tableio import open_report
@@ -128,10 +128,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    require_known(raw, ("inputs", "end_of_data", "out", "code_map", *_RUN_FIELDS,
+                        *_PREPROCESS_FIELDS, *_CLASS_FIELDS), ConfigError)
 
     inputs = raw.get("inputs")
     if not isinstance(inputs, dict):
         raise ConfigError("config needs an 'inputs' object with the five table paths")
+    require_known(inputs, _TABLES, ConfigError, " in inputs")
     for table in _TABLES:
         if table not in inputs:
             raise ConfigError(f"inputs missing table '{table}'")
@@ -202,18 +205,21 @@ def _make_outdir(outdir: Path) -> None:
         raise ConfigError(f"cannot create output directory '{outdir}': {err}") from None
 
 
+def _write_json(path: Path, value: dict) -> None:
+    with open_report(path) as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None) -> None:
-    manifest = {
+    _write_json(outdir / "run_manifest.json", {
         "command": command,
         "config_sha256": cfg_hash,
         "seed": seed,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
-    }
-    with open_report(outdir / "run_manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _load_features(cfg: RunConfig):
@@ -317,15 +323,12 @@ def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
     _make_outdir(outdir)
     synth.write_cohort(cohort, outdir)
     synth.write_truth_csv(outdir / "truth.csv", spec, n_mc)
-    run_config = {
+    _write_json(outdir / "run_config.json", {
         "inputs": {table: f"{table}.csv" for table in _TABLES},
         "code_map": "code_map.csv",
         "end_of_data": spec.layout.end_of_data.isoformat(),
         "seed": spec.seed,
-    }
-    with open_report(outdir / "run_config.json") as fh:
-        json.dump(run_config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     spec_hash = hashlib.sha256(Path(spec_path).read_bytes()).hexdigest()
     _write_manifest(outdir, "synth", spec_hash, spec.seed)
     print(f"wrote synthetic cohort of {spec.n} patients to {outdir}")

@@ -1,10 +1,12 @@
-"""Exception types shared across the pipeline, and the JSON type check of settings.
+"""Exception types shared across the pipeline, and the JSON type and key checks of settings.
 
 Every exception carries a stable ``code`` string and an ``exit_code`` so the
 CLI can map failures onto process statuses without string matching.
 """
 
 from __future__ import annotations
+
+import difflib
 
 EXIT_INPUT = 2
 EXIT_STATISTICAL = 3
@@ -156,3 +158,12 @@ def require_type(name: str, value, kind: type, error: type[PipelineError]) -> No
     kinds = (int, float) if kind is float else (kind,)
     if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
         raise error(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
+def require_known(keys, known, error: type[PipelineError], where: str = "") -> None:
+    """Raise ``error`` on the first of ``keys`` not in ``known``, naming the closest known key."""
+    for key in keys:
+        if key not in known:
+            hint = difflib.get_close_matches(key, known, n=1)
+            raise error(f"unknown key '{key}'{where}"
+                        + (f" (did you mean '{hint[0]}'?)" if hint else ""))

@@ -407,26 +407,12 @@ def normalized_coefficients(model: LogisticModel, fm: FeatureMatrix) -> np.ndarr
 
 
 def write_coefficient_report(path, model: LogisticModel, fm: FeatureMatrix) -> None:
-    sd = column_std(fm)
-    normalized = normalized_coefficients(model, fm)
-    rows = []
-    for j, name in enumerate(model.column_names):
-        z, p_value = wald(model, j)
-        rows.append(
-            (
-                name,
-                float(model.beta[j]),
-                float(model.se[j]),
-                float(sd[j]),
-                float(normalized[j]),
-                z,
-                p_value,
-            )
-        )
+    columns = (model.column_names, model.beta.tolist(), model.se.tolist(),
+               column_std(fm).tolist(), normalized_coefficients(model, fm).tolist())
     write_csv(
         path,
         ("variable", "coefficient", "std_error", "std_dev", "normalized_coefficient", "z", "p_value"),
-        rows,
+        [(*row, *wald(model, j)) for j, row in enumerate(zip(*columns))],
     )
 
 

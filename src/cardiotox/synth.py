@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import evaluate
 from .cohort import DEFAULT_CODE_MAP_ROWS, DrugClass, ObservationKind, Treatment
-from .errors import InvalidSpecError, OneClassError, require_type
+from .errors import InvalidSpecError, OneClassError, require_known, require_type
 from .glm import sigmoid
 from .preprocess import CONDITION_FIELDS, LAB_FIELDS, OUTCOME_NAMES, TREATMENT_DUMMIES
 from .preprocess import BaselineFeatures, Baselines, feature_rows
@@ -50,6 +50,8 @@ AGE_MIN = 18
 AGE_MAX = 100
 MAX_N = 1_000_000  # patients one spec may ask for
 TROPONIN_OBS_VALUE = 0.05
+INDEX_DATE = date(2018, 6, 15)
+DATA_SPAN = timedelta(days=730)  # index date to end of data, unless a spec sets end_of_data
 
 _MEDICATION_SLOTS = tuple(cls.value.lower() for cls in DrugClass)
 _BINARY_SLOTS = frozenset(("troponin",) + CONDITION_FIELDS + _MEDICATION_SLOTS)
@@ -119,8 +121,8 @@ class TreatmentModel:
 
 @dataclass(frozen=True)
 class EventLayout:
-    index_date: date = date(2018, 6, 15)
-    end_of_data: date = date(2020, 6, 15)
+    index_date: date = INDEX_DATE
+    end_of_data: date = INDEX_DATE + DATA_SPAN
     observation_days_before: int = 30
     diagnosis_days_before: int = 60
     medication_days_after: int = 30
@@ -151,6 +153,10 @@ class SyntheticCohort:
 # Spec parsing and validation
 
 
+_SPEC_KEYS = ("n", "seed", "covariates", "treatment_model", "outcome_models", "event_layout")
+_JSON_TYPES = {kind.__name__: kind for kind in (str, float, int, bool)}
+
+
 def _typed(name: str, value, kind: type):
     """``value`` as ``kind``, or InvalidSpecError unless it has that JSON type."""
     require_type(name, value, kind, InvalidSpecError)
@@ -160,22 +166,50 @@ def _typed(name: str, value, kind: type):
         raise InvalidSpecError(f"{name} is out of range, got {value!r}") from None
 
 
+def _read(cls, raw, where: str, names: frozenset[str] = frozenset()):
+    """A ``cls`` from the JSON object ``raw``, each key of the type its field declares.
+
+    A date is an ISO string, and a coefficient map may name ``names`` and the
+    intercept. A key that names no field is refused; an absent field takes its
+    dataclass default, and a field without one is required.
+    """
+    if not isinstance(raw, dict):
+        raise InvalidSpecError(f"{where} must be an object")
+    kinds = {f.name: f.type for f in dataclass_fields(cls)}
+    require_known(raw, kinds, InvalidSpecError, f" in {where}")
+    for f in dataclass_fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidSpecError(f"{where} needs '{f.name}'")
+    values = {}
+    for key, value in raw.items():
+        if kinds[key] == "dict[str, float]":
+            values[key] = _parse_coefs(value, names, key)
+        elif kinds[key] == "date":
+            try:
+                values[key] = date.fromisoformat(_typed(f"{where}.{key}", value, str))
+            except ValueError as err:
+                raise InvalidSpecError(f"bad date in {where}: {err}") from None
+        else:
+            values[key] = _typed(f"{where}.{key}", value, _JSON_TYPES[kinds[key]])
+    return cls(**values)
+
+
 def parse_spec(raw: dict) -> SyntheticSpec:
     if not isinstance(raw, dict):
         raise InvalidSpecError("spec must be a JSON object")
+    require_known(raw, _SPEC_KEYS, InvalidSpecError)
     n = _typed("n", raw.get("n"), int)
     seed = _typed("seed", raw.get("seed"), int)
     if not 1 <= n <= MAX_N:
         raise InvalidSpecError(f"n must be in [1, {MAX_N}], got {n}")
 
-    covariates = tuple(
-        _parse_covariate(c) for c in _typed("covariates", raw.get("covariates", []), list)
-    )
+    covariates = tuple(_parse_covariate(c, f"covariates[{i}]") for i, c in enumerate(
+        _typed("covariates", raw.get("covariates", []), list)))
     names = [c.name for c in covariates]
     if len(set(names)) != len(names):
         raise InvalidSpecError("covariate names must be unique")
 
-    treatment_model = _parse_treatment_model(raw.get("treatment_model"), names)
+    treatment_model = _parse_treatment_model(raw.get("treatment_model", {}), frozenset(names))
 
     outcome_models: dict[str, dict[str, float]] = {}
     for outcome, coefs in _typed("outcome_models", raw.get("outcome_models", {}), dict).items():
@@ -211,29 +245,21 @@ def load_spec(path: str | Path) -> SyntheticSpec:
     return parse_spec(raw)
 
 
-def _parse_covariate(raw: dict) -> CovariateSpec:
-    if not isinstance(raw, dict) or "name" not in raw or "dist" not in raw:
-        raise InvalidSpecError("each covariate needs 'name' and 'dist'")
-    name = str(raw["name"])
-    dist = str(raw["dist"]).lower()
-    if name not in FILLER_SLOTS:
-        raise InvalidSpecError(f"'{name}' is not a recognized feature slot")
-    if name in _BINARY_SLOTS:
-        if dist != "bernoulli":
-            raise InvalidSpecError(f"binary slot '{name}' must use the bernoulli distribution")
-    elif dist not in ("normal", "lognormal"):
-        raise InvalidSpecError(f"continuous slot '{name}' must be normal or lognormal")
-
-    if dist == "bernoulli":
-        p = _typed(f"bernoulli p for '{name}'", raw.get("p", 0.5), float)
-        if not 0.0 <= p <= 1.0:
-            raise InvalidSpecError(f"bernoulli p for '{name}' must be in [0, 1], got {p}")
-        return CovariateSpec(name=name, dist=dist, p=p)
-    mu = _typed(f"mu for '{name}'", raw.get("mu", 0.0), float)
-    sigma = _typed(f"sigma for '{name}'", raw.get("sigma", 1.0), float)
-    if sigma < 0:
-        raise InvalidSpecError(f"sigma for '{name}' must be >= 0")
-    return CovariateSpec(name=name, dist=dist, mu=mu, sigma=sigma)
+def _parse_covariate(raw, where: str) -> CovariateSpec:
+    c = _read(CovariateSpec, raw, where)
+    c = replace(c, dist=c.dist.lower())
+    if c.name not in FILLER_SLOTS:
+        raise InvalidSpecError(f"'{c.name}' is not a recognized feature slot")
+    if c.name in _BINARY_SLOTS:
+        if c.dist != "bernoulli":
+            raise InvalidSpecError(f"binary slot '{c.name}' must use the bernoulli distribution")
+    elif c.dist not in ("normal", "lognormal"):
+        raise InvalidSpecError(f"continuous slot '{c.name}' must be normal or lognormal")
+    if not 0.0 <= c.p <= 1.0:
+        raise InvalidSpecError(f"p for '{c.name}' must be in [0, 1], got {c.p}")
+    if c.sigma < 0:
+        raise InvalidSpecError(f"sigma for '{c.name}' must be >= 0")
+    return c
 
 
 def _parse_coefs(raw, allowed: set[str], label: str) -> dict[str, float]:
@@ -247,63 +273,29 @@ def _parse_coefs(raw, allowed: set[str], label: str) -> dict[str, float]:
     return coefs
 
 
-def _parse_treatment_model(raw, covariate_names: list[str]) -> TreatmentModel:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise InvalidSpecError("treatment_model needs a 'kind'")
-    kind = str(raw["kind"]).lower()
-    if kind == "randomized":
-        p_chemo = _typed("p_chemo", raw.get("p_chemo", 0.0), float)
-        p_targeted = _typed("p_targeted", raw.get("p_targeted", 0.0), float)
-        if min(p_chemo, p_targeted) < 0 or p_chemo + p_targeted > 1.0:
-            raise InvalidSpecError("randomized arm probabilities must be >= 0 and sum <= 1")
-        return TreatmentModel(kind="randomized", p_chemo=p_chemo, p_targeted=p_targeted)
-    if kind == "logistic":
-        return TreatmentModel(
-            kind="logistic",
-            chemo_vs_rest=_parse_coefs(
-                raw.get("chemo_vs_rest", {}), set(covariate_names), "chemo_vs_rest"
-            ),
-            targeted_vs_radiation=_parse_coefs(
-                raw.get("targeted_vs_radiation", {}), set(covariate_names), "targeted_vs_radiation"
-            ),
-        )
-    raise InvalidSpecError(f"unknown treatment model kind '{kind}'")
+def _parse_treatment_model(raw, covariate_names: frozenset[str]) -> TreatmentModel:
+    model = _read(TreatmentModel, raw, "treatment_model", covariate_names)
+    model = replace(model, kind=model.kind.lower())
+    if model.kind not in ("randomized", "logistic"):
+        raise InvalidSpecError(f"unknown treatment model kind '{model.kind}'")
+    if min(model.p_chemo, model.p_targeted) < 0 or model.p_chemo + model.p_targeted > 1.0:
+        raise InvalidSpecError("p_chemo and p_targeted must be >= 0 and sum <= 1")
+    return model
 
 
-def _parse_layout(raw: dict) -> EventLayout:
-    if not isinstance(raw, dict):
-        raise InvalidSpecError("event_layout must be an object")
-    defaults = EventLayout()
-    try:
-        index = (
-            date.fromisoformat(raw["index_date"]) if "index_date" in raw else defaults.index_date
-        )
-        end = (
-            date.fromisoformat(raw["end_of_data"])
-            if "end_of_data" in raw
-            else index + timedelta(days=730)
-        )
-    except (TypeError, ValueError, OverflowError) as err:
-        raise InvalidSpecError(f"bad date in event_layout: {err}") from None
-    offsets = {  # the day offsets, every int field
-        f.name: _typed(f.name, raw.get(f.name, f.default), int)
-        for f in dataclass_fields(EventLayout)
-        if f.type == "int"
-    }
-    layout = EventLayout(
-        index_date=index,
-        end_of_data=end,
-        fill_defaults=_typed("fill_defaults", raw.get("fill_defaults", True), bool),
-        **offsets,
-    )
+def _parse_layout(raw) -> EventLayout:
+    layout = _read(EventLayout, raw, "event_layout")
+    index = layout.index_date
     if layout.observation_days_before <= 0 or layout.diagnosis_days_before <= 0:
         raise InvalidSpecError("pre-index offsets must be positive")
     if layout.medication_days_after < 0 or layout.outcome_days_after <= 0:
         raise InvalidSpecError("post-index offsets must be positive")
-    try:  # every event date and the oldest birth date must exist
+    try:  # every event date, the oldest birth date and the default end of data must exist
         index - timedelta(days=max(layout.observation_days_before, layout.diagnosis_days_before))
         index + timedelta(days=max(layout.medication_days_after, layout.outcome_days_after))
         date(index.year - AGE_MAX, 1, 1)
+        if "end_of_data" not in raw:
+            layout = replace(layout, end_of_data=index + DATA_SPAN)
     except (OverflowError, ValueError):
         raise InvalidSpecError("event_layout puts dates outside the calendar") from None
     if layout.index_date + timedelta(days=layout.outcome_days_after) > layout.end_of_data:

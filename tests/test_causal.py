@@ -20,6 +20,7 @@ from cardiotox.errors import (
 from cardiotox.preprocess import FeatureMatrix
 from cardiotox.preprocess import Treatment as PTreatment
 from cardiotox.rng import SplitMix64
+from cardiotox.tableio import write_csv
 
 
 def sigmoid(x):
@@ -559,3 +560,44 @@ def test_weighted_mean_matches_the_masked_reference(rows):
         else:  # equal on its drawn values only: the weighted mean, within rounding
             assert got[b] == means[b]
             assert abs(got[b] - expected[b]) <= 4 * np.spacing(abs(expected[b]))
+
+
+# ---------------------------------------------------------------------------
+# effects.csv against a copy of the writer that named each column by hand.
+
+
+def reference_write_effects_csv(path, estimates):
+    write_csv(
+        path,
+        ("treatment", "outcome", "estimand", "point", "boot_se", "ci_low", "ci_high",
+         "n_boot_succeeded", "seed"),
+        [
+            (
+                e.treatment,
+                e.outcome,
+                e.estimand,
+                e.point,
+                e.boot_se if e.boot_se is not None else "NA",
+                e.ci_low if e.ci_low is not None else "NA",
+                e.ci_high if e.ci_high is not None else "NA",
+                e.n_boot_succeeded,
+                e.seed if e.seed is not None else "NA",
+            )
+            for e in estimates
+        ],
+    )
+
+
+@pytest.mark.parametrize("estimator", ["bootstrap", "point"])
+def test_effects_csv_matches_the_hand_written_columns(tmp_path, estimator):
+    _, feats = cohort_features(seed=4014, n=600)
+    if estimator == "bootstrap":
+        estimates = causal.bootstrap_effects(feats, "CHF", ("hba1c",), n_boot=100, seed=5)
+    else:  # no bootstrap: the standard error, interval and seed print NA
+        estimates = causal.estimate_effects(feats, "CHF", ("hba1c",))
+        assert all(e.boot_se is e.ci_low is e.ci_high is e.seed is None for e in estimates)
+    causal.write_effects_csv(tmp_path / "effects.csv", estimates)
+    reference_write_effects_csv(tmp_path / "reference.csv", estimates)
+    written = (tmp_path / "effects.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert (b",NA," in written) == (estimator == "point")

@@ -490,9 +490,13 @@ def inputs_without(table):
     ({"end_of_data": "2020-02-30"}, "bad end_of_data '2020-02-30'"),
     ({"end_of_data": None}, "bad end_of_data 'None'"),
     ({"out": 7}, "out must be a path string, got 7"),
+    ({"alpha_sty": 0.01}, "unknown key 'alpha_sty' (did you mean 'alpha_stay'?)"),
+    ({"inputs": {**golden_config()["inputs"], "patient": "patients.csv"}},
+     "unknown key 'patient' in inputs (did you mean 'patients'?)"),
+    ({"Boot": 5}, "unknown key 'Boot'"),
 ], ids=["type", "range", "feature_sets", "unknown_feature", "feature_twice", "treatment_twice",
         "class_list_type", "class_name", "missing_table", "no_inputs", "end_of_data",
-        "end_of_data_null", "out"])
+        "end_of_data_null", "out", "unknown_key", "unknown_input", "unknown_key_no_hint"])
 def test_config_fault_prints_its_whole_line(tmp_path, capsys, overrides, message):
     assert run_validate(golden_config(**overrides), tmp_path) == 4
     assert capsys.readouterr().err.splitlines() == [f"error[CONFIG]: {message}"]

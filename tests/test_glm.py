@@ -16,6 +16,7 @@ from cardiotox.errors import (
 )
 from cardiotox.preprocess import FeatureMatrix
 from cardiotox.rng import SplitMix64
+from cardiotox.tableio import write_csv
 
 
 def matrix(X, y, names=None):
@@ -365,6 +366,57 @@ class TestNormalized:
         g = SplitMix64(42)
         m, fm = self.build(0.4, g.normal(50))
         assert glm.normalized_coefficients(m, fm)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The coefficient report against a copy of the builder that filled each row by index.
+
+REPORT_HEADER = ("variable", "coefficient", "std_error", "std_dev", "normalized_coefficient",
+                 "z", "p_value")
+
+
+def reference_coefficient_rows(model, fm):
+    sd = glm.column_std(fm)
+    normalized = glm.normalized_coefficients(model, fm)
+    rows = []
+    for j, name in enumerate(model.column_names):
+        z, p_value = glm.wald(model, j)
+        rows.append((name, float(model.beta[j]), float(model.se[j]), float(sd[j]),
+                     float(normalized[j]), z, p_value))
+    return rows
+
+
+def constant_column_model():
+    g = SplitMix64(43)
+    names = ("intercept", "constant", "v")
+    X = np.column_stack([np.ones(60), np.full(60, 7.0), g.normal(60)])
+    model = glm.LogisticModel(
+        column_names=names, beta=np.array([0.3, -1.5, -0.0]), se=np.array([0.2, 0.7, 0.05]),
+        covariance=np.eye(3), log_likelihood=0.0, iterations=1, converged=True, n=60,
+    )
+    return model, matrix(X, np.zeros(60), names)
+
+
+def fitted_model():
+    fm = simulate(44, 300, [-0.5, 0.8, 0.0])
+    return glm.fit_logistic(fm), fm
+
+
+@pytest.mark.parametrize("case", [constant_column_model, fitted_model],
+                         ids=["constant_column", "fitted"])
+def test_coefficient_report_matches_the_row_by_row_builder(tmp_path, case):
+    model, fm = case()
+    glm.write_coefficient_report(tmp_path / "report.csv", model, fm)
+    write_csv(tmp_path / "reference.csv", REPORT_HEADER, reference_coefficient_rows(model, fm))
+    assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_coefficient_report_refuses_a_matrix_of_other_columns(tmp_path):
+    model, fm = constant_column_model()
+    with pytest.raises(DimensionMismatchError):
+        glm.write_coefficient_report(tmp_path / "report.csv", model, fm.select_columns(
+            ("intercept", "v", "constant")))
+    assert not (tmp_path / "report.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,35 @@ class TestSpecValidation:
         synth.generate(spec)
         with pytest.raises(InvalidSpecError, match="overflow"):
             synth.truth_rows(spec, 100)
+
+    @pytest.mark.parametrize("path,key,line", [
+        ((), "covariate", "unknown key 'covariate' (did you mean 'covariates'?)"),
+        (("covariates", 0), "sigm",
+         "unknown key 'sigm' in covariates[0] (did you mean 'sigma'?)"),
+        (("treatment_model",), "p_chem",
+         "unknown key 'p_chem' in treatment_model (did you mean 'p_chemo'?)"),
+        (("event_layout",), "outcome_day_after",
+         "unknown key 'outcome_day_after' in event_layout (did you mean 'outcome_days_after'?)"),
+    ], ids=["top_level", "covariate", "treatment_model", "event_layout"])
+    def test_misspelled_key_exits_2(self, tmp_path, capsys, path, key, line):
+        # a key that names no setting would otherwise run with the default
+        raw = raw_spec(event_layout={})
+        target = raw
+        for step in path:
+            target = target[step]
+        target[key] = 99
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o"),
+                         "--n-mc", "100"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error[INVALID_SPEC]: {line}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_no_event_layout_gives_the_default_layout(self):
+        # end of data two years (730 days) after the index date, whichever way it is made
+        assert base_spec().layout == synth.EventLayout()
+        assert synth.EventLayout().end_of_data == date(2020, 6, 14)
 
     def test_rejects_missing_n(self):
         with pytest.raises(InvalidSpecError):
