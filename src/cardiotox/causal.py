@@ -211,9 +211,10 @@ def bootstrap_effects(
     not depend on how replicates are grouped. A replicate is fitted as
     frequency weights on the original rows (how often each patient was drawn),
     which is the fit on the resampled rows; blocks of replicates are fitted
-    together in lockstep from the full-sample optimum, and their effects are
-    count-weighted means. With elimination each replicate's column set
-    differs, so those replicates are refitted one at a time on resampled rows.
+    together in lockstep, each from its one-step estimate off the full-sample
+    optimum, and their effects are count-weighted means. With elimination each
+    replicate's column set differs, so those replicates are refitted one at a
+    time on resampled rows.
     Replicates that fail statistically are skipped and counted; more than 5%
     failures abort with the failure taxonomy.
     """
@@ -222,6 +223,7 @@ def bootstrap_effects(
     fm = build_causal_matrix(features, outcome, covariates)
     full_model, full_points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
     if eliminate_alpha is None:
+        residuals = fm.y - glm.predict_beta(full_model.beta, fm.X)
         products = glm.pairwise_products(fm.X)
 
     rng = SplitMix64(seed)
@@ -238,7 +240,8 @@ def bootstrap_effects(
             counts = np.bincount(index.ravel(), minlength=block * fm.n)
             del index
             counts = counts.reshape(block, fm.n).astype(np.float64)
-            points, codes = _weighted_replicates(fm, counts, full_model.beta, products, arms_only)
+            points, codes = _weighted_replicates(fm, counts, full_model, residuals, products,
+                                                 arms_only)
         for code in codes:
             if code is not None:
                 failures[code] = failures.get(code, 0) + 1
@@ -274,11 +277,17 @@ def bootstrap_effects(
 def _weighted_replicates(
     fm: FeatureMatrix,
     counts: np.ndarray,
-    start: np.ndarray,
+    full_model: glm.LogisticModel,
+    residuals: np.ndarray,
     products: np.ndarray,
     arms_only: bool,
 ) -> tuple[dict[tuple[str, str], np.ndarray], list[str | None]]:
-    """Effects of the successful replicates in one block, and each one's error code."""
+    """Effects of the successful replicates in one block, and each one's error code.
+
+    Fit b starts from its one-step estimate ``β̂ + Σ̂ Xᵀ(counts[b] ∘ residuals)``, one
+    Newton step from the full-sample optimum β̂ with its covariance Σ̂, where
+    ``residuals`` is y minus the probabilities at β̂ (Moulton & Zeger 1991).
+    """
     codes: list[str | None] = [None] * len(counts)
     arm_counts = np.column_stack([counts @ rows for rows in _arm_masks(fm).values()])
     for b in np.flatnonzero(np.any(arm_counts == 0.0, axis=1)):
@@ -286,6 +295,7 @@ def _weighted_replicates(
     fitted = np.array([b for b, code in enumerate(codes) if code is None], dtype=np.int64)
     if len(fitted) < len(counts):
         counts = counts[fitted]
+    start = full_model.beta + ((counts * residuals) @ fm.X) @ full_model.covariance
     betas, fit_codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
     for b, code in zip(fitted, fit_codes):
         codes[b] = code

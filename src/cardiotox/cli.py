@@ -318,6 +318,8 @@ def cmd_compare(cfg: RunConfig, outdir: Path, contrast: str, feature_set: str) -
 def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
     if n_mc < 2:  # the Monte Carlo standard errors need two draws
         raise ConfigError(f"--n-mc must be >= 2, got {n_mc}")
+    if n_mc > synth.MAX_N:
+        raise ConfigError(f"--n-mc must be <= {synth.MAX_N}, got {n_mc}")
     spec = synth.load_spec(spec_path)
     cohort = synth.generate(spec)
     _make_outdir(outdir)

@@ -138,9 +138,9 @@ def fit_logistic_counts(
     start: np.ndarray,
     products: np.ndarray,
 ) -> tuple[np.ndarray, list[str | None]]:
-    """Fit one model per row of ``counts`` in lockstep (see ``_irls``); ``products`` is
-    ``pairwise_products(X)``. Returns the coefficients, NaN rows for failed fits, and
-    each fit's error code or None."""
+    """Fit one model per row of ``counts`` in lockstep (see ``_irls``); ``start`` is one
+    row or one row per fit, ``products`` is ``pairwise_products(X)``. Returns the
+    coefficients, NaN rows for failed fits, and each fit's error code or None."""
     beta, _, _, _, failures = _irls(X, y, counts, start, products)
     return beta, [None if failure is None else failure[0].code for failure in failures]
 
@@ -155,11 +155,12 @@ def _irls(
     """Fit one model per row of ``counts``, all in lockstep on the same ``X``.
 
     ``counts[b, i]`` is how often row i enters fit b: fit b is the fit on the
-    matrix that repeats each row that often (a bootstrap replicate). Every fit
-    starts from ``start``, steps and halves on its own, and fails on the first
-    failed check: too few rows, one outcome class, a wrong ``start`` shape
-    (raised), then at each pass: iterations run out, separation on drawn rows,
-    information not positive definite or singular.
+    matrix that repeats each row that often (a bootstrap replicate). Fit b
+    starts from ``start``, one row shared by all fits or row b of one row per
+    fit, steps and halves on its own, and fails on the first failed check: too
+    few rows, one outcome class, a wrong ``start`` shape (raised), then at each
+    pass: iterations run out, separation on drawn rows, information not
+    positive definite or singular.
 
     ``products`` is ``pairwise_products(X)``, for a block's information in one
     product. A blocked fit's last checks are those of the pass whose step met
@@ -192,8 +193,9 @@ def _irls(
     if not len(fit):
         return beta_out, info_out, ll_out, steps_out, failures
     start = np.asarray(start, dtype=np.float64)
-    if start.shape != (p,):
-        raise DimensionMismatchError(f"start vector has shape {start.shape}, expected ({p},)")
+    if start.shape not in ((p,), (len(counts), p)):
+        expected = f"({p},)" if start.ndim < 2 else f"({len(counts)}, {p})"
+        raise DimensionMismatchError(f"start vector has shape {start.shape}, expected {expected}")
     C = counts if len(fit) == len(counts) else counts[fit]
     drawn = C > 0.0
     blocked = products is not None
@@ -201,7 +203,7 @@ def _irls(
         rows, cols = np.triu_indices(p)
     else:
         scaled = np.empty_like(X)
-    beta = np.repeat(start[None, :], len(fit), axis=0)
+    beta = np.broadcast_to(start, (len(counts), p))[fit]
     eta = beta @ X.T
     # expneg is exp(-|eta|) from the log-likelihood, reused by the next pass's sigmoid
     ll, expneg = _log_likelihood(eta, y, C, blocked)

@@ -48,7 +48,7 @@ TREATMENT_KEYS = tuple(arm.value for arm in TREATMENT_DUMMIES)
 
 AGE_MIN = 18
 AGE_MAX = 100
-MAX_N = 1_000_000  # patients one spec may ask for
+MAX_N = 1_000_000  # patients one spec may ask for, and Monte Carlo draws of its truth
 TROPONIN_OBS_VALUE = 0.05
 INDEX_DATE = date(2018, 6, 15)
 DATA_SPAN = timedelta(days=730)  # index date to end of data, unless a spec sets end_of_data

@@ -10,6 +10,7 @@ from cardiotox.cohort import Treatment
 from cardiotox.errors import (
     ConfigError,
     DegenerateOutcomeError,
+    DimensionMismatchError,
     MissingArmError,
     NotConvergedError,
     SeparationError,
@@ -521,6 +522,86 @@ class TestBlockedStopRule:
         del factored[:]
         model = glm.fit_logistic(fm)
         assert factored == [1] * (model.iterations + 1)
+
+
+# ---------------------------------------------------------------------------
+# Replicates start from their one-step estimate off the full-sample optimum.
+
+
+def one_step_starts(fm, full, counts):
+    """``β̂ + Σ̂ Xᵀ(c ∘ (y − p̂))`` for each row c of ``counts``, written out."""
+    residual = fm.y - glm.sigmoid(fm.X @ full.beta)
+    return np.stack([full.beta + full.covariance @ (fm.X.T @ (c * residual)) for c in counts])
+
+
+class TestOneStepStarts:
+    def test_one_start_per_fit_matches_a_shared_start(self):
+        make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES["plain"]
+        fm, start, blocks = replicate_blocks(make(), covariates, n_boot, seed)
+        products = glm.pairwise_products(fm.X)
+        counts = blocks[0].copy()
+        counts[0] = fm.y  # only events drawn: fails before any pass, so its start is unused
+        shared = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+        starts = np.repeat(start[None, :], len(counts), axis=0)
+        starts[0] = np.nan
+        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, starts, products)
+        assert codes == shared[1] and codes[0] == DegenerateOutcomeError.code
+        assert np.array_equal(betas, shared[0], equal_nan=True)
+        with pytest.raises(DimensionMismatchError, match=rf"shape \({len(counts) + 1}, 4\), "
+                           rf"expected \({len(counts)}, 4\)"):
+            glm.fit_logistic_counts(fm.X, fm.y, counts, np.vstack([starts, start]), products)
+
+    def test_bootstrap_hands_each_fit_its_one_step_start(self, monkeypatch):
+        make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES["plain"]
+        feats = make()
+        fm, _, blocks = replicate_blocks(feats, covariates, n_boot, seed)
+        full = glm.fit_logistic(fm)
+        calls, factored = [], []
+        fit_counts, factor = glm.fit_logistic_counts, glm._factor
+
+        def recorded(X, y, counts, start, products):
+            calls.append((counts, start))
+            return fit_counts(X, y, counts, start, products)
+
+        monkeypatch.setattr(glm, "fit_logistic_counts", recorded)
+        monkeypatch.setattr(glm, "_factor", lambda info: factored.append(len(info)) or factor(info))
+        one_step = causal.bootstrap_effects(feats, "CHF", covariates, n_boot=n_boot, seed=seed)
+        passes = len(factored)
+        assert len(calls) == len(blocks)
+        for (counts, start), expected_counts in zip(calls, blocks):
+            assert np.array_equal(counts, expected_counts)
+            np.testing.assert_allclose(start, one_step_starts(fm, full, counts),
+                                       rtol=0, atol=1e-12)
+
+        # the same bootstrap with every fit started at the full-sample optimum
+        monkeypatch.setattr(glm, "fit_logistic_counts", lambda X, y, counts, start, products:
+                            fit_counts(X, y, counts, full.beta, products))
+        del factored[:]
+        at_optimum = causal.bootstrap_effects(feats, "CHF", covariates, n_boot=n_boot, seed=seed)
+        assert passes < len(factored)
+        for a, b in zip(one_step, at_optimum):
+            assert (a.point, a.n_boot_succeeded) == (b.point, b.n_boot_succeeded)
+            # a CI bound is one replicate's value: the step-rule rounding noise of
+            # TestLockstepMatchesRowCopies (2.0e-9 here), which the SE averages out
+            assert abs(a.boot_se - b.boot_se) <= 1e-9
+            assert abs(a.ci_low - b.ci_low) <= 1e-8 and abs(a.ci_high - b.ci_high) <= 1e-8
+
+    @pytest.mark.parametrize("case", sorted(TestLockstepMatchesRowCopies.CASES))
+    def test_same_failures_and_optimum_as_from_the_full_sample_optimum(self, case):
+        make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES[case]
+        fm, start, blocks = replicate_blocks(make(), covariates, n_boot, seed)
+        products = glm.pairwise_products(fm.X)
+        full = glm.fit_logistic(fm)
+        for counts in blocks:
+            if not len(counts):
+                continue
+            starts = one_step_starts(fm, full, counts)
+            betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, starts, products)
+            expected_betas, expected_codes = glm.fit_logistic_counts(
+                fm.X, fm.y, counts, start, products)
+            assert codes == expected_codes
+            ok = [code is None for code in codes]
+            assert np.all(np.abs(betas[ok] - expected_betas[ok]) <= 1e-6 * full.se)
 
 
 def masked_weighted_mean(values, counts):

@@ -184,6 +184,18 @@ class TestSpecValidation:
             f"error[CONFIG]: --n-mc must be >= 2, got {n_mc}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n_mc", ["1000001", "1000000000000"])
+    def test_rejects_too_many_monte_carlo_draws(self, tmp_path, capsys, n_mc):
+        # refused before anything is written: 10**12 draws cannot even be allocated
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw_spec()))
+        code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o"),
+                         "--n-mc", n_mc])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[CONFIG]: --n-mc must be <= {synth.MAX_N}, got {n_mc}"]
+        assert not (tmp_path / "o").exists()
+
     def test_rejects_overflow_in_the_untreated_arms_truth(self):
         # no patient is assigned chemotherapy, so the cohort is well defined;
         # the truth's counterfactual linear predictor 1e308 + 1e308 is not
