@@ -32,6 +32,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from datetime import date, timedelta
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .glm import sigmoid
 from .preprocess import CONDITION_FIELDS, LAB_FIELDS, OUTCOME_NAMES, TREATMENT_DUMMIES
 from .preprocess import BaselineFeatures, Baselines, feature_rows
 from .rng import SplitMix64, derive_seed
-from .tableio import write_csv
+from .tableio import write_columns, write_csv
 
 TREATMENT_KEYS = tuple(arm.value for arm in TREATMENT_DUMMIES)
 
@@ -432,6 +433,10 @@ def generate(spec: SyntheticSpec) -> SyntheticCohort:
 # Event emission
 
 
+# Patients whose rows are built and written together; no byte depends on it.
+_PATIENT_BLOCK = 4096
+
+
 def _birth_date(index: date, age_years: int) -> date:
     try:
         return index.replace(year=index.year - age_years)
@@ -439,10 +444,35 @@ def _birth_date(index: date, age_years: int) -> date:
         return index.replace(year=index.year - age_years, day=28)
 
 
+def _blocks(ids: tuple[str, ...], slots_of) -> Iterator[list[list]]:
+    """A table's columns, a block of patients at a time, with rows by patient, then by slot.
+
+    ``slots_of(block, every)`` pairs the block positions of each slot's rows
+    (``every`` for all) with its cells: a str for every row, or an array of one
+    value per row, a float written in shortest round-trip form.
+    """
+    for start in range(0, len(ids), _PATIENT_BLOCK):
+        block = slice(start, start + _PATIENT_BLOCK)
+        block_ids = np.array(ids[block], dtype=object)
+        if not (slots := slots_of(block, np.arange(len(block_ids)))):
+            return  # a table with no slot has only its header
+        positions = np.concatenate([rows for rows, _ in slots])
+        order = np.argsort(positions, kind="stable")
+        columns = [block_ids[positions[order]].tolist()]
+        for cells in zip(*(cells for _, cells in slots)):
+            if isinstance(cells[0], str):
+                cells = [np.repeat(np.array(cells, dtype=object), [len(rows) for rows, _ in slots])]
+            column = np.concatenate(cells)[order]
+            columns.append(list(map(repr, column.tolist())) if column.dtype == np.float64
+                           else column.tolist())
+        yield columns
+
+
 def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
     """Emit the five cohort CSVs plus the default code map.
 
-    Observation values use shortest round-trip float formatting so the
+    Tables are written a block of patients at a time, so memory does not grow
+    with n. Observation values use shortest round-trip float formatting so the
     pipeline recovers the sampled values bit-exactly; analysis reports keep
     the 10-significant-digit convention.
     """
@@ -453,39 +483,35 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
     dx_date = (index - timedelta(days=layout.diagnosis_days_before)).isoformat()
     med_date = (index + timedelta(days=layout.medication_days_after)).isoformat()
     out_date = (index + timedelta(days=layout.outcome_days_after)).isoformat()
+    columns = {**sc.values, **sc.outcomes}
 
-    def present(slots: tuple[str, ...]) -> list[tuple[str, list]]:
-        """Each slot that has values, with its values as a list."""
-        return [(slot, sc.values[slot].tolist()) for slot in slots if slot in sc.values]
+    def flagged(slots: tuple[str, ...], block: slice) -> list[tuple[str, np.ndarray]]:
+        """Each slot that has values, with the block positions whose flag is set."""
+        return [(slot, np.flatnonzero(columns[slot][block] == 1.0))
+                for slot in slots if slot in columns]
 
-    labs = [(ObservationKind(slot.upper()).value, values)
-            for slot, values in present(LAB_FIELDS)]
-    troponin, conditions, drugs = map(present, (("troponin",), CONDITION_FIELDS, _MEDICATION_SLOTS))
-    outcomes = [(name, sc.outcomes[name].tolist()) for name in OUTCOME_NAMES]
-    ages = sc.values["age"].tolist()
-    patients, observations, diagnoses, medications, treatments = [], [], [], [], []
-    for i, pid in enumerate(sc.patient_ids):
-        patients.append((pid, _birth_date(index, int(ages[i])).isoformat(), "F"))
-        observations += [(pid, obs_date, kind, repr(values[i])) for kind, values in labs]
-        observations += [(pid, obs_date, "TROPONIN", repr(TROPONIN_OBS_VALUE))
-                         for _, flags in troponin if flags[i] == 1.0]
-        diagnoses += [(pid, dx_date, "ICD10", _DIAGNOSIS_CODES[slot])
-                      for slot, flags in conditions if flags[i] == 1.0]
-        diagnoses += [(pid, out_date, "ICD10", _DIAGNOSIS_CODES[name])
-                      for name, flags in outcomes if flags[i]]
-        medications += [(pid, med_date, slot.upper()) for slot, flags in drugs if flags[i] == 1.0]
-        treatments.append((pid, index.isoformat(), sc.treatments[i].value))
-
-    write_csv(outdir / "patients.csv", ("patient_id", "birth_date", "sex"), patients)
-    write_csv(outdir / "observations.csv", ("patient_id", "date", "kind", "value"), observations)
-    write_csv(outdir / "diagnoses.csv", ("patient_id", "date", "code_system", "code"), diagnoses)
-    write_csv(outdir / "medications.csv", ("patient_id", "date", "drug_class"), medications)
-    write_csv(outdir / "treatments.csv", ("patient_id", "date", "treatment"), treatments)
-    write_csv(
-        outdir / "code_map.csv",
-        ("code_system", "code_prefix", "category"),
-        DEFAULT_CODE_MAP_ROWS,
-    )
+    # ages are whole years in [AGE_MIN, AGE_MAX]
+    births = np.array([_birth_date(index, age).isoformat() for age in range(AGE_MIN, AGE_MAX + 1)])
+    for name, header, slots_of in (
+        ("patients", ("patient_id", "birth_date", "sex"), lambda block, every: [
+            (every, (births[columns["age"][block].astype(np.intp) - AGE_MIN], "F"))]),
+        ("observations", ("patient_id", "date", "kind", "value"), lambda block, every: [
+            (every, (obs_date, ObservationKind(slot.upper()).value, columns[slot][block]))
+            for slot in LAB_FIELDS if slot in columns] + [
+            (rows, (obs_date, "TROPONIN", np.full(len(rows), TROPONIN_OBS_VALUE)))
+            for _, rows in flagged(("troponin",), block)]),
+        ("diagnoses", ("patient_id", "date", "code_system", "code"), lambda block, every: [
+            (rows, (dx_date if slot in CONDITION_FIELDS else out_date, "ICD10",
+                    _DIAGNOSIS_CODES[slot]))
+            for slot, rows in flagged(CONDITION_FIELDS + OUTCOME_NAMES, block)]),
+        ("medications", ("patient_id", "date", "drug_class"), lambda block, every: [
+            (rows, (med_date, slot.upper())) for slot, rows in flagged(_MEDICATION_SLOTS, block)]),
+        ("treatments", ("patient_id", "date", "treatment"), lambda block, every: [
+            (every, (index.isoformat(), np.array([arm.value for arm in sc.treatments[block]])))]),
+    ):
+        write_columns(outdir / f"{name}.csv", header, _blocks(sc.patient_ids, slots_of))
+    write_csv(outdir / "code_map.csv", ("code_system", "code_prefix", "category"),
+              DEFAULT_CODE_MAP_ROWS)
 
 
 def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:

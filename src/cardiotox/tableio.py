@@ -4,9 +4,10 @@ All report files share one contract: comma-delimited, UTF-8, LF line endings,
 floats printed with 10 significant digits. Keeping the formatting in one place
 is what makes byte-identical reruns cheap to guarantee.
 
-Rows are written a chunk at a time, and each column of a chunk is formatted at
-once: a column of only ``str``, ``bool`` or ``float`` cells takes a shortcut to
-the text ``fmt_cell`` gives, which formats the cells of any other column.
+One writer takes rows (``write_csv``, a chunk at a time) or blocks of columns
+(``write_columns``). Each column of a block is formatted at once: a column of
+only ``str``, ``bool`` or ``float`` cells takes a shortcut to the text
+``fmt_cell`` gives, which formats the cells of any other column.
 """
 
 from __future__ import annotations
@@ -56,6 +57,20 @@ def open_report(path: str | Path):
         raise ConfigError(f"cannot write '{path}': {err.strerror}") from None
 
 
+def write_columns(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence[Sequence]],
+                  footer_comments: Sequence[str] = ()) -> None:
+    """Write ``header``, then each block's rows: a block holds one column per header name."""
+    with open_report(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for columns in blocks:
+            if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+                raise ValueError(f"{path}: a block needs {len(header)} columns of one length")
+            writer.writerows(zip(*map(_fmt_column, columns)))
+        for comment in footer_comments:
+            fh.write(f"# {comment}\n")
+
+
 def write_csv(
     path: str | Path,
     header: Sequence[str],
@@ -63,13 +78,12 @@ def write_csv(
     footer_comments: Sequence[str] = (),
 ) -> None:
     rows = iter(rows)
-    with open_report(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+
+    def chunks():
         while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
             if set(map(len, chunk)) != {len(header)}:
                 raise ValueError(f"{path}: a row's width differs from the header's "
                                  f"({len(header)} columns)")
-            writer.writerows(zip(*map(_fmt_column, zip(*chunk))))
-        for comment in footer_comments:
-            fh.write(f"# {comment}\n")
+            yield tuple(zip(*chunk))
+
+    write_columns(path, header, chunks(), footer_comments)

@@ -3,8 +3,10 @@ import copy
 import io
 import json
 import math
-from datetime import date
+import tracemalloc
+from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cardiotox import cli, cohort, preprocess, synth
 from cardiotox.errors import InvalidSpecError
+from cardiotox.tableio import write_csv
 
 
 def raw_spec(**overrides):
@@ -421,3 +424,174 @@ class TestOracles:
         assert ("ATE", "CHEMOTHERAPY", "CHF") in estimands
         assert ("ATT", "TARGETED", "CHF") in estimands
         assert ("AUC", "", "CHF") in estimands
+
+
+# ---------------------------------------------------------------------------
+# The block writer against the per-patient writer it replaced
+
+
+def reference_birth_date(index: date, age_years: int) -> date:
+    try:
+        return index.replace(year=index.year - age_years)
+    except ValueError:  # Feb 29 anchored on a non-leap birth year
+        return index.replace(year=index.year - age_years, day=28)
+
+
+# Verbatim copy of the per-patient loop that wrote the cohort tables.
+def reference_write_cohort(sc, outdir):
+    outdir = Path(outdir)
+    layout = sc.spec.layout
+    index = layout.index_date
+    obs_date = (index - timedelta(days=layout.observation_days_before)).isoformat()
+    dx_date = (index - timedelta(days=layout.diagnosis_days_before)).isoformat()
+    med_date = (index + timedelta(days=layout.medication_days_after)).isoformat()
+    out_date = (index + timedelta(days=layout.outcome_days_after)).isoformat()
+
+    def present(slots):
+        return [(slot, sc.values[slot].tolist()) for slot in slots if slot in sc.values]
+
+    labs = [(cohort.ObservationKind(slot.upper()).value, values)
+            for slot, values in present(preprocess.LAB_FIELDS)]
+    troponin, conditions, drugs = map(
+        present, (("troponin",), preprocess.CONDITION_FIELDS, synth._MEDICATION_SLOTS))
+    outcomes = [(name, sc.outcomes[name].tolist()) for name in preprocess.OUTCOME_NAMES]
+    ages = sc.values["age"].tolist()
+    patients, observations, diagnoses, medications, treatments = [], [], [], [], []
+    for i, pid in enumerate(sc.patient_ids):
+        patients.append((pid, reference_birth_date(index, int(ages[i])).isoformat(), "F"))
+        observations += [(pid, obs_date, kind, repr(values[i])) for kind, values in labs]
+        observations += [(pid, obs_date, "TROPONIN", repr(synth.TROPONIN_OBS_VALUE))
+                         for _, flags in troponin if flags[i] == 1.0]
+        diagnoses += [(pid, dx_date, "ICD10", synth._DIAGNOSIS_CODES[slot])
+                      for slot, flags in conditions if flags[i] == 1.0]
+        diagnoses += [(pid, out_date, "ICD10", synth._DIAGNOSIS_CODES[name])
+                      for name, flags in outcomes if flags[i]]
+        medications += [(pid, med_date, slot.upper()) for slot, flags in drugs if flags[i] == 1.0]
+        treatments.append((pid, index.isoformat(), sc.treatments[i].value))
+
+    write_csv(outdir / "patients.csv", ("patient_id", "birth_date", "sex"), patients)
+    write_csv(outdir / "observations.csv", ("patient_id", "date", "kind", "value"), observations)
+    write_csv(outdir / "diagnoses.csv", ("patient_id", "date", "code_system", "code"), diagnoses)
+    write_csv(outdir / "medications.csv", ("patient_id", "date", "drug_class"), medications)
+    write_csv(outdir / "treatments.csv", ("patient_id", "date", "treatment"), treatments)
+    write_csv(
+        outdir / "code_map.csv",
+        ("code_system", "code_prefix", "category"),
+        cohort.DEFAULT_CODE_MAP_ROWS,
+    )
+
+
+COHORT_TABLES = ("patients.csv", "observations.csv", "diagnoses.csv", "medications.csv",
+                 "treatments.csv", "code_map.csv")
+FOUR_OUTCOMES = {"CHF": {"intercept": -1.8}, "CAD": {"intercept": -1.6},
+                 "CM": {"intercept": -1.5}, "MI": {"intercept": -1.4}}
+HBA1C = {"name": "hba1c", "dist": "normal", "mu": 6.0, "sigma": 1.0}
+WIDE_AGE = {"name": "age", "dist": "normal", "mu": 59.0, "sigma": 40.0}  # both clamps
+
+
+def written_tables(write, sc, directory: Path) -> dict[str, bytes]:
+    write(sc, directory)
+    tables = {name: (directory / name).read_bytes() for name in COHORT_TABLES}
+    assert sorted(p.name for p in directory.iterdir()) == sorted(COHORT_TABLES)
+    return tables
+
+
+def assert_same_tables(sc, directory: Path) -> dict[str, bytes]:
+    got = written_tables(synth.write_cohort, sc, directory / "blocks")
+    assert got == written_tables(reference_write_cohort, sc, directory / "reference")
+    return got
+
+
+WRITER_SPECS = {
+    **{f"defaults_n{n}": dict(n=n, covariates=[], outcome_models=FOUR_OUTCOMES)
+       for n in (1, synth._PATIENT_BLOCK - 1, synth._PATIENT_BLOCK, synth._PATIENT_BLOCK + 1)},
+    # no medication slot: medications.csv is only its header
+    "hba1c_only": dict(n=300, covariates=[HBA1C], event_layout={"fill_defaults": False}),
+    # no observation slot: observations.csv is only its header
+    "diabetes_only": dict(n=300, covariates=[{"name": "diabetes", "dist": "bernoulli"}],
+                          event_layout={"fill_defaults": False}),
+    **{f"troponin_statin_p{p}": dict(n=300, covariates=[
+        {"name": "troponin", "dist": "bernoulli", "p": p},
+        {"name": "statin", "dist": "bernoulli", "p": p}]) for p in (0.0, 1.0)},
+    "one_outcome_model": dict(n=300, outcome_models={"MI": {"intercept": -1.0}}),
+    "randomized": dict(n=300),
+    "logistic": dict(n=300, treatment_model={
+        "kind": "logistic", "chemo_vs_rest": {"intercept": -1.0, "hba1c": 0.2},
+        "targeted_vs_radiation": {"intercept": 0.3}}),
+    # day 28 for birth years that are not leap years, ages at 18 and 100
+    "leap_day_index": dict(n=2000, covariates=[WIDE_AGE, HBA1C],
+                           event_layout={"index_date": "2020-02-29"}),
+}
+
+
+@pytest.mark.parametrize("overrides", WRITER_SPECS.values(), ids=WRITER_SPECS)
+def test_tables_equal_the_per_patient_writer(tmp_path, overrides):
+    spec = base_spec(**overrides)
+    tables = assert_same_tables(synth.generate(spec), tmp_path)
+    assert tables["patients.csv"].count(b"\n") == spec.n + 1
+
+
+def test_the_leap_day_spec_reaches_both_age_clamps_and_day_28():
+    sc = synth.generate(base_spec(**WRITER_SPECS["leap_day_index"]))
+    ages = sc.values["age"]
+    assert {18.0, 100.0} <= set(ages.tolist())
+    assert any(reference_birth_date(date(2020, 2, 29), int(a)).day == 28 for a in ages)
+
+
+def test_a_table_without_slots_is_only_its_header(tmp_path):
+    tables = assert_same_tables(synth.generate(base_spec(**WRITER_SPECS["hba1c_only"])), tmp_path)
+    assert tables["medications.csv"] == b"patient_id,date,drug_class\n"
+
+
+@st.composite
+def writer_raw_specs(draw):
+    covariates = []
+    for slot in draw(st.lists(st.sampled_from(synth.FILLER_SLOTS), unique=True, max_size=6)):
+        if slot in synth._BINARY_SLOTS:
+            p = draw(st.sampled_from([0.0, 0.3, 1.0]))
+            covariates.append({"name": slot, "dist": "bernoulli", "p": p})
+        elif draw(st.booleans()):
+            covariates.append({"name": slot, "dist": "normal", "mu": 50.0, "sigma": 40.0})
+        else:
+            covariates.append({"name": slot, "dist": "lognormal", "mu": 1.0, "sigma": 1.5})
+    outcomes = draw(st.lists(st.sampled_from(preprocess.OUTCOME_NAMES), unique=True, min_size=1))
+    return raw_spec(
+        n=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        covariates=covariates,
+        outcome_models={name: {"intercept": -0.5} for name in outcomes},
+        event_layout={"fill_defaults": draw(st.booleans()),
+                      "index_date": draw(st.sampled_from(["2018-06-15", "2020-02-29"]))},
+    )
+
+
+@given(raw=writer_raw_specs(), block=st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+@example(raw=raw_spec(n=5, covariates=[HBA1C], event_layout={"fill_defaults": False}), block=2)
+def test_any_declared_slots_write_the_per_patient_tables(tmp_path_factory, raw, block):
+    sc = synth.generate(synth.parse_spec(raw))
+    with mock.patch.object(synth, "_PATIENT_BLOCK", block):
+        assert_same_tables(sc, tmp_path_factory.mktemp("writer"))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_no_byte_depends_on_the_block_size(tmp_path, block):
+    sc = synth.generate(base_spec(n=40, covariates=[WIDE_AGE, HBA1C]))
+    expected = written_tables(synth.write_cohort, sc, tmp_path / "default")
+    with mock.patch.object(synth, "_PATIENT_BLOCK", block):
+        assert written_tables(synth.write_cohort, sc, tmp_path / "patched") == expected
+
+
+def test_write_memory_does_not_grow_with_n(tmp_path):
+    block = 256
+    peaks = {}
+    with mock.patch.object(synth, "_PATIENT_BLOCK", block):
+        for blocks in (4, 16):
+            sc = synth.generate(base_spec(n=blocks * block, covariates=[]))
+            tracemalloc.start()
+            try:
+                synth.write_cohort(sc, tmp_path / str(blocks))
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[16] <= 1.5 * peaks[4], peaks

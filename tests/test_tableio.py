@@ -1,4 +1,5 @@
-"""The column-at-a-time CSV writer against the row-at-a-time writer it replaced."""
+"""The column-at-a-time CSV writer, fed rows or blocks of columns, against the
+row-at-a-time writer it replaced."""
 
 import csv
 import math
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cardiotox import tableio
 from cardiotox.cohort import DrugClass, Treatment
-from cardiotox.tableio import write_csv
+from cardiotox.tableio import write_columns, write_csv
 
 
 # Verbatim copy of the row-at-a-time writer (fmt_float and fmt_cell are unchanged).
@@ -130,3 +131,20 @@ def test_row_of_another_width_raises(tmp_path, bad, width):
     rows[bad] = (1.0,) * width
     with pytest.raises(ValueError, match="width differs from the header"):
         write_csv(tmp_path / "t.csv", ("a", "b"), rows)
+
+
+@given(table=tables(), cuts=st.lists(st.integers(0, 12), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_column_blocks_equal_the_row_writer(scratch, table, cuts):
+    header, rows = table
+    bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    blocks = [[[row[j] for row in rows[lo:hi]] for j in range(len(header))]
+              for lo, hi in zip(bounds, bounds[1:])]
+    got = written(scratch, "new.csv", write_columns, header, blocks, ["f"])
+    assert got == written(scratch, "old.csv", reference_write_csv, header, rows, ["f"])
+
+
+@pytest.mark.parametrize("columns", [[("a",)], [("a",), ("b", "c")], [("a",), ("b",), ("c",)]])
+def test_block_of_other_columns_raises(tmp_path, columns):
+    with pytest.raises(ValueError, match="a block needs 2 columns of one length"):
+        write_columns(tmp_path / "t.csv", ("x", "y"), [columns])
