@@ -13,6 +13,7 @@ fitted together, in blocks, by ``glm.fit_logistic_counts``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,7 +69,7 @@ class EffectEstimate:
 
 
 def build_causal_matrix(
-    features: list[BaselineFeatures],
+    features: Sequence[BaselineFeatures],
     outcome: str,
     covariates: tuple[str, ...] | None = None,
 ) -> FeatureMatrix:
@@ -175,7 +176,7 @@ def _fit_and_estimate(
 
 
 def estimate_effects(
-    features: list[BaselineFeatures],
+    features: Sequence[BaselineFeatures],
     outcome: str,
     covariates: tuple[str, ...] | None = None,
     *,
@@ -195,7 +196,7 @@ def estimate_effects(
 
 
 def bootstrap_effects(
-    features: list[BaselineFeatures],
+    features: Sequence[BaselineFeatures],
     outcome: str,
     covariates: tuple[str, ...] | None = None,
     *,

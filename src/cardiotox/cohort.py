@@ -366,7 +366,7 @@ def load_code_map(path: str | Path) -> CodeMap:
     path = Path(path)
     entries: dict[CodeSystem, dict[str, DiagnosisCategory]] = {}
     first_line: dict[tuple[str, str], int] = {}
-    for lines, (systems, prefixes, categories) in _read_chunks(path, _CODE_MAP_COLUMNS):
+    for lines, (systems, prefixes, categories) in _read_chunks(path, CSV_HEADERS["code_map"]):
         system, system_check = _member(systems, CODE_SYSTEMS, "code_system")
         category, category_check = _member(categories, DIAGNOSIS_CATEGORIES, "category")
         repeated = _repeated(zip(systems, prefixes), first_line, lines)
@@ -437,7 +437,10 @@ _EVENT_TABLES = (
      _encode_member(DRUG_CLASSES, "drug_class")),
     ("treatments", ("patient_id", "date", "treatment"), _encode_member(TREATMENTS, "treatment")),
 )
-_CODE_MAP_COLUMNS = ("code_system", "code_prefix", "category")
+# The header of each cohort CSV by table name: what the loader reads and synth writes.
+CSV_HEADERS = {"patients": ("patient_id", "birth_date", "sex"),
+               **{name: header for name, header, _ in _EVENT_TABLES},
+               "code_map": ("code_system", "code_prefix", "category")}
 
 
 def load_cohort(paths: CohortPaths) -> Cohort:
@@ -477,11 +480,10 @@ def _table_chunks(path: Path, columns: Sequence[str]):
 
 def _load_patients(path: Path, day_memo: dict[str, int]):
     """Patient ids in file order, with birth day ordinals and sex codes."""
-    columns = ("patient_id", "birth_date", "sex")
     ids: list[str] = []
     first_line: dict[str, int] = {}
     days, sexes = [], []
-    for lines, (pids, births, sex_texts) in _table_chunks(path, columns):
+    for lines, (pids, births, sex_texts) in _table_chunks(path, CSV_HEADERS["patients"]):
         declared = _repeated(pids, first_line, lines)
         day, birth_check = _date(births, day_memo, "birth_date")
         sex, sex_check = _member(sex_texts, SEXES, "sex")

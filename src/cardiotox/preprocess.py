@@ -16,11 +16,14 @@ looks into follow-up and outcomes never look into baseline.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence, get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .cohort import (
     Treatment,
 )
 from .errors import EmptyCohortMeanError, UnknownFeatureError
-from .tableio import write_csv
+from .tableio import write_columns, write_csv
 
 MIN_FOLLOWUP_DAYS = 365
 ADULT_AGE = 18
@@ -92,7 +95,7 @@ _EPOCH = date(1970, 1, 1).toordinal()
 
 _CONSTANT_IMPUTE = {"hdl": 55.0, "ldl": 115.0, "hba1c": 6.0}
 
-_PART_ROWS = 4096  # rows per slice: only one slice of Python values is held in lists
+_WRITE_ROWS = 4096  # rows per block of features.csv
 
 DEFAULT_ANTIHYPERTENSIVE_CLASSES = frozenset(
     {
@@ -177,12 +180,13 @@ FEATURE_COLUMNS = list(BaselineFeatures._fields)
 
 
 @dataclass(frozen=True)
-class Baselines:
-    """Baseline summaries of patient rows, as columns with one entry per row.
+class Baselines(Sequence):
+    """The feature table: baseline summaries of patient rows, one entry per row.
 
     The 2-D columns are in order: ``labs`` by ``LAB_FIELDS`` (NaN where
-    missing), ``conditions`` by ``CONDITION_FIELDS``, ``medications`` by
-    ``DrugClass``, ``outcomes`` by ``OUTCOME_NAMES``.
+    missing until imputed), ``conditions`` by ``CONDITION_FIELDS``,
+    ``medications`` by ``DrugClass``, ``outcomes`` by ``OUTCOME_NAMES``. Its
+    rows are ``BaselineFeatures`` of Python values, made when indexed.
     """
 
     patient_ids: Sequence[str]
@@ -193,6 +197,37 @@ class Baselines:
     medications: np.ndarray  # bool, rows x DrugClass
     treatments: Sequence[Treatment]
     outcomes: np.ndarray  # bool, rows x OUTCOME_NAMES
+    imputed: Sequence[frozenset[str]] | None = None  # each row's imputed labs; None: none
+    config: PreprocessConfig = PreprocessConfig()  # classes of the aggregate medication flags
+
+    @cached_property
+    def columns(self) -> dict[str, Sequence]:
+        """Every ``FEATURE_COLUMNS`` column by name: the one place that derives the
+        abnormality and aggregate medication flags, for preprocessing and synth alike."""
+        sbp, dbp, bmi, hdl, ldl, hba1c, triglyceride = self.labs.T
+        aggregates = [(self.medications & [cls in classes for cls in DrugClass]).any(axis=1)
+                      for classes in (self.config.antihypertensive_classes,
+                                      self.config.antihyperlipidemia_classes)]
+        return dict(zip(FEATURE_COLUMNS, [
+            self.patient_ids, self.age, *self.labs.T, self.troponin_flag,
+            (sbp > 130.0) | (dbp > 80.0), (ldl > 130.0) | (hdl < 50.0) | (triglyceride > 150.0),
+            *self.conditions.T, *self.medications.T, *aggregates, self.treatments,
+            *self.outcomes.T, [frozenset()] * len(self) if self.imputed is None else self.imputed,
+        ]))
+
+    def __len__(self) -> int:
+        return len(self.patient_ids)
+
+    def __getitem__(self, i: int) -> BaselineFeatures:
+        i = operator.index(i)  # a row number: a slice is a TypeError
+        cells = (column[i] for column in self.columns.values())
+        return BaselineFeatures._make(c.item() if isinstance(c, np.generic) else c for c in cells)
+
+
+def _columns(features: Sequence[BaselineFeatures]) -> dict[str, Sequence]:
+    """The feature table's columns by name; a list of rows is transposed once (none: empty)."""
+    return features.columns if isinstance(features, Baselines) else (
+        dict(zip(FEATURE_COLUMNS, zip(*features))) or dict.fromkeys(FEATURE_COLUMNS, ()))
 
 
 def index_days(cohort: Cohort) -> np.ndarray:
@@ -356,10 +391,8 @@ def _latest_means(m: int, at: np.ndarray, obs: EventTable, before: np.ndarray) -
     return means
 
 
-def impute(
-    baselines: Baselines, config: PreprocessConfig = PreprocessConfig()
-) -> list[BaselineFeatures]:
-    """Fill the missing labs, then derive the feature rows from the filled values.
+def impute(baselines: Baselines, config: PreprocessConfig = PreprocessConfig()) -> Baselines:
+    """The feature table: the missing labs filled, with each row's imputed fields.
 
     Triglyceride, BMI, DBP and SBP fall back to the mean of their observed
     values, summed left to right in row order as ``sum()`` does; HDL, LDL and
@@ -384,43 +417,7 @@ def impute(
     codes = missing.dot(1 << np.arange(len(LAB_FIELDS))).tolist()
     sets = {code: frozenset(name for j, name in enumerate(LAB_FIELDS) if code >> j & 1)
             for code in set(codes)}
-    return feature_rows(replace(baselines, labs=labs), config, [sets[code] for code in codes])
-
-
-def feature_rows(
-    baselines: Baselines,
-    config: PreprocessConfig = PreprocessConfig(),
-    imputed: Sequence[frozenset[str]] | None = None,
-) -> list[BaselineFeatures]:
-    """One feature row per baseline whose labs are all present.
-
-    The one place that derives the abnormality flags and the aggregate
-    medication flags, on whole columns, for preprocessing and synthetic
-    cohorts alike. ``imputed`` holds each row's imputed fields (none by
-    default). Rows are tuples of Python values zipped from ``_PART_ROWS``-row
-    slices of the columns in ``BaselineFeatures`` order, taken whole by
-    ``_make`` (cheaper than filling a row from arguments).
-    """
-    b = baselines
-    n = len(b.patient_ids)
-    sbp, dbp, bmi, hdl, ldl, hba1c, triglyceride = b.labs.T
-
-    def any_of(classes: frozenset[DrugClass]) -> np.ndarray:
-        return (b.medications & [cls in classes for cls in DrugClass]).any(axis=1)
-
-    columns = [
-        b.patient_ids, b.age, *b.labs.T, b.troponin_flag,
-        (sbp > 130.0) | (dbp > 80.0), (ldl > 130.0) | (hdl < 50.0) | (triglyceride > 150.0),
-        *b.conditions.T, *b.medications.T, any_of(config.antihypertensive_classes),
-        any_of(config.antihyperlipidemia_classes), b.treatments, *b.outcomes.T,
-        [frozenset()] * n if imputed is None else imputed,
-    ]
-    rows: list[BaselineFeatures] = []
-    for start in range(0, n, _PART_ROWS):
-        part = (c[start:start + _PART_ROWS] for c in columns)
-        rows += map(BaselineFeatures._make, zip(*(
-            c.tolist() if isinstance(c, np.ndarray) else c for c in part)))
-    return rows
+    return replace(baselines, labs=labs, imputed=[sets[code] for code in codes], config=config)
 
 
 def compute_features(
@@ -428,10 +425,10 @@ def compute_features(
     code_map: CodeMap,
     end_of_data: date,
     config: PreprocessConfig = PreprocessConfig(),
-) -> tuple[list[BaselineFeatures], EligibilityReport]:
+) -> tuple[Baselines, EligibilityReport]:
     """Full preprocessing pass: eligibility, summarization, imputation.
 
-    Feature rows are in patient_id order.
+    The feature table's rows are in patient_id order.
     """
     report = apply_eligibility(cohort, code_map, end_of_data)
     row_of = dict(zip(cohort.patient_ids, range(len(cohort))))
@@ -576,7 +573,7 @@ def resolve_feature_set(feature_set: str | tuple[str, ...] | list[str]) -> tuple
 
 
 def build_matrix(
-    features: list[BaselineFeatures],
+    features: Sequence[BaselineFeatures],
     feature_set: str | tuple[str, ...] | list[str],
     outcome: str,
 ) -> FeatureMatrix:
@@ -585,40 +582,38 @@ def build_matrix(
     ``outcome`` is a cardiac outcome name (CHF/CAD/CM/MI) or a treatment
     contrast (CHEMO_VS_RADIATION / TARGETED_VS_RADIATION). Contrast matrices
     are restricted to the two compared arms with radiation labeled 0. Rows are
-    in patient_id order regardless of input order; an intercept column is
-    always prepended.
+    in patient_id order whatever the order of the table or list of rows given;
+    an intercept column is always prepended.
     """
     names = resolve_feature_set(feature_set)
     for name in names:
         if name not in PREDICTOR_NAMES:
             raise UnknownFeatureError(name)
 
-    rows = sorted(features, key=lambda f: f.patient_id)
+    column = _columns(features)
+    ids = column["patient_id"]
+    rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
+    treatment = np.asarray(column["treatment"], dtype=object)[rows]
     if outcome in CONTRASTS:
-        rows = [f for f in rows if f.treatment in (CONTRASTS[outcome], Treatment.RADIATION)]
+        arm = (treatment == CONTRASTS[outcome]) | (treatment == Treatment.RADIATION)
+        rows, treatment = rows[arm], treatment[arm]
     elif outcome not in OUTCOME_NAMES:
         raise UnknownFeatureError(outcome)
-    column = dict(zip(FEATURE_COLUMNS, zip(*rows))) if rows else dict.fromkeys(FEATURE_COLUMNS, ())
-    dummy = {arm: [1.0 if t is arm else 0.0 for t in column["treatment"]]
-             for arm in TREATMENT_DUMMIES}
-    labels = dummy[CONTRASTS[outcome]] if outcome in CONTRASTS else [
-        1.0 if v else 0.0 for v in column[outcome.lower()]]
+    dummy = {name: (treatment == arm).astype(np.float64) for arm, name in TREATMENT_DUMMIES.items()}
 
-    columns: list[str] = ["intercept"]
-    values: list[Sequence[float]] = [(1.0,) * len(rows)]
+    columns = ["intercept"]
     for name in names:
-        if name == "treatment":
-            columns.extend(TREATMENT_DUMMY_COLUMNS)
-            values.extend(dummy.values())
-        else:
-            columns.append(name)
-            values.append(column[name])
+        columns.extend(TREATMENT_DUMMY_COLUMNS if name == "treatment" else [name])
+    X = np.ones((len(rows), len(columns)))
+    for j, name in enumerate(columns[1:], 1):  # one column's copy at a time
+        X[:, j] = dummy[name] if name in dummy else np.asarray(column[name], np.float64)[rows]
 
     return FeatureMatrix(
         column_names=tuple(columns),
-        X=np.ascontiguousarray(np.array(values, dtype=np.float64).T),
-        y=np.asarray(labels, dtype=np.float64),
-        row_ids=column["patient_id"],
+        X=X,
+        y=dummy[TREATMENT_DUMMIES[CONTRASTS[outcome]]] if outcome in CONTRASTS else np.asarray(
+            column[outcome.lower()], np.float64)[rows],
+        row_ids=tuple(map(ids.__getitem__, rows.tolist())),
         outcome=outcome,
     )
 
@@ -627,14 +622,14 @@ def build_matrix(
 # Report emission
 
 
-def write_features_csv(path: str | Path, features: list[BaselineFeatures]) -> None:
-    treatment = FEATURE_COLUMNS.index("treatment")  # imputed is the last field
-
-    def cells(f: BaselineFeatures) -> tuple:
-        return f[:treatment] + (f.treatment.value,) + f[treatment + 1:-1] + (
-            ";".join(sorted(f.imputed)),)
-
-    write_csv(path, FEATURE_COLUMNS, map(cells, features))
+def write_features_csv(path: str | Path, features: Sequence[BaselineFeatures]) -> None:
+    """The feature table (or a list of its rows), written by columns."""
+    column = dict(_columns(features))
+    column["treatment"] = [t.value for t in column["treatment"]]
+    column["imputed"] = [";".join(sorted(fields)) for fields in column["imputed"]]
+    write_columns(path, FEATURE_COLUMNS, (
+        [c[start:start + _WRITE_ROWS] for c in column.values()]
+        for start in range(0, len(column["patient_id"]), _WRITE_ROWS)))
 
 
 def write_exclusions_csv(path: str | Path, report: EligibilityReport) -> None:

@@ -37,11 +37,11 @@ from typing import Iterator
 import numpy as np
 
 from . import evaluate
-from .cohort import DEFAULT_CODE_MAP_ROWS, DrugClass, ObservationKind, Treatment
+from .cohort import CSV_HEADERS, DEFAULT_CODE_MAP_ROWS, DrugClass, ObservationKind, Treatment
 from .errors import InvalidSpecError, OneClassError, require_known, require_type
 from .glm import sigmoid
 from .preprocess import CONDITION_FIELDS, LAB_FIELDS, OUTCOME_NAMES, TREATMENT_DUMMIES
-from .preprocess import BaselineFeatures, Baselines, feature_rows
+from .preprocess import Baselines
 from .rng import SplitMix64, derive_seed
 from .tableio import write_columns, write_csv
 
@@ -356,23 +356,25 @@ def _finite(eta: np.ndarray) -> np.ndarray:
     return eta
 
 
+def _assignment_probabilities(model: TreatmentModel, values: dict[str, np.ndarray], n: int):
+    """Per draw of a logistic model: P(chemotherapy), and P(targeted) among the rest."""
+    return (sigmoid(_linear_predictor(model.chemo_vs_rest, values, n)),
+            sigmoid(_linear_predictor(model.targeted_vs_radiation, values, n)))
+
+
 def _sample_treatments(
     model: TreatmentModel, values: dict[str, np.ndarray], rng: SplitMix64, n: int
 ) -> np.ndarray:
-    arms = np.empty(n, dtype=object)
     if model.kind == "randomized":
         u = rng.uniform(n)
-        arms[:] = Treatment.RADIATION
-        arms[u < model.p_chemo + model.p_targeted] = Treatment.TARGETED
-        arms[u < model.p_chemo] = Treatment.CHEMOTHERAPY
-        return arms
-    p_chemo = sigmoid(_linear_predictor(model.chemo_vs_rest, values, n))
-    p_targeted = sigmoid(_linear_predictor(model.targeted_vs_radiation, values, n))
-    u1 = rng.uniform(n)
-    u2 = rng.uniform(n)
-    arms[:] = Treatment.RADIATION
-    arms[(u1 >= p_chemo) & (u2 < p_targeted)] = Treatment.TARGETED
-    arms[u1 < p_chemo] = Treatment.CHEMOTHERAPY
+        chemo, targeted = u < model.p_chemo, u < model.p_chemo + model.p_targeted
+    else:
+        p_chemo, p_targeted = _assignment_probabilities(model, values, n)
+        u1, u2 = rng.uniform(n), rng.uniform(n)
+        chemo, targeted = u1 < p_chemo, (u1 >= p_chemo) & (u2 < p_targeted)
+    arms = np.full(n, Treatment.RADIATION, dtype=object)
+    arms[targeted] = Treatment.TARGETED
+    arms[chemo] = Treatment.CHEMOTHERAPY
     return arms
 
 
@@ -385,8 +387,7 @@ def _arm_probabilities(
             Treatment.TARGETED: np.full(n, model.p_targeted),
             Treatment.RADIATION: np.full(n, 1.0 - model.p_chemo - model.p_targeted),
         }
-    p_chemo = sigmoid(_linear_predictor(model.chemo_vs_rest, values, n))
-    p_targ_given_rest = sigmoid(_linear_predictor(model.targeted_vs_radiation, values, n))
+    p_chemo, p_targ_given_rest = _assignment_probabilities(model, values, n)
     p_targeted = (1.0 - p_chemo) * p_targ_given_rest
     return {
         Treatment.CHEMOTHERAPY: p_chemo,
@@ -492,35 +493,34 @@ def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
 
     # ages are whole years in [AGE_MIN, AGE_MAX]
     births = np.array([_birth_date(index, age).isoformat() for age in range(AGE_MIN, AGE_MAX + 1)])
-    for name, header, slots_of in (
-        ("patients", ("patient_id", "birth_date", "sex"), lambda block, every: [
+    for name, slots_of in (
+        ("patients", lambda block, every: [
             (every, (births[columns["age"][block].astype(np.intp) - AGE_MIN], "F"))]),
-        ("observations", ("patient_id", "date", "kind", "value"), lambda block, every: [
+        ("observations", lambda block, every: [
             (every, (obs_date, ObservationKind(slot.upper()).value, columns[slot][block]))
             for slot in LAB_FIELDS if slot in columns] + [
             (rows, (obs_date, "TROPONIN", np.full(len(rows), TROPONIN_OBS_VALUE)))
             for _, rows in flagged(("troponin",), block)]),
-        ("diagnoses", ("patient_id", "date", "code_system", "code"), lambda block, every: [
+        ("diagnoses", lambda block, every: [
             (rows, (dx_date if slot in CONDITION_FIELDS else out_date, "ICD10",
                     _DIAGNOSIS_CODES[slot]))
             for slot, rows in flagged(CONDITION_FIELDS + OUTCOME_NAMES, block)]),
-        ("medications", ("patient_id", "date", "drug_class"), lambda block, every: [
+        ("medications", lambda block, every: [
             (rows, (med_date, slot.upper())) for slot, rows in flagged(_MEDICATION_SLOTS, block)]),
-        ("treatments", ("patient_id", "date", "treatment"), lambda block, every: [
+        ("treatments", lambda block, every: [
             (every, (index.isoformat(), np.array([arm.value for arm in sc.treatments[block]])))]),
     ):
-        write_columns(outdir / f"{name}.csv", header, _blocks(sc.patient_ids, slots_of))
-    write_csv(outdir / "code_map.csv", ("code_system", "code_prefix", "category"),
-              DEFAULT_CODE_MAP_ROWS)
+        write_columns(outdir / f"{name}.csv", CSV_HEADERS[name], _blocks(sc.patient_ids, slots_of))
+    write_csv(outdir / "code_map.csv", CSV_HEADERS["code_map"], DEFAULT_CODE_MAP_ROWS)
 
 
-def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
-    """Baseline feature rows straight from the sampled values.
+def to_features(sc: SyntheticCohort) -> Baselines:
+    """The feature table straight from the sampled values.
 
     Bypasses file emission for simulation loops; must stay exactly equivalent
     to generate -> write_cohort -> load_cohort -> compute_features, which the
-    test suite asserts. Features are derived by ``preprocess.feature_rows``,
-    as in preprocessing. Requires a fully filled cohort.
+    test suite asserts. The derived flags come from ``Baselines.columns``, as
+    in preprocessing. Requires a fully filled cohort.
     """
 
     def col(name: str) -> np.ndarray:
@@ -531,7 +531,7 @@ def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
     def columns(names: tuple[str, ...]) -> np.ndarray:
         return np.column_stack([col(name) for name in names])
 
-    return feature_rows(Baselines(
+    return Baselines(
         sc.patient_ids,
         col("age"),
         columns(LAB_FIELDS),
@@ -540,7 +540,7 @@ def to_features(sc: SyntheticCohort) -> list[BaselineFeatures]:
         columns(_MEDICATION_SLOTS) != 0.0,
         sc.treatments,
         np.column_stack([sc.outcomes[name] for name in OUTCOME_NAMES]),
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------

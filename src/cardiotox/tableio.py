@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError
 
-# A chunk of the 35-column feature table makes fewer new containers than the
-# collector's first threshold (700), so writing starts no collection of the rows.
+# A chunk of a report's rows makes fewer new containers than the collector's
+# first threshold (700), so writing starts no collection of the rows.
 _CHUNK_ROWS = 512
 
 
@@ -34,8 +34,9 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
-def _fmt_column(cells: tuple) -> Iterable[str]:
+def _fmt_column(cells: Sequence) -> Iterable[str]:
     """``fmt_cell`` of each cell, with one rule for a column of one exact type."""
+    cells = cells.tolist() if hasattr(cells, "tolist") else cells  # an array's Python values
     types = set(map(type, cells))
     if types == {str}:
         return cells

@@ -345,3 +345,21 @@ def test_load_and_features_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert len(features) == MEMORY_SPEC["n"]
     assert peak < MEMORY_BOUND_BYTES, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_design_matrix_memory_is_bounded_by_the_matrix(tmp_path):
+    # room for X and one column's copy at a time, not for the feature rows
+    # zipped back into columns (about 3.5 times X on this cohort)
+    spec = synth.parse_spec(MEMORY_SPEC)
+    synth.write_cohort(synth.generate(spec), tmp_path)
+    code_map = cohort_module.load_code_map(tmp_path / "code_map.csv")
+    loaded = load_cohort(CohortPaths.in_dir(tmp_path))
+    features, _ = preprocess.compute_features(loaded, code_map, spec.layout.end_of_data)
+    tracemalloc.start()  # counts only what is allocated from here on
+    try:
+        fm = preprocess.build_matrix(features, "OUTCOME_MODEL", "CHF")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fm.n == MEMORY_SPEC["n"]
+    assert peak < 2 * fm.X.nbytes, f"peak {peak / 2**20:.1f} MiB, X {fm.X.nbytes / 2**20:.1f} MiB"

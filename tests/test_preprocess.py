@@ -49,7 +49,6 @@ from cardiotox.preprocess import (
     apply_eligibility,
     build_matrix,
     compute_features,
-    feature_rows,
     impute,
     index_days,
     resolve_feature_set,
@@ -410,7 +409,7 @@ class TestImpute:
 
 class TestBaselineFeatures:
     def test_every_field_lands_under_its_name(self):
-        # feature_rows fills BaselineFeatures by position; distinct values, and
+        # Baselines.columns fills BaselineFeatures by position; distinct values, and
         # one flag set at a time, show that each reaches the field of its name
         labs = (131.0, 79.0, 27.5, 51.0, 129.5, 6.1, 149.0)  # only BP abnormal
         flags = {
@@ -428,7 +427,7 @@ class TestBaselineFeatures:
                               **dict(zip(flags["conditions"], args["conditions"])),
                               medications=args["medications"], treatment=Treatment.TARGETED,
                               outcomes=args["outcomes"])
-            return feature_rows(baselines_of(row), imputed=[frozenset({"hdl"})])[0]
+            return replace(baselines_of(row), imputed=[frozenset({"hdl"})])[0]
 
         bf = build()
         assert (bf.patient_id, bf.age, bf.treatment, bf.imputed) == (
@@ -599,8 +598,13 @@ MATRIX_SPEC = {
 
 
 @pytest.fixture(scope="module")
-def matrix_features():
-    feats = synth.to_features(synth.generate(synth.parse_spec(MATRIX_SPEC)))
+def matrix_table():
+    return synth.to_features(synth.generate(synth.parse_spec(MATRIX_SPEC)))
+
+
+@pytest.fixture(scope="module")
+def matrix_features(matrix_table):
+    feats = list(matrix_table)
     # a few rows whose cells are not the Python float or bool of a computed row
     odd = [feats[0]._replace(patient_id="S000000a", age=44, sbp=np.float64(-0.0)),
            feats[1]._replace(patient_id="S000000b", diabetes=np.bool_(True), hdl=1e308)]
@@ -620,11 +624,13 @@ def assert_same_matrix(got, want):
 @pytest.mark.parametrize("feature_set", [*FEATURE_SETS, ("treatment", "age", "diabetes", "hdl"),
                                          ("sbp",), ()])
 @pytest.mark.parametrize("outcome", [*OUTCOME_NAMES, *CONTRASTS])
-@pytest.mark.parametrize("order", ["sorted", "reversed"])
-def test_build_matrix_equals_the_getattr_builder(matrix_features, feature_set, outcome, order):
-    feats = matrix_features if order == "sorted" else matrix_features[::-1]
+@pytest.mark.parametrize("order", ["sorted", "reversed", "table"])
+def test_build_matrix_equals_the_getattr_builder(matrix_features, matrix_table, feature_set,
+                                                 outcome, order):
+    feats = {"sorted": matrix_features, "reversed": matrix_features[::-1],
+             "table": matrix_table}[order]
     assert_same_matrix(build_matrix(feats, feature_set, outcome),
-                       reference_build_matrix(feats, feature_set, outcome))
+                       reference_build_matrix(list(feats), feature_set, outcome))
 
 
 @pytest.mark.parametrize("arms,outcome", [((), "CHF"), ((), "CHEMO_VS_RADIATION"),
@@ -659,10 +665,34 @@ def test_features_csv_equals_the_attribute_writer(matrix_features, tmp_path):
     assert (tmp_path / "features.csv").read_text() == "\n".join(lines) + "\n"
 
 
-def test_feature_rows_do_not_depend_on_the_part_size(matrix_features):
-    cohort = synth.generate(synth.parse_spec(MATRIX_SPEC))
-    with mock.patch.object(preprocess, "_PART_ROWS", 7):
-        assert synth.to_features(cohort) == matrix_features[:-2]
+def test_features_csv_does_not_depend_on_the_block_size(matrix_table, tmp_path):
+    write_features_csv(tmp_path / "default.csv", matrix_table)
+    with mock.patch.object(preprocess, "_WRITE_ROWS", 7):
+        write_features_csv(tmp_path / "seven.csv", matrix_table)
+    assert (tmp_path / "seven.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_the_table_and_its_rows_give_the_same_outputs(tmp_path):
+    # imputed fields and a config other than the default, and rows out of order
+    spec = {**MATRIX_SPEC, "covariates": MATRIX_SPEC["covariates"] + [
+        {"name": "statin", "dist": "bernoulli", "p": 0.4}]}
+    table = synth.to_features(synth.generate(synth.parse_spec(spec)))
+    table = replace(table, imputed=[frozenset(LAB_FIELDS[:i % 4]) for i in range(len(table))],
+                    config=PreprocessConfig(antihyperlipidemia_classes=frozenset()))
+    table = replace(table, **{name: getattr(table, name)[::-1] for name in (
+        "age", "labs", "troponin_flag", "conditions", "medications", "treatments", "outcomes")},
+        patient_ids=table.patient_ids[::-1], imputed=table.imputed[::-1])
+    rows = list(table)
+    assert table[-1] == rows[-1] and table[np.int64(2)] == rows[2]
+    with pytest.raises(TypeError):
+        table[1:3]
+    for outcome in (*OUTCOME_NAMES, *CONTRASTS):
+        for feature_set in FEATURE_SETS:
+            assert_same_matrix(build_matrix(table, feature_set, outcome),
+                               build_matrix(rows, feature_set, outcome))
+    write_features_csv(tmp_path / "table.csv", table)
+    write_features_csv(tmp_path / "rows.csv", rows)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestBaselineFeaturesContract:

@@ -106,7 +106,7 @@ class TestGenerate:
             patients, cmap, spec.layout.end_of_data
         )
         assert report.excluded == ()
-        assert sorted(direct, key=lambda f: f.patient_id) == via_files
+        assert sorted(direct, key=lambda f: f.patient_id) == list(via_files)
 
     def test_age_is_whole_years_in_bounds(self):
         spec = base_spec(
