@@ -179,7 +179,7 @@ class BaselineFeatures(NamedTuple):
 FEATURE_COLUMNS = list(BaselineFeatures._fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity, and a table hashes
 class Baselines(Sequence):
     """The feature table: baseline summaries of patient rows, one entry per row.
 

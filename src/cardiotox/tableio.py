@@ -7,12 +7,13 @@ is what makes byte-identical reruns cheap to guarantee.
 One writer takes rows (``write_csv``, a chunk at a time) or blocks of columns
 (``write_columns``). Each column of a block is formatted at once: a column of
 only ``str``, ``bool`` or ``float`` cells takes a shortcut to the text
-``fmt_cell`` gives, which formats the cells of any other column.
+``fmt_cell`` gives, which formats the cells of any other column. Then one RFC
+4180 rule, not the ``csv`` module's, quotes each column (a carriage return on
+any Python version), and the block's rows are joined from its columns.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,6 +24,8 @@ from .errors import ConfigError
 # A chunk of a report's rows makes fewer new containers than the collector's
 # first threshold (700), so writing starts no collection of the rows.
 _CHUNK_ROWS = 512
+
+_QUOTED = ',"\n\r'  # a cell holding one of these is quoted
 
 
 def fmt_cell(value) -> str:
@@ -47,6 +50,17 @@ def _fmt_column(cells: Sequence) -> Iterable[str]:
     return map(fmt_cell, cells)
 
 
+def _quote_column(cells: Iterable[str], lone: bool) -> list[str]:
+    """The cells as RFC 4180 fields: quoted, each ``"`` doubled, when one holds ``_QUOTED``;
+    an empty cell of a table's ``lone`` column as ``""``, so that its row is not blank."""
+    cells = list(cells)
+    joined = "\0".join(cells)  # searched once: cells are checked only if it holds one
+    if any(ch in joined for ch in _QUOTED):
+        cells = ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in _QUOTED) else c
+                 for c in cells]
+    return [c or '""' for c in cells] if lone and "" in cells else cells
+
+
 @contextmanager
 def open_report(path: str | Path):
     """``path`` opened to write text, its directory made; a ConfigError if it cannot be."""
@@ -62,12 +76,13 @@ def write_columns(path: str | Path, header: Sequence[str], blocks: Iterable[Sequ
                   footer_comments: Sequence[str] = ()) -> None:
     """Write ``header``, then each block's rows: a block holds one column per header name."""
     with open_report(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for columns in blocks:
-            if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        for columns in itertools.chain([[[name] for name in header]], blocks):
+            lengths = set(map(len, columns))
+            if len(columns) != len(header) or len(lengths) > 1:
                 raise ValueError(f"{path}: a block needs {len(header)} columns of one length")
-            writer.writerows(zip(*map(_fmt_column, columns)))
+            if lengths != {0}:  # a block of no rows writes nothing
+                fields = (_quote_column(_fmt_column(c), len(header) == 1) for c in columns)
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
         for comment in footer_comments:
             fh.write(f"# {comment}\n")
 

@@ -667,3 +667,17 @@ def test_error_quoting_a_line_break_stays_on_one_line(tmp_path):
     assert code == 2
     assert err == [f"error[MALFORMED_ROW]: {tmp_path / 'patients.csv'}:2 column 'birth_date': "
                    "invalid ISO date '1970-01-01\\n'"]
+
+
+def test_id_holding_a_carriage_return_reads_back_as_one_row(tmp_path):
+    # a quoted "\r" in an id is one cell; a writer that left it bare would split its row
+    for name in (*TABLES, "code_map"):
+        (tmp_path / f"{name}.csv").write_bytes((GOLDEN / f"{name}.csv").read_bytes())
+    with open(tmp_path / "patients.csv", "a", encoding="utf-8", newline="") as fh:
+        fh.write('"X\rY",1960-01-01,F\n')  # no treatment, so it is excluded
+    config = dict(golden_config(), inputs={name: str(tmp_path / f"{name}.csv") for name in TABLES})
+    assert run_validate(config, tmp_path) == 0
+    with open(tmp_path / "o" / "exclusions.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["patient_id", "reason"] and len(rows) == 9, rows
+    assert rows[-1] == ["X\rY", "NO_TREATMENT"]

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from types import SimpleNamespace
@@ -670,6 +671,32 @@ def test_features_csv_does_not_depend_on_the_block_size(matrix_table, tmp_path):
     with mock.patch.object(preprocess, "_WRITE_ROWS", 7):
         write_features_csv(tmp_path / "seven.csv", matrix_table)
     assert (tmp_path / "seven.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_features_csv_memory_does_not_grow_with_n(tmp_path):
+    # the writer holds one block's text at a time, not the whole file's
+    block = 256
+    peaks = {}
+    with mock.patch.object(preprocess, "_WRITE_ROWS", block):
+        for blocks in (4, 16):
+            table = synth.to_features(synth.generate(synth.parse_spec(
+                {**MATRIX_SPEC, "n": blocks * block})))
+            tracemalloc.start()
+            try:
+                write_features_csv(tmp_path / f"{blocks}.csv", table)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[16] <= 1.5 * peaks[4], peaks
+
+
+def test_feature_tables_compare_by_identity_and_hash(matrix_table):
+    # a field-wise == would compare arrays, whose truth value is ambiguous
+    again = synth.to_features(synth.generate(synth.parse_spec(MATRIX_SPEC)))
+    assert matrix_table == matrix_table and matrix_table != again
+    assert len({matrix_table, again, matrix_table}) == 2
+    assert hash(matrix_table) == hash(matrix_table)
+    assert list(matrix_table) == list(again)
 
 
 def test_the_table_and_its_rows_give_the_same_outputs(tmp_path):

@@ -16,7 +16,10 @@ from cardiotox.cohort import DrugClass, Treatment
 from cardiotox.tableio import write_columns, write_csv
 
 
-# Verbatim copy of the row-at-a-time writer (fmt_float and fmt_cell are unchanged).
+# Copy of the row-at-a-time writer (fmt_float and fmt_cell are unchanged). Its
+# csv.writer ends rows with "\r\n", so that it quotes a cell holding "\r" on
+# every Python version (3.13 quotes it after "\n" too, 3.10-3.12 do not), and
+# each row's ending is then rewritten to "\n".
 def reference_fmt_float(x: float) -> str:
     """Render a float with 10 significant digits (negative zero canonicalized)."""
     x = float(x)
@@ -33,6 +36,16 @@ def reference_fmt_cell(value) -> str:
     return str(value)
 
 
+class LineFeedRows:
+    """A file whose writes are csv.writer rows: each row's CR LF ending is written as LF."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, row: str) -> int:
+        return self.fh.write(row.removesuffix("\r\n") + "\n")
+
+
 def reference_write_csv(
     path: str | Path,
     header: Sequence[str],
@@ -42,7 +55,7 @@ def reference_write_csv(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(LineFeedRows(fh), lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([reference_fmt_cell(v) for v in row])
@@ -142,6 +155,29 @@ def test_column_blocks_equal_the_row_writer(scratch, table, cuts):
               for lo, hi in zip(bounds, bounds[1:])]
     got = written(scratch, "new.csv", write_columns, header, blocks, ["f"])
     assert got == written(scratch, "old.csv", reference_write_csv, header, rows, ["f"])
+
+
+@given(table=tables(), as_columns=st.booleans(),
+       footer=st.lists(st.text(alphabet="ab ,#", max_size=5), max_size=2))
+@settings(max_examples=300, deadline=None)
+@example(table=(["a"], [("",), ("x",), ("",)]), as_columns=False, footer=[])
+@example(table=(["a"], [("",)]), as_columns=True, footer=["f"])
+@example(table=(["a", "b"], [('x,"y"', "\r"), ("\n", "a\r\nb"), ("", "")]), as_columns=True,
+         footer=["a,b"])
+def test_output_reads_back(scratch, table, as_columns, footer):
+    # csv.reader gives the header, each cell's fmt_cell text, then the footer lines
+    header, rows = table
+    path = scratch / "read.csv"
+    if as_columns:
+        write_columns(path, header, [[[row[j] for row in rows] for j in range(len(header))]],
+                      footer)
+    else:
+        write_csv(path, header, rows, footer)
+    with open(path, newline="", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))
+    body = got[:len(rows) + 1]
+    assert body == [header, *[[tableio.fmt_cell(v) for v in row] for row in rows]]
+    assert [",".join(line) for line in got[len(rows) + 1:]] == [f"# {c}" for c in footer]
 
 
 @pytest.mark.parametrize("columns", [[("a",)], [("a",), ("b", "c")], [("a",), ("b",), ("c",)]])
