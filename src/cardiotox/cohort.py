@@ -16,7 +16,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -591,7 +591,8 @@ _UNREADABLE = (csv.Error, UnicodeDecodeError)
 def _read_chunks(path: str | Path, columns: Sequence[str]):
     """Yield (line numbers, fields) per chunk of data rows.
 
-    ``fields`` holds one list of strings per column, in ``columns`` order.
+    A row's number is the file line where it starts. ``fields`` holds one list
+    of strings per column, in ``columns`` order.
     Empty lines are skipped. A row with the wrong number of fields, or one that
     cannot be read, raises, but only after the rows before it have been
     yielded, so their faults come first.
@@ -622,14 +623,19 @@ def _read_chunks(path: str | Path, columns: Sequence[str]):
         fields: tuple[list[str], ...] = tuple([] for _ in columns)
         while True:
             rows: list[list[str]] = []
-            fault = None
+            error = None
             try:
                 rows.extend(islice(reader, _SLICE_ROWS))  # keeps the rows read before a fault
             except _UNREADABLE as err:
-                fault = MalformedRowError(str(path), line + len(rows), "", f"unreadable CSV: {err}")
-            done = fault is not None or len(rows) < _SLICE_ROWS
+                error = err
+            done = error is not None or len(rows) < _SLICE_ROWS
             numbers: Sequence[int] = range(line, line + len(rows))
-            line += len(rows)
+            if reader.line_num - line + 1 == len(rows):  # each row on one line
+                line += len(rows)
+            else:  # a line break in a quoted field, or a fault within a row
+                numbers = list(accumulate(map(_lines_spanned, rows), initial=line))
+                line = numbers.pop()
+            fault = error and MalformedRowError(str(path), line, "", f"unreadable CSV: {error}")
             if set(map(len, rows)) - {width}:
                 kept = [(n, raw) for n, raw in zip(numbers, rows) if raw]
                 for k, (n, raw) in enumerate(kept):
@@ -649,6 +655,11 @@ def _read_chunks(path: str | Path, columns: Sequence[str]):
                 break
         if fault is not None:
             raise fault
+
+
+def _lines_spanned(row: list[str]) -> int:
+    """The lines a row spans: one, and one per line break (LF, CR LF or CR) in a quoted field."""
+    return 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
 
 
 def _rows(pids: Sequence[str], row_of: dict[str, int]) -> np.ndarray:

@@ -623,12 +623,13 @@ def build_matrix(
 
 
 def write_features_csv(path: str | Path, features: Sequence[BaselineFeatures]) -> None:
-    """The feature table (or a list of its rows), written by columns."""
-    column = dict(_columns(features))
-    column["treatment"] = [t.value for t in column["treatment"]]
-    column["imputed"] = [";".join(sorted(fields)) for fields in column["imputed"]]
+    """The feature table (or a list of its rows), written by columns a block at a time."""
+    column = _columns(features)
+    text = {"treatment": lambda arms: [arm.value for arm in arms],
+            "imputed": lambda imputed: [";".join(sorted(fields)) for fields in imputed]}
     write_columns(path, FEATURE_COLUMNS, (
-        [c[start:start + _WRITE_ROWS] for c in column.values()]
+        [text.get(name, lambda cells: cells)(c[start:start + _WRITE_ROWS])
+         for name, c in column.items()]
         for start in range(0, len(column["patient_id"]), _WRITE_ROWS)))
 
 

@@ -32,12 +32,11 @@ import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from . import evaluate
-from .cohort import CSV_HEADERS, DEFAULT_CODE_MAP_ROWS, DrugClass, ObservationKind, Treatment
+from .cohort import CSV_HEADERS, DEFAULT_CODE_MAP_ROWS, DrugClass, Treatment
 from .errors import InvalidSpecError, OneClassError, require_known, require_type
 from .glm import sigmoid
 from .preprocess import CONDITION_FIELDS, LAB_FIELDS, OUTCOME_NAMES, TREATMENT_DUMMIES
@@ -445,72 +444,66 @@ def _birth_date(index: date, age_years: int) -> date:
         return index.replace(year=index.year - age_years, day=28)
 
 
-def _blocks(ids: tuple[str, ...], slots_of) -> Iterator[list[list]]:
-    """A table's columns, a block of patients at a time, with rows by patient, then by slot.
-
-    ``slots_of(block, every)`` pairs the block positions of each slot's rows
-    (``every`` for all) with its cells: a str for every row, or an array of one
-    value per row, a float written in shortest round-trip form.
-    """
-    for start in range(0, len(ids), _PATIENT_BLOCK):
-        block = slice(start, start + _PATIENT_BLOCK)
-        block_ids = np.array(ids[block], dtype=object)
-        if not (slots := slots_of(block, np.arange(len(block_ids)))):
-            return  # a table with no slot has only its header
-        positions = np.concatenate([rows for rows, _ in slots])
-        order = np.argsort(positions, kind="stable")
-        columns = [block_ids[positions[order]].tolist()]
-        for cells in zip(*(cells for _, cells in slots)):
-            if isinstance(cells[0], str):
-                cells = [np.repeat(np.array(cells, dtype=object), [len(rows) for rows, _ in slots])]
-            column = np.concatenate(cells)[order]
-            columns.append(list(map(repr, column.tolist())) if column.dtype == np.float64
-                           else column.tolist())
-        yield columns
+def _slot_matrix(values: dict[str, np.ndarray], slots: tuple[str, ...], rows: slice, n: int):
+    """The values of ``slots`` for the ``n`` patients ``rows``, as a patients × slots matrix."""
+    if missing := [slot for slot in slots if slot not in values]:
+        raise InvalidSpecError(f"cohort has no values for slot '{missing[0]}'")
+    return np.column_stack([values[slot][rows] for slot in slots] or [np.empty((n, 0))])
 
 
 def write_cohort(sc: SyntheticCohort, outdir: str | Path) -> None:
     """Emit the five cohort CSVs plus the default code map.
 
     Tables are written a block of patients at a time, so memory does not grow
-    with n. Observation values use shortest round-trip float formatting so the
-    pipeline recovers the sampled values bit-exactly; analysis reports keep
-    the 10-significant-digit convention.
+    with n. An event table's rows are the set cells of a patients × slots
+    matrix, by patient, then by slot. Observation values use shortest
+    round-trip float formatting so the pipeline recovers the sampled values
+    bit-exactly; analysis reports keep the 10-significant-digit convention.
     """
     outdir = Path(outdir)
     layout = sc.spec.layout
     index = layout.index_date
-    obs_date = (index - timedelta(days=layout.observation_days_before)).isoformat()
-    dx_date = (index - timedelta(days=layout.diagnosis_days_before)).isoformat()
-    med_date = (index + timedelta(days=layout.medication_days_after)).isoformat()
-    out_date = (index + timedelta(days=layout.outcome_days_after)).isoformat()
-    columns = {**sc.values, **sc.outcomes}
-
-    def flagged(slots: tuple[str, ...], block: slice) -> list[tuple[str, np.ndarray]]:
-        """Each slot that has values, with the block positions whose flag is set."""
-        return [(slot, np.flatnonzero(columns[slot][block] == 1.0))
-                for slot in slots if slot in columns]
-
+    obs_date, dx_date, med_date, out_date = (
+        (index + timedelta(days=days)).isoformat() for days in (
+            -layout.observation_days_before, -layout.diagnosis_days_before,
+            layout.medication_days_after, layout.outcome_days_after))
+    values = {**sc.values, **sc.outcomes}
+    blocks = [slice(i, i + _PATIENT_BLOCK) for i in range(0, len(sc.patient_ids), _PATIENT_BLOCK)]
+    observed, diagnosed, medicated = (tuple(slot for slot in slots if slot in values) for slots in (
+        LAB_FIELDS + ("troponin",), CONDITION_FIELDS + OUTCOME_NAMES, _MEDICATION_SLOTS))
+    lab = np.isin(observed, LAB_FIELDS)  # a row of every lab, and of troponin where flagged
     # ages are whole years in [AGE_MIN, AGE_MAX]
     births = np.array([_birth_date(index, age).isoformat() for age in range(AGE_MIN, AGE_MAX + 1)])
-    for name, slots_of in (
-        ("patients", lambda block, every: [
-            (every, (births[columns["age"][block].astype(np.intp) - AGE_MIN], "F"))]),
-        ("observations", lambda block, every: [
-            (every, (obs_date, ObservationKind(slot.upper()).value, columns[slot][block]))
-            for slot in LAB_FIELDS if slot in columns] + [
-            (rows, (obs_date, "TROPONIN", np.full(len(rows), TROPONIN_OBS_VALUE)))
-            for _, rows in flagged(("troponin",), block)]),
-        ("diagnoses", lambda block, every: [
-            (rows, (dx_date if slot in CONDITION_FIELDS else out_date, "ICD10",
-                    _DIAGNOSIS_CODES[slot]))
-            for slot, rows in flagged(CONDITION_FIELDS + OUTCOME_NAMES, block)]),
-        ("medications", lambda block, every: [
-            (rows, (med_date, slot.upper())) for slot, rows in flagged(_MEDICATION_SLOTS, block)]),
-        ("treatments", lambda block, every: [
-            (every, (index.isoformat(), np.array([arm.value for arm in sc.treatments[block]])))]),
+
+    def events(ids: np.ndarray, has: np.ndarray, *cells) -> list:
+        """Rows where ``has`` is set: a list cell holds a text per slot, an array a float
+        per patient and slot."""
+        patient, slot = np.nonzero(has)
+        return [ids[patient], *(
+            list(map(repr, c[patient, slot].tolist())) if isinstance(c, np.ndarray)
+            else np.array(c, dtype=object)[slot] for c in cells)]
+
+    def observations(ids: np.ndarray, rows: slice) -> list:
+        x = _slot_matrix(values, observed, rows, len(ids))
+        return events(ids, lab | (x == 1.0), [obs_date] * len(observed),
+                      [slot.upper() for slot in observed], np.where(lab, x, TROPONIN_OBS_VALUE))
+
+    for name, columns in (
+        ("patients", lambda ids, rows: [
+            ids, births[values["age"][rows].astype(np.intp) - AGE_MIN], ["F"] * len(ids)]),
+        ("observations", observations),
+        ("diagnoses", lambda ids, rows: events(
+            ids, _slot_matrix(values, diagnosed, rows, len(ids)) == 1.0,
+            [dx_date if slot in CONDITION_FIELDS else out_date for slot in diagnosed],
+            ["ICD10"] * len(diagnosed), [_DIAGNOSIS_CODES[slot] for slot in diagnosed])),
+        ("medications", lambda ids, rows: events(
+            ids, _slot_matrix(values, medicated, rows, len(ids)) == 1.0,
+            [med_date] * len(medicated), [slot.upper() for slot in medicated])),
+        ("treatments", lambda ids, rows: [
+            ids, [index.isoformat()] * len(ids), [arm.value for arm in sc.treatments[rows]]]),
     ):
-        write_columns(outdir / f"{name}.csv", CSV_HEADERS[name], _blocks(sc.patient_ids, slots_of))
+        write_columns(outdir / f"{name}.csv", CSV_HEADERS[name], (
+            columns(np.array(sc.patient_ids[rows], dtype=object), rows) for rows in blocks))
     write_csv(outdir / "code_map.csv", CSV_HEADERS["code_map"], DEFAULT_CODE_MAP_ROWS)
 
 
@@ -522,22 +515,16 @@ def to_features(sc: SyntheticCohort) -> Baselines:
     test suite asserts. The derived flags come from ``Baselines.columns``, as
     in preprocessing. Requires a fully filled cohort.
     """
-
-    def col(name: str) -> np.ndarray:
-        if name not in sc.values:
-            raise InvalidSpecError(f"cohort has no values for slot '{name}'")
-        return sc.values[name]
-
-    def columns(names: tuple[str, ...]) -> np.ndarray:
-        return np.column_stack([col(name) for name in names])
-
+    age, labs, troponin, conditions, medications = (
+        _slot_matrix(sc.values, slots, slice(None), len(sc.patient_ids))
+        for slots in (("age",), LAB_FIELDS, ("troponin",), CONDITION_FIELDS, _MEDICATION_SLOTS))
     return Baselines(
         sc.patient_ids,
-        col("age"),
-        columns(LAB_FIELDS),
-        col("troponin") != 0.0,
-        columns(CONDITION_FIELDS) != 0.0,
-        columns(_MEDICATION_SLOTS) != 0.0,
+        age[:, 0],
+        labs,
+        troponin[:, 0] != 0.0,
+        conditions != 0.0,
+        medications != 0.0,
         sc.treatments,
         np.column_stack([sc.outcomes[name] for name in OUTCOME_NAMES]),
     )

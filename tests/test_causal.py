@@ -18,10 +18,12 @@ from cardiotox.errors import (
     StatisticalError,
     TooManyBootFailuresError,
 )
-from cardiotox.preprocess import FeatureMatrix
+from cardiotox.preprocess import TREATMENT_DUMMIES, FeatureMatrix
 from cardiotox.preprocess import Treatment as PTreatment
 from cardiotox.rng import SplitMix64
 from cardiotox.tableio import write_csv
+
+from test_acceptance import SCALE_SPEC
 
 
 def sigmoid(x):
@@ -682,3 +684,81 @@ def test_effects_csv_matches_the_hand_written_columns(tmp_path, estimator):
     written = (tmp_path / "effects.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
     assert (b",NA," in written) == (estimator == "point")
+
+
+# ---------------------------------------------------------------------------
+# An oracle for boot_se. The standardization estimate has a closed-form
+# influence function (Hampel 1974, JASA 69:383; Lunceford & Davidian 2004,
+# Stat Med 23:2937), so its standard error needs no resampling. With R the
+# averaging rows (all rows for ATE, the treated and reference arms for ATE with
+# arms_only, the arm's rows for ATT), d_i row i's counterfactual risk difference
+# and θ its mean over R, g = ∂θ/∂β the mean over R of
+# σ'(η_i1)·x_i1 − σ'(η_i0)·x_i0, s_i = x_i(y_i − p̂_i) and Σ̂ the model covariance:
+#     IF_i = 1[i∈R]·(d_i − θ)·n/|R| + n·gᵀΣ̂ s_i,    SE = √(Σ IF_i²)/n.
+
+ORACLE_B = 1000
+# A bootstrap SD has a Monte Carlo SD of about 1/√(2(B−1)) of itself; four of
+# those, plus an allowance for the bootstrap's finite-sample departure from the
+# linearized model, set before any comparison was run.
+ORACLE_ALLOWANCE = 0.05
+ORACLE_BOUND = 4 / math.sqrt(2 * (ORACLE_B - 1)) + ORACLE_ALLOWANCE
+ORACLE_SEEDS = (SCALE_SPEC["seed"], 90217)
+
+
+def expit(eta):
+    return 1.0 / (1.0 + np.exp(-eta))
+
+
+def influence_se(fm, model, treatment, estimand, arms_only=False):
+    """One cell's standardization estimate θ and its influence-function SE."""
+    X, beta, n = fm.X, model.beta, fm.n
+    dummies = [fm.column_names.index(name) for name in TREATMENT_DUMMIES.values()]
+    arm = fm.column_names.index(TREATMENT_DUMMIES[treatment])
+    X0 = X.copy()
+    X0[:, dummies] = 0.0
+    X1 = X0.copy()
+    X1[:, arm] = 1.0
+    p0, p1 = expit(X0 @ beta), expit(X1 @ beta)
+    treated = X[:, arm] == 1.0
+    reference = ~(X[:, dummies] == 1.0).any(axis=1)
+    rows = treated if estimand == "ATT" else treated | reference if arms_only else np.ones(n, bool)
+    d = p1 - p0
+    theta = d[rows].mean()
+    g = ((p1 * (1 - p1))[:, None] * X1 - (p0 * (1 - p0))[:, None] * X0)[rows].mean(axis=0)
+    scores = X * (fm.y - expit(X @ beta))[:, None]
+    influence = rows * (d - theta) * n / rows.sum() + n * (scores @ (model.covariance @ g))
+    return theta, math.sqrt(np.sum(influence ** 2)) / n
+
+
+def oracle_misfit(feats, arms_only):
+    """The largest |boot_se / SE − 1| over the four CHF cells of one bootstrap."""
+    fm = causal.build_causal_matrix(feats, "CHF")
+    model = glm.fit_logistic(fm)
+    misfit = 0.0
+    for e in causal.bootstrap_effects(feats, "CHF", n_boot=ORACLE_B, seed=1, arms_only=arms_only):
+        point, se = influence_se(fm, model, PTreatment(e.treatment), e.estimand, arms_only)
+        assert e.point == pytest.approx(point, rel=1e-9)
+        misfit = max(misfit, abs(e.boot_se / se - 1.0))
+    return misfit
+
+
+@pytest.fixture(scope="module")
+def oracle_cohorts():
+    return {seed: synth.to_features(synth.generate(synth.parse_spec({**SCALE_SPEC, "seed": seed})))
+            for seed in ORACLE_SEEDS}
+
+
+@pytest.mark.parametrize("arms_only", [False, True])
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_boot_se_matches_the_influence_function_se(oracle_cohorts, seed, arms_only):
+    assert oracle_misfit(oracle_cohorts[seed], arms_only) <= ORACLE_BOUND
+
+
+def test_replicates_of_half_the_draws_fail_the_oracle(oracle_cohorts, monkeypatch):
+    class HalfDraws(SplitMix64):
+        def integers(self, upper, n):  # n/2 patients per replicate, each counted twice
+            return np.repeat(super().integers(upper, n // 2), 2)
+
+    monkeypatch.setattr(causal, "SplitMix64", HalfDraws)
+    assert oracle_misfit(oracle_cohorts[SCALE_SPEC["seed"]], arms_only=False) > ORACLE_BOUND
+

@@ -1,8 +1,10 @@
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cardiotox import cohort as cohort_module
 from cardiotox.cohort import (
     CodeMap,
     CodeSystem,
@@ -229,3 +231,31 @@ def test_default_code_map_covers_outcomes():
     assert cmap.classify(CodeSystem.ICD10, "C50.912") is DiagnosisCategory.BREAST_CANCER
     assert cmap.classify(CodeSystem.ICD10, "C34.1") is DiagnosisCategory.PRIOR_CANCER_EXCLUDING
     assert cmap.classify(CodeSystem.ICD10, "C44.0") is DiagnosisCategory.PRIOR_CANCER_ALLOWED
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 256])
+@pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("table,text,line,column", [
+    ("patients", 'patient_id,birth_date,sex\n"a{0}b",1960-01-01,F\nP2,1960-13-01,F\n',
+     4, "birth_date"),
+    ("patients", 'patient_id,birth_date,sex\n"a{0}{0}b",1960-01-01,F\nP2,1960-13-01,F\n',
+     5, "birth_date"),
+    ("patients", 'patient_id,birth_date,sex\n"a{0}b",1960-01-01,F\nP2,1960-01-01\n', 4, ""),
+    # a field beyond the csv module's size limit cannot be read
+    ("patients", 'patient_id,birth_date,sex\n"a{0}b",1960-01-01,F\nP2,"' + "9" * 200_000
+     + '",F\n', 4, ""),
+    ("observations", 'patient_id,date,kind,value\n"a{0}b",2015-01-01,SBP,120\n'
+     "P1,2015-01-01,SBP,abc\n", 4, "value"),
+    ("code_map", 'code_system,code_prefix,category\nICD10,"I5{0}0",CHF\nICD11,I50,CHF\n',
+     4, "code_system"),
+], ids=["date", "two_breaks", "width", "unreadable", "observations", "code_map"])
+def test_fault_after_a_quoted_line_break_names_the_line_its_row_starts_on(
+        tmp_path, slice_rows, line_break, table, text, line, column):
+    patients = PATIENTS + f'"a{line_break}b",1970-01-01,M\n'
+    paths = write_cohort_files(tmp_path, patients=patients)
+    path = tmp_path / f"{table}.csv"
+    path.write_bytes(text.format(line_break).encode())
+    with mock.patch.object(cohort_module, "_SLICE_ROWS", slice_rows):
+        with pytest.raises(MalformedRowError) as err:
+            load_code_map(path) if table == "code_map" else load_cohort(paths)
+    assert (err.value.file, err.value.line, err.value.column) == (str(path), line, column)

@@ -51,7 +51,10 @@ HEADERS = {
 
 
 def rows(path, header):
-    """(line, fields) of the non-empty data rows, checking the header and widths."""
+    """(line, fields) of the non-empty data rows, checking the header and widths.
+
+    A row's line is the file line where it starts, which a line break inside a
+    quoted field of an earlier row moves."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
@@ -59,12 +62,14 @@ def rows(path, header):
             raise MalformedRowError(str(path), 1, "", "missing header row")
         if found != header:
             raise MalformedRowError(str(path), 1, "", f"header {found!r} does not match {header!r}")
-        for line, raw in enumerate(reader, start=2):
+        line = reader.line_num + 1
+        for raw in reader:
             if raw and len(raw) != len(header):
                 raise MalformedRowError(str(path), line, "",
                                         f"expected {len(header)} fields, got {len(raw)}")
             if raw:
                 yield line, raw
+            line = reader.line_num + 1
 
 
 def fault(path, line, column, reason):
@@ -203,6 +208,9 @@ def apply(tables, edit):
          slice_rows=2, chunk_rows=3)
 @example(changes=[("treatments", "short", 7, 0, ""), ("treatments", "cell", 2, 2, "X")],
          slice_rows=1, chunk_rows=2)
+# a quoted line break moves the line of every later row
+@example(changes=[("patients", "cell", 0, 0, "line\nbreak"), ("patients", "cell", 3, 1, "bad")],
+         slice_rows=4, chunk_rows=9)
 def test_first_fault_and_records_equal_the_row_loader(tmp_path_factory, changes, slice_rows,
                                                       chunk_rows):
     # small slices and chunks put the faults of a table in different chunks

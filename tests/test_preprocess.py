@@ -690,6 +690,25 @@ def test_features_csv_memory_does_not_grow_with_n(tmp_path):
     assert peaks[16] <= 1.5 * peaks[4], peaks
 
 
+def test_features_csv_text_columns_do_not_grow_with_n(tmp_path):
+    # the treatment and imputed texts are made a block at a time; the table's
+    # columns are derived before tracing, so only the writer's own memory counts
+    block = 256
+    peaks = {}
+    with mock.patch.object(preprocess, "_WRITE_ROWS", block):
+        for blocks in (4, 64):
+            table = synth.to_features(synth.generate(synth.parse_spec(
+                {**MATRIX_SPEC, "n": blocks * block})))
+            table.columns
+            tracemalloc.start()
+            try:
+                write_features_csv(tmp_path / f"{blocks}.csv", table)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[64] <= 1.5 * peaks[4], peaks
+
+
 def test_feature_tables_compare_by_identity_and_hash(matrix_table):
     # a field-wise == would compare arrays, whose truth value is ambiguous
     again = synth.to_features(synth.generate(synth.parse_spec(MATRIX_SPEC)))
