@@ -28,7 +28,8 @@ from .cohort import (
     load_code_map,
     load_cohort,
 )
-from .errors import ConfigError, PipelineError, require_known, require_type
+from .errors import ConfigError, InvalidSpecError, PipelineError, read_json_object
+from .errors import require_known, require_type
 from .preprocess import CONTRASTS, FEATURE_SETS, OUTCOME_NAMES, PREDICTOR_NAMES, PreprocessConfig
 from .rng import derive_seed
 from .tableio import open_report
@@ -118,16 +119,7 @@ _CLASS_FIELDS = ("antihypertensive_classes", "antihyperlipidemia_classes")
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from None
-    try:
-        raw = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
-        raise ConfigError(f"config is not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    raw, data = read_json_object(path, "config", ConfigError)
     require_known(raw, ("inputs", "end_of_data", "out", "code_map", *_RUN_FIELDS,
                         *_PREPROCESS_FIELDS, *_CLASS_FIELDS), ConfigError)
 
@@ -164,7 +156,7 @@ def load_config(path: str | Path) -> RunConfig:
         end_of_data=end_of_data,
         code_map_path=None if code_map is None else _resolve(base, code_map),
         preprocess=PreprocessConfig(**{key: raw[key] for key in _PREPROCESS_FIELDS if key in raw}),
-        config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        config_sha256=hashlib.sha256(data).hexdigest(),
         **settings,
     )
     cfg.validate()
@@ -232,7 +224,7 @@ def _load_features(cfg: RunConfig):
 # Commands
 
 
-def cmd_validate(cfg: RunConfig, outdir: Path) -> None:
+def cmd_validate(cfg: RunConfig, outdir: Path, args: argparse.Namespace) -> None:
     code_map = cfg.code_map()
     cohort = load_cohort(cfg.inputs)
     report = preprocess.apply_eligibility(cohort, code_map, cfg.end_of_data)
@@ -241,7 +233,7 @@ def cmd_validate(cfg: RunConfig, outdir: Path) -> None:
           f"{len(report.excluded)} excluded")
 
 
-def cmd_features(cfg: RunConfig, outdir: Path) -> None:
+def cmd_features(cfg: RunConfig, outdir: Path, args: argparse.Namespace) -> None:
     features, report = _load_features(cfg)
     preprocess.write_features_csv(outdir / "features.csv", features)
     preprocess.write_exclusions_csv(outdir / "exclusions.csv", report)
@@ -259,26 +251,24 @@ def _eliminate_and_report(
     glm.write_elimination_trace(trace, result)
 
 
-def cmd_fit(cfg: RunConfig, outdir: Path, outcome: str | None) -> None:
+def cmd_fit(cfg: RunConfig, outdir: Path, args: argparse.Namespace) -> None:
     features, _ = _load_features(cfg)
-    outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
-    for oc in outcomes:
+    for oc in [args.outcome] if args.outcome else OUTCOME_NAMES:
         fm = preprocess.build_matrix(features, cfg.feature_sets["OUTCOME_MODEL"], oc)
         _eliminate_and_report(fm, cfg.alpha_stay, *(
             outdir / f"{report}_{oc}.csv"
             for report in ("coefficients_full", "coefficients_eliminated", "elimination_trace")))
 
 
-def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = True) -> None:
+def cmd_cv(cfg: RunConfig, outdir: Path, args: argparse.Namespace) -> None:
     seed = _require_seed(cfg)
     features, _ = _load_features(cfg)
-    outcomes = [outcome] if outcome else list(OUTCOME_NAMES)
     reports: list[tuple[str, evaluate.CvReport]] = []
-    for oc in outcomes:
+    for oc in [args.outcome] if args.outcome else OUTCOME_NAMES:
         fm = preprocess.build_matrix(features, cfg.feature_sets["OUTCOME_MODEL"], oc)
         oc_seed = derive_seed(seed, OUTCOME_NAMES.index(oc))
         report, scores = evaluate.cv_report_and_scores(
-            fm, cfg.k, oc_seed, cfg.alpha_stay if eliminate else None
+            fm, cfg.k, oc_seed, None if args.no_eliminate else cfg.alpha_stay
         )
         reports.append((oc, report))
         # pooled held-out scores drive the published ROC points
@@ -287,7 +277,7 @@ def cmd_cv(cfg: RunConfig, outdir: Path, outcome: str | None, eliminate: bool = 
     evaluate.write_cv_report(outdir / "cv_report.csv", reports)
 
 
-def cmd_effects(cfg: RunConfig, outdir: Path) -> None:
+def cmd_effects(cfg: RunConfig, outdir: Path, args: argparse.Namespace) -> None:
     seed = _require_seed(cfg)
     features, _ = _load_features(cfg)
     covariates = causal.outcome_covariates(cfg.feature_sets["OUTCOME_MODEL"])
@@ -307,11 +297,11 @@ def cmd_effects(cfg: RunConfig, outdir: Path) -> None:
     causal.write_effects_csv(outdir / "effects.csv", estimates)
 
 
-def cmd_compare(cfg: RunConfig, outdir: Path, contrast: str, feature_set: str) -> None:
+def cmd_compare(cfg: RunConfig, outdir: Path, args: argparse.Namespace) -> None:
     features, _ = _load_features(cfg)
-    fm = preprocess.build_matrix(features, cfg.feature_sets[feature_set], contrast)
+    fm = preprocess.build_matrix(features, cfg.feature_sets[args.feature_set], args.contrast)
     _eliminate_and_report(fm, cfg.alpha_stay, *(
-        outdir / f"compare_{contrast}_{feature_set}_{report}.csv"
+        outdir / f"compare_{args.contrast}_{args.feature_set}_{report}.csv"
         for report in ("full", "eliminated", "trace")))
 
 
@@ -320,7 +310,8 @@ def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
         raise ConfigError(f"--n-mc must be >= 2, got {n_mc}")
     if n_mc > synth.MAX_N:
         raise ConfigError(f"--n-mc must be <= {synth.MAX_N}, got {n_mc}")
-    spec = synth.load_spec(spec_path)
+    raw, data = read_json_object(spec_path, "spec", InvalidSpecError)
+    spec = synth.parse_spec(raw)
     cohort = synth.generate(spec)
     _make_outdir(outdir)
     synth.write_cohort(cohort, outdir)
@@ -331,8 +322,7 @@ def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
         "end_of_data": spec.layout.end_of_data.isoformat(),
         "seed": spec.seed,
     })
-    spec_hash = hashlib.sha256(Path(spec_path).read_bytes()).hexdigest()
-    _write_manifest(outdir, "synth", spec_hash, spec.seed)
+    _write_manifest(outdir, "synth", hashlib.sha256(data).hexdigest(), spec.seed)
     print(f"wrote synthetic cohort of {spec.n} patients to {outdir}")
     return 0
 
@@ -341,43 +331,44 @@ def cmd_synth(spec_path: Path, outdir: Path, n_mc: int) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose faults are config errors: one error line and exit 4, not usage text."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cardiotox",
         description="Cardiac-risk models and treatment effects for breast-cancer cohorts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, run) -> argparse.ArgumentParser:
+        """The subcommand ``name``: it reads a run config and runs ``run(cfg, outdir, args)``."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--alpha-stay", type=float, default=None)
         p.add_argument("--k", type=int, default=None)
-        p.add_argument("--b", type=int, default=None, help="bootstrap replicates")
+        p.add_argument("--b", type=int, dest="n_boot", metavar="B", help="bootstrap replicates")
+        p.set_defaults(run=run)
+        return p
 
-    add_common(sub.add_parser("validate", help="load tables and report eligibility"))
-    add_common(sub.add_parser("features", help="emit the baseline feature table"))
-
-    fit = sub.add_parser("fit", help="fit outcome models with backward elimination")
-    add_common(fit)
+    command("validate", "load tables and report eligibility", cmd_validate)
+    command("features", "emit the baseline feature table", cmd_features)
+    fit = command("fit", "fit outcome models with backward elimination", cmd_fit)
     fit.add_argument("--outcome", choices=OUTCOME_NAMES, default=None)
-
-    cv = sub.add_parser("cv", help="cross-validated AUC and ROC points")
-    add_common(cv)
+    cv = command("cv", "cross-validated AUC and ROC points", cmd_cv)
     cv.add_argument("--outcome", choices=OUTCOME_NAMES, default=None)
-    cv.add_argument(
-        "--no-eliminate", action="store_true", help="skip per-fold backward elimination"
-    )
-
-    effects = sub.add_parser("effects", help="bootstrap ATE/ATT for all outcomes")
-    add_common(effects)
-
-    compare = sub.add_parser("compare", help="arm-vs-arm characteristic models")
-    add_common(compare)
+    cv.add_argument("--no-eliminate", action="store_true",
+                    help="skip per-fold backward elimination")
+    command("effects", "bootstrap ATE/ATT for all outcomes", cmd_effects)
+    compare = command("compare", "arm-vs-arm characteristic models", cmd_compare)
     compare.add_argument("--contrast", choices=tuple(CONTRASTS), required=True)
     compare.add_argument("--feature-set", choices=_COMPARE_SETS, required=True)
-
     synth_p = sub.add_parser("synth", help="generate a synthetic cohort with truth values")
     synth_p.add_argument("--spec", required=True, help="synthetic spec JSON")
     synth_p.add_argument("--out", required=True, help="output directory")
@@ -387,31 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "synth":
             return cmd_synth(Path(args.spec), Path(args.out), args.n_mc)
 
-        overrides = {"seed": args.seed, "alpha_stay": args.alpha_stay, "k": args.k,
-                     "n_boot": args.b}
+        overrides = {name: getattr(args, name) for name in ("seed", "alpha_stay", "k", "n_boot")}
         cfg = replace(load_config(args.config),
                       **{name: value for name, value in overrides.items() if value is not None})
         cfg.validate()
         outdir = Path(args.out) if args.out else cfg.out
         _make_outdir(outdir)
-
-        if args.command == "validate":
-            cmd_validate(cfg, outdir)
-        elif args.command == "features":
-            cmd_features(cfg, outdir)
-        elif args.command == "fit":
-            cmd_fit(cfg, outdir, args.outcome)
-        elif args.command == "cv":
-            cmd_cv(cfg, outdir, args.outcome, eliminate=not args.no_eliminate)
-        elif args.command == "effects":
-            cmd_effects(cfg, outdir)
-        elif args.command == "compare":
-            cmd_compare(cfg, outdir, args.contrast, args.feature_set)
+        args.run(cfg, outdir, args)
         _write_manifest(outdir, args.command, cfg.config_sha256, cfg.seed)
         return 0
     except PipelineError as err:

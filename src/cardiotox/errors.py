@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, and the JSON type and key checks of settings.
+"""Exception types shared across the pipeline, and the reader and checks of JSON settings files.
 
 Every exception carries a stable ``code`` string and an ``exit_code`` so the
 CLI can map failures onto process statuses without string matching.
@@ -7,6 +7,8 @@ CLI can map failures onto process statuses without string matching.
 from __future__ import annotations
 
 import difflib
+import json
+from pathlib import Path
 
 EXIT_INPUT = 2
 EXIT_STATISTICAL = 3
@@ -167,3 +169,32 @@ def require_known(keys, known, error: type[PipelineError], where: str = "") -> N
             hint = difflib.get_close_matches(key, known, n=1)
             raise error(f"unknown key '{key}'{where}"
                         + (f" (did you mean '{hint[0]}'?)" if hint else ""))
+
+
+def read_json_object(path: str | Path, what: str, error: type[PipelineError]) -> tuple:
+    """The JSON object in the ``what`` file at ``path``, and the file's bytes.
+
+    Raise ``error`` on a file that cannot be read or is not UTF-8, on text that is not
+    JSON or not an object, and on a key given twice in one object at any depth.
+    """
+    try:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path, or not UTF-8
+        raise error(f"cannot read {what} {path}: {err}") from None
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{what} gives key '{key}' twice")
+            obj[key] = value
+        return obj
+
+    try:
+        raw = json.loads(text, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as err:  # also an integer too long, or nesting too deep
+        raise error(f"{what} is not valid JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be a JSON object")
+    return raw, data

@@ -27,7 +27,6 @@ well posed; fillers carry zero coefficients in every model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from datetime import date, timedelta
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import evaluate
 from .cohort import CSV_HEADERS, DEFAULT_CODE_MAP_ROWS, DrugClass, Treatment
-from .errors import InvalidSpecError, OneClassError, require_known, require_type
+from .errors import InvalidSpecError, OneClassError, read_json_object, require_known, require_type
 from .glm import sigmoid
 from .preprocess import CONDITION_FIELDS, LAB_FIELDS, OUTCOME_NAMES, TREATMENT_DUMMIES
 from .preprocess import Baselines
@@ -233,16 +232,7 @@ def parse_spec(raw: dict) -> SyntheticSpec:
 
 
 def load_spec(path: str | Path) -> SyntheticSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidSpecError(f"spec file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as err:
-        raise InvalidSpecError(f"cannot read spec {path}: {err}") from None
-    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
-        raise InvalidSpecError(f"spec is not valid JSON: {err}") from None
-    return parse_spec(raw)
+    return parse_spec(read_json_object(path, "spec", InvalidSpecError)[0])
 
 
 def _parse_covariate(raw, where: str) -> CovariateSpec:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
@@ -549,6 +550,101 @@ def test_integer_too_long_to_read_is_a_config_error(tmp_path, capsys):
     cfg_path.write_text(text)
     assert cli.main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
     assert "error[CONFIG]: config is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["validate", "--config"], 4, "error[CONFIG]: config is not valid JSON: maximum recursion"),
+    (["synth", "--spec"], 2, "error[INVALID_SPEC]: spec is not valid JSON: maximum recursion"),
+], ids=["config", "spec"])
+def test_json_nested_too_deep_prints_one_error_line(tmp_path, capsys, argv, code, line):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main([*argv, str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line), err
+
+
+def test_manifest_hash_is_that_of_the_settings_files_bytes(tmp_path):
+    # CRLF line endings: the hash is of the bytes on disk, not of the text read back
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(json.dumps(golden_config(), indent=2).replace("\n", "\r\n").encode())
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(json.dumps(SPEC, indent=2).replace("\n", "\r\n").encode())
+    assert cli.main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"),
+                     "--n-mc", "100"]) == 0
+    for out, path in (("v", cfg_path), ("s", spec_path)):
+        manifest = json.loads((tmp_path / out / "run_manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["validate", "--config"], 4, "error[CONFIG]: cannot read config {}: embedded null byte"),
+    (["synth", "--spec"], 2, "error[INVALID_SPEC]: cannot read spec {}: embedded null byte"),
+], ids=["config", "spec"])
+def test_nul_in_a_settings_path_prints_one_error_line(tmp_path, capsys, argv, code, line):
+    nul = str(tmp_path / "a\0b")
+    assert cli.main([*argv, nul, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.splitlines() == [line.format(nul.replace("\0", "\\x00"))]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["effects", "--config", "C", "--b", "1000.7"], "argument --b: invalid int value: '1000.7'"),
+    (["cv", "--config", "C", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["cv", "--config", "C", "--k", "1.5"], "argument --k: invalid int value: '1.5'"),
+    (["fit", "--config", "C", "--alpha-stay", "x"],
+     "argument --alpha-stay: invalid float value: 'x'"),
+    (["fit", "--config", "C", "--outcome", "XX"], "argument --outcome: invalid choice: 'XX'"),
+    (["synth", "--spec", "C", "--n-mc", "abc"], "argument --n-mc: invalid int value: 'abc'"),
+    (["validate"], "the following arguments are required: --config"),
+    (["validate", "--config", "C", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+], ids=["b", "seed", "k", "alpha_stay", "outcome", "n_mc", "no_config", "unknown_flag",
+        "no_command"])
+def test_command_line_fault_is_one_config_error_line(synth_dir, tmp_path, capsys, argv,
+                                                      message):
+    config = str(synth_dir / "run_config.json")
+    out = [] if not argv else ["--out", str(tmp_path / "o")]
+    assert cli.main([config if arg == "C" else arg for arg in argv] + out) == 4
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[CONFIG]: {message}"), err
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cv", "--help"], ["synth", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cardiotox")
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda text: text[:-1] + ', "B": 1000}', "B"),
+    (lambda text: text.replace('"inputs": {', '"inputs": {"patients": "p.csv", '), "patients"),
+    (lambda text: text.replace('"feature_sets": {', '"feature_sets": {"X": [], '), "X"),
+], ids=["top_level", "inputs", "feature_sets"])
+def test_config_key_given_twice_exits_4(tmp_path, capsys, edit, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(edit(json.dumps(golden_config(B=100, feature_sets={"X": ["age"]}))))
+    assert cli.main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[CONFIG]: config gives key '{key}' twice"]
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda text: text[:-1] + ', "seed": 5}', "seed"),
+    (lambda text: text.replace('"sigma": 0.9', '"sigma": 0.9, "sigma": 2'), "sigma"),
+    (lambda text: text.replace('"MI": {', '"MI": {"intercept": 0, '), "intercept"),
+], ids=["top_level", "covariate", "outcome_model"])
+def test_spec_key_given_twice_exits_2(tmp_path, capsys, edit, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(edit(json.dumps(SPEC)))
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[INVALID_SPEC]: spec gives key '{key}' twice"]
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
