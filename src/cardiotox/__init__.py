@@ -6,12 +6,7 @@ from .cohort import (  # noqa: F401
     CodeMap,
     Cohort,
     CohortPaths,
-    DiagnosisEvent,
-    MedicationEvent,
-    Observation,
-    PatientRecord,
     Treatment,
-    TreatmentEvent,
     default_code_map,
     load_code_map,
     load_cohort,

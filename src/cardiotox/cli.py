@@ -25,6 +25,7 @@ from .cohort import (
     CohortPaths,
     DrugClass,
     default_code_map,
+    iso_date,
     load_code_map,
     load_cohort,
 )
@@ -137,7 +138,7 @@ def load_config(path: str | Path) -> RunConfig:
     if "end_of_data" not in raw:
         raise ConfigError("config needs 'end_of_data' (ISO date)")
     try:
-        end_of_data = date.fromisoformat(raw["end_of_data"])
+        end_of_data = iso_date(raw["end_of_data"])
     except (TypeError, ValueError):
         raise ConfigError(f"bad end_of_data '{raw['end_of_data']}'") from None
 

@@ -4,21 +4,21 @@ A :class:`Cohort` holds the patients sorted by id, with their birth dates and
 sexes, and each event table as numpy columns in one canonical order: by
 patient, then date, then the event's kind, code system and code, drug class
 or treatment by name, then an observation's value. Any permutation of input
-rows therefore loads the same cohort. A cohort also iterates and indexes as
-:class:`PatientRecord` views, built on demand.
+rows therefore loads the same cohort. A cohort iterates as each patient's
+:class:`EventRows`, the ranges of its rows in the event tables.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence as SequenceABC
+import re
 from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date
 from enum import Enum
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,46 +106,6 @@ DIAGNOSIS_CATEGORIES = _by_name(DiagnosisCategory)
 
 _CODE = {members: {m.value: i for i, m in enumerate(members)} for members in (
     SEXES, OBSERVATION_KINDS, CODE_SYSTEMS, DRUG_CLASSES, TREATMENTS, DIAGNOSIS_CATEGORIES)}
-_POSITION = {m: i for members in _CODE for i, m in enumerate(members)}
-
-
-@dataclass(frozen=True)
-class Observation:
-    date: date
-    kind: ObservationKind
-    value: float
-
-
-@dataclass(frozen=True)
-class DiagnosisEvent:
-    date: date
-    code_system: CodeSystem
-    code: str
-
-
-@dataclass(frozen=True)
-class MedicationEvent:
-    date: date
-    drug_class: DrugClass
-
-
-@dataclass(frozen=True)
-class TreatmentEvent:
-    date: date
-    treatment: Treatment
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One patient's events. A cohort's records hold read-only sequences."""
-
-    patient_id: str
-    birth_date: date
-    sex: Sex
-    observations: Sequence[Observation] = ()
-    diagnoses: Sequence[DiagnosisEvent] = ()
-    medications: Sequence[MedicationEvent] = ()
-    treatments: Sequence[TreatmentEvent] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,34 +135,22 @@ class EventTable:
         return np.searchsorted(self.patient, np.arange(n + 1))
 
 
-class _EventView(SequenceABC):
-    """Events lo..hi of one table, built one at a time as they are read."""
+class EventRows(NamedTuple):
+    """One patient's rows in each event table of a cohort."""
 
-    def __init__(self, event, lo: int, hi: int):
-        self._event, self._lo, self._hi = event, lo, hi
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        return self._event(self._lo + range(len(self))[i])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SequenceABC) and tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    observations: range
+    diagnoses: range
+    medications: range
+    treatments: range
 
 
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """Patients sorted by id with their event tables as columns.
 
-    Built by :func:`load_cohort` or :meth:`from_records`. Iterating or
-    indexing gives :class:`PatientRecord` views; two cohorts are equal when
-    they hold the same patients and events.
+    Built by :func:`load_cohort`. Iterating gives each patient row's
+    :class:`EventRows`; two cohorts are equal when they hold the same patients
+    and events.
     """
 
     patient_ids: tuple[str, ...]
@@ -215,54 +163,16 @@ class Cohort:
     # the distinct (code system, code) pairs, sorted by system name and code
     diagnosis_codes: tuple[tuple[CodeSystem, str], ...]
 
-    @classmethod
-    def from_records(cls, records: Iterable[PatientRecord]) -> "Cohort":
-        """The cohort of these records, in canonical order whatever their order."""
-        records = sorted(records, key=lambda p: p.patient_id)
-        ids = tuple(p.patient_id for p in records)
-        for earlier, pid in zip(ids, ids[1:]):
-            if earlier == pid:
-                raise DuplicatePatientError(pid)
-        pairs = sorted({(d.code_system.value, d.code) for p in records for d in p.diagnoses})
-        pair_code = {pair: i for i, pair in enumerate(pairs)}
-
-        def table(name, code_of, value_of=None):
-            events = [(row, e) for row, p in enumerate(records) for e in getattr(p, name)]
-            code = np.array([code_of(e) for _, e in events], np.int32)
-            return EventTable.sorted(
-                np.array([row for row, _ in events], np.int32),
-                np.array([e.date.toordinal() for _, e in events], np.int32),
-                code if name == "diagnoses" else code.astype(np.int8),
-                None if value_of is None else np.array([value_of(e) for _, e in events], float),
-            )
-
-        return cls(
-            ids,
-            np.array([p.birth_date.toordinal() for p in records], np.int32),
-            np.array([_POSITION[p.sex] for p in records], np.int8),
-            table("observations", lambda o: _POSITION[o.kind], lambda o: o.value),
-            table("diagnoses", lambda d: pair_code[d.code_system.value, d.code]),
-            table("medications", lambda m: _POSITION[m.drug_class]),
-            table("treatments", lambda t: _POSITION[t.treatment]),
-            tuple((CodeSystem(system), code) for system, code in pairs),
-        )
-
     def tables(self) -> tuple[EventTable, ...]:
-        """The event tables in PatientRecord field order."""
+        """The event tables in EventRows field order."""
         return (self.observations, self.diagnoses, self.medications, self.treatments)
 
     def __len__(self) -> int:
         return len(self.patient_ids)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[EventRows]:
         bounds = [t.bounds(len(self)).tolist() for t in self.tables()]
-        for row in range(len(self)):
-            yield self._record(row, [(b[row], b[row + 1]) for b in bounds])
-
-    def __getitem__(self, row: int) -> PatientRecord:
-        row = range(len(self))[row]
-        spans = [np.searchsorted(t.patient, (row, row + 1)).tolist() for t in self.tables()]
-        return self._record(row, spans)
+        return map(EventRows._make, zip(*(map(range, b, b[1:]) for b in bounds)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cohort):
@@ -275,25 +185,6 @@ class Cohort:
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.birth_day, self.sex) + tuple(c for t in self.tables() for c in t.columns())
-
-    def _record(self, row: int, spans) -> PatientRecord:
-        obs, dx, med, tx = self.tables()
-
-        def on(table, i):
-            return date.fromordinal(int(table.day[i]))
-
-        events = (
-            lambda i: Observation(on(obs, i), OBSERVATION_KINDS[obs.code[i]], float(obs.value[i])),
-            lambda i: DiagnosisEvent(on(dx, i), *self.diagnosis_codes[dx.code[i]]),
-            lambda i: MedicationEvent(on(med, i), DRUG_CLASSES[med.code[i]]),
-            lambda i: TreatmentEvent(on(tx, i), TREATMENTS[tx.code[i]]),
-        )
-        return PatientRecord(
-            self.patient_ids[row],
-            date.fromordinal(int(self.birth_day[row])),
-            SEXES[self.sex[row]],
-            *(_EventView(event, lo, hi) for event, (lo, hi) in zip(events, spans)),
-        )
 
 
 @dataclass(frozen=True)
@@ -427,7 +318,7 @@ def _encode_member(members: tuple, column: str):
     return encode
 
 
-# The event tables in PatientRecord field order: the field name (also the
+# The event tables in EventRows field order: the field name (also the
 # CohortPaths field), the header and the encoder of the columns after patient_id
 # and date. It returns (code, value or None, the checks after the patient's).
 _EVENT_TABLES = (
@@ -535,6 +426,16 @@ def _empty(texts: Sequence[str], column: str, reason: str):
     return empty, _malformed(column, lambda i: reason)
 
 
+_YYYY_MM_DD = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> date:
+    """YYYY-MM-DD as a date; ValueError for other text, such as 20200615, on every Python."""
+    if not _YYYY_MM_DD.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _date(texts: Sequence[str], memo: dict[str, int], column: str):
     """Date ordinals (int32), 0 where a text is no ISO date, and their check.
 
@@ -542,7 +443,7 @@ def _date(texts: Sequence[str], memo: dict[str, int], column: str):
     """
     for text in set(texts).difference(memo):
         try:
-            memo[text] = date.fromisoformat(text).toordinal()
+            memo[text] = iso_date(text).toordinal()
         except ValueError:
             memo[text] = 0
     day = np.fromiter(map(memo.__getitem__, texts), np.int32, len(texts))

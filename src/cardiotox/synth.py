@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate
-from .cohort import CSV_HEADERS, DEFAULT_CODE_MAP_ROWS, DrugClass, Treatment
+from .cohort import CSV_HEADERS, DEFAULT_CODE_MAP_ROWS, DrugClass, Treatment, iso_date
 from .errors import InvalidSpecError, OneClassError, read_json_object, require_known, require_type
 from .glm import sigmoid
 from .preprocess import CONDITION_FIELDS, LAB_FIELDS, OUTCOME_NAMES, TREATMENT_DUMMIES
@@ -157,12 +157,15 @@ _JSON_TYPES = {kind.__name__: kind for kind in (str, float, int, bool)}
 
 
 def _typed(name: str, value, kind: type):
-    """``value`` as ``kind``, or InvalidSpecError unless it has that JSON type."""
+    """``value`` as ``kind``; InvalidSpecError unless of that JSON type and, as a number, finite."""
     require_type(name, value, kind, InvalidSpecError)
     try:
-        return kind(value)
+        typed = kind(value)
     except OverflowError:  # an integer beyond the float range
         raise InvalidSpecError(f"{name} is out of range, got {value!r}") from None
+    if kind is float and not math.isfinite(typed):
+        raise InvalidSpecError(f"{name} must be a finite number, got {typed!r}")
+    return typed
 
 
 def _read(cls, raw, where: str, names: frozenset[str] = frozenset()):
@@ -185,7 +188,7 @@ def _read(cls, raw, where: str, names: frozenset[str] = frozenset()):
             values[key] = _parse_coefs(value, names, key)
         elif kinds[key] == "date":
             try:
-                values[key] = date.fromisoformat(_typed(f"{where}.{key}", value, str))
+                values[key] = iso_date(_typed(f"{where}.{key}", value, str))
             except ValueError as err:
                 raise InvalidSpecError(f"bad date in {where}: {err}") from None
         else:

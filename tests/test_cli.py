@@ -765,6 +765,26 @@ def test_error_quoting_a_line_break_stays_on_one_line(tmp_path):
                    "invalid ISO date '1970-01-01\\n'"]
 
 
+# Python 3.11's date.fromisoformat also reads these; 3.10's does not
+NOT_YYYY_MM_DD = ["20200615", "2020-W24-1"]
+
+
+@pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+def test_table_date_is_yyyy_mm_dd_on_every_python(tmp_path, text):
+    rows = golden_rows()
+    rows["patients"][1][1] = text
+    code, err = run_on_tables(rows, tmp_path, "validate")
+    assert code == 2
+    assert err == [f"error[MALFORMED_ROW]: {tmp_path / 'patients.csv'}:2 column 'birth_date': "
+                   f"invalid ISO date '{text}'"]
+
+
+@pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+def test_end_of_data_is_yyyy_mm_dd_on_every_python(tmp_path, capsys, text):
+    assert run_validate(golden_config(end_of_data=text), tmp_path) == 4
+    assert capsys.readouterr().err.splitlines() == [f"error[CONFIG]: bad end_of_data '{text}'"]
+
+
 def test_id_holding_a_carriage_return_reads_back_as_one_row(tmp_path):
     # a quoted "\r" in an id is one cell; a writer that left it bare would split its row
     for name in (*TABLES, "code_map"):

@@ -1,3 +1,4 @@
+import csv
 from datetime import date
 from unittest import mock
 
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cardiotox import cohort as cohort_module
+from cardiotox import synth
 from cardiotox.cohort import (
     CodeMap,
     CodeSystem,
     CohortPaths,
     DiagnosisCategory,
-    DiagnosisEvent,
+    EventRows,
     default_code_map,
     load_code_map,
     load_cohort,
@@ -20,6 +22,9 @@ from cardiotox.errors import (
     MalformedRowError,
     UnknownPatientError,
 )
+
+from records import DiagnosisEvent, records_of
+from test_cli import GOLDEN, TABLES
 
 PATIENTS = "patient_id,birth_date,sex\nP1,1960-01-01,F\nP2,1950-05-05,M\n"
 OBSERVATIONS = (
@@ -45,8 +50,8 @@ def write_cohort_files(tmp_path, patients=PATIENTS, observations=OBSERVATIONS,
 
 def test_load_materializes_every_row(tmp_path):
     cohort = load_cohort(write_cohort_files(tmp_path))
-    assert [p.patient_id for p in cohort] == ["P1", "P2"]
-    p1, p2 = cohort
+    assert [p.patient_id for p in records_of(cohort)] == ["P1", "P2"]
+    p1, p2 = records_of(cohort)
     assert len(p1.observations) == 2 and len(p2.observations) == 1
     assert p1.diagnoses[0].code == "I10"
     assert p2.medications[0].drug_class.value == "STATIN"
@@ -54,9 +59,40 @@ def test_load_materializes_every_row(tmp_path):
     assert p2.treatments == ()
     total_events = sum(
         len(p.observations) + len(p.diagnoses) + len(p.medications) + len(p.treatments)
-        for p in cohort
+        for p in records_of(cohort)
     )
     assert total_events == 6
+
+
+SMALL_SPEC = {
+    "n": 120, "seed": 11,
+    "covariates": [{"name": "hba1c", "dist": "normal", "mu": 6.0, "sigma": 0.9}],
+    "treatment_model": {"kind": "randomized", "p_chemo": 0.3, "p_targeted": 0.3},
+    "outcome_models": {name: {"intercept": -1.5} for name in ("CHF", "CAD", "CM", "MI")},
+}
+
+
+@pytest.mark.parametrize("source", ["golden", "synth"])
+def test_event_rows_count_and_cover_every_loaded_row(tmp_path, source):
+    directory = GOLDEN
+    if source == "synth":
+        directory = tmp_path
+        synth.write_cohort(synth.generate(synth.parse_spec(SMALL_SPEC)), directory)
+    data_rows = 0
+    for name in TABLES:
+        with open(directory / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            data_rows += sum(1 for row in csv.reader(fh) if row) - 1
+    cohort = load_cohort(CohortPaths.in_dir(directory))
+    spans = list(cohort)
+    assert all(isinstance(rows, EventRows) for rows in spans)
+    # what a caller counting each patient and the length of each of its ranges reads
+    assert len(cohort) + sum(len(span) for rows in spans for span in rows) == data_rows
+    for name in EventRows._fields:
+        table = getattr(cohort, name)
+        for row, rows in enumerate(spans):
+            assert (table.patient[getattr(rows, name)] == row).all()
+        covered = [i for rows in spans for i in getattr(rows, name)]
+        assert covered == list(range(len(table.patient)))
 
 
 def test_load_is_row_order_invariant(tmp_path):

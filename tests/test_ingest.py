@@ -10,10 +10,12 @@ first fault, with the same message, or load the same records.
 
 import csv
 import math
+import re
 import tracemalloc
 from datetime import date
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from cardiotox import cohort as cohort_module
@@ -24,20 +26,25 @@ from cardiotox.cohort import (
     Cohort,
     CohortPaths,
     DiagnosisCategory,
-    DiagnosisEvent,
     DrugClass,
-    MedicationEvent,
-    Observation,
+    EventRows,
     ObservationKind,
-    PatientRecord,
     Sex,
     Treatment,
-    TreatmentEvent,
     load_code_map,
     load_cohort,
 )
 from cardiotox.errors import DuplicatePatientError, MalformedRowError, UnknownPatientError
 
+from records import (
+    DiagnosisEvent,
+    MedicationEvent,
+    Observation,
+    PatientRecord,
+    TreatmentEvent,
+    cohort_of,
+    records_of,
+)
 from test_cli import CELLS, GOLDEN, TABLES, golden_rows
 
 CODE_MAP_HEADER = ["code_system", "code_prefix", "category"]
@@ -77,10 +84,12 @@ def fault(path, line, column, reason):
 
 
 def day(text, path, line, column="date"):
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        fault(path, line, column, f"invalid ISO date '{text}'")
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):  # YYYY-MM-DD, on every Python
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
+    fault(path, line, column, f"invalid ISO date '{text}'")
 
 
 def member(enum_cls, text, path, line, column):
@@ -167,7 +176,7 @@ def outcome(load, path):
         loaded = load(path)
     except (MalformedRowError, UnknownPatientError, DuplicatePatientError) as err:
         return type(err).__name__, err.file, err.line, str(err)
-    return loaded if isinstance(loaded, CodeMap) else list(loaded)
+    return records_of(loaded) if isinstance(loaded, Cohort) else loaded
 
 
 def write_tables(root, tables):
@@ -306,19 +315,23 @@ def test_loaded_tables_equal_the_cohort_of_their_records(tmp_path_factory, peopl
                         for row in tables[name]]
     paths = write_tables(tmp_path_factory.mktemp("records"), tables)
     loaded = load_cohort(paths)
-    assert loaded == Cohort.from_records(reversed(records))
-    assert list(loaded) == reference_load(paths)
-    assert [loaded[i] for i in range(-len(loaded), 0)] == list(loaded)
+    assert loaded == cohort_of(reversed(records))
+    assert records_of(loaded) == reference_load(paths)
 
 
-def test_record_views_read_as_sequences(tmp_path):
+def test_event_rows_are_the_ranges_of_one_patients_rows(tmp_path):
     loaded = load_cohort(write_tables(tmp_path, golden_rows()))
-    p08 = loaded[loaded.patient_ids.index("P08")]
-    assert len(p08.observations) == len(list(p08.observations)) == len(tuple(p08.observations))
-    assert p08.observations[-1] == tuple(p08.observations)[-1]
-    assert p08.observations[1:3] == tuple(p08.observations)[1:3]
+    row = loaded.patient_ids.index("P08")
+    rows = list(loaded)[row]
+    assert isinstance(rows, EventRows)
+    for name, span in zip(EventRows._fields, rows):
+        assert isinstance(span, range)
+        assert list(span) == np.flatnonzero(getattr(loaded, name).patient == row).tolist()
+    # by date, then kind, then value
+    assert loaded.observations.value[rows.observations].tolist() == [140, 27, 29, 70, 120, 0.02]
+    p08 = records_of(loaded)[row]
     assert p08.medications == (MedicationEvent(date(2018, 2, 1), DrugClass.STATIN),)
-    assert p08 == Cohort.from_records([p08])[0]
+    assert records_of(cohort_of([p08])) == [p08]
 
 
 # ---------------------------------------------------------------------------

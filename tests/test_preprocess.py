@@ -15,17 +15,11 @@ from cardiotox import preprocess, synth
 from cardiotox.cohort import (
     HEART_DISEASE_CATEGORIES,
     CodeSystem,
-    Cohort,
     DiagnosisCategory,
-    DiagnosisEvent,
     DrugClass,
-    MedicationEvent,
-    Observation,
     ObservationKind,
-    PatientRecord,
     Sex,
     Treatment,
-    TreatmentEvent,
     default_code_map,
 )
 from cardiotox.errors import EmptyCohortMeanError, UnknownFeatureError
@@ -57,6 +51,16 @@ from cardiotox.preprocess import (
     write_features_csv,
 )
 
+from records import (
+    DiagnosisEvent,
+    MedicationEvent,
+    Observation,
+    PatientRecord,
+    TreatmentEvent,
+    cohort_of,
+    records_of,
+)
+
 CMAP = default_code_map()
 END = date(2020, 12, 31)
 
@@ -72,7 +76,7 @@ def patient(pid="P1", sex=Sex.F, birth=date(1960, 1, 1), observations=(),
 
 def index_of(p):
     """One record's index date, read from its cohort's index days."""
-    day = int(index_days(Cohort.from_records([p]))[0])
+    day = int(index_days(cohort_of([p]))[0])
     return date.fromordinal(day) if day else None
 
 
@@ -112,7 +116,7 @@ def baselines_of(*rows):
 
 def summary(p, config=PreprocessConfig()):
     """One treated record's baseline summary."""
-    return summary_rows(summarize_baselines(Cohort.from_records([p]), [0], CMAP, config))[0]
+    return summary_rows(summarize_baselines(cohort_of([p]), [0], CMAP, config))[0]
 
 
 def radiation(on):
@@ -138,7 +142,7 @@ class TestIndexDate:
 
 class TestEligibility:
     def assert_reason(self, p, reason):
-        report = apply_eligibility(Cohort.from_records([p]), CMAP, END)
+        report = apply_eligibility(cohort_of([p]), CMAP, END)
         assert report.excluded == ((p.patient_id, reason),)
 
     def test_no_treatment(self):
@@ -165,7 +169,7 @@ class TestEligibility:
     def test_allowed_prior_cancer_not_excluded(self):
         dx = DiagnosisEvent(date(2017, 1, 1), CodeSystem.ICD10, "C44.0")
         p = patient(diagnoses=[dx], treatments=[chemo(date(2018, 1, 1))])
-        assert apply_eligibility(Cohort.from_records([p]), CMAP, END).included == ("P1",)
+        assert apply_eligibility(cohort_of([p]), CMAP, END).included == ("P1",)
 
     def test_prior_heart_disease_on_index_counts(self):
         dx = DiagnosisEvent(date(2018, 1, 1), CodeSystem.ICD10, "I50.9")
@@ -175,16 +179,16 @@ class TestEligibility:
     def test_heart_disease_after_index_is_outcome_not_exclusion(self):
         dx = DiagnosisEvent(date(2018, 5, 1), CodeSystem.ICD10, "I50.9")
         p = patient(diagnoses=[dx], treatments=[chemo(date(2018, 1, 1))])
-        assert apply_eligibility(Cohort.from_records([p]), CMAP, END).included == ("P1",)
+        assert apply_eligibility(cohort_of([p]), CMAP, END).included == ("P1",)
 
     def test_insufficient_followup(self):
         p = patient(treatments=[chemo(date(2018, 1, 1))])
-        report = apply_eligibility(Cohort.from_records([p]), CMAP, date(2018, 6, 1))
+        report = apply_eligibility(cohort_of([p]), CMAP, date(2018, 6, 1))
         assert report.excluded == (("P1", ExclusionReason.INSUFFICIENT_FOLLOWUP),)
 
     def test_exactly_365_days_is_enough(self):
         p = patient(treatments=[chemo(date(2018, 1, 1))])
-        report = apply_eligibility(Cohort.from_records([p]), CMAP, date(2019, 1, 1))
+        report = apply_eligibility(cohort_of([p]), CMAP, date(2019, 1, 1))
         assert report.included == ("P1",)
 
     def test_precedence_multiple_before_heart_disease(self):
@@ -201,11 +205,11 @@ class TestEligibility:
             patient(pid="B"),
             patient(pid="C", sex=Sex.M, treatments=[radiation(date(2018, 1, 1))]),
         ]
-        report = apply_eligibility(Cohort.from_records(people), CMAP, END)
+        report = apply_eligibility(cohort_of(people), CMAP, END)
         assert set(report.included) | {pid for pid, _ in report.excluded} == {"A", "B", "C"}
         assert set(report.included) & {pid for pid, _ in report.excluded} == set()
         survivors = [p for p in people if p.patient_id in report.included]
-        again = apply_eligibility(Cohort.from_records(survivors), CMAP, END)
+        again = apply_eligibility(cohort_of(survivors), CMAP, END)
         assert again.excluded == ()
 
 
@@ -252,7 +256,7 @@ class TestSummarize:
 
     def test_untreated_row_is_rejected(self):
         treated = patient(pid="B", treatments=[chemo(INDEX)])
-        cohort = Cohort.from_records([patient(pid="A"), treated])
+        cohort = cohort_of([patient(pid="A"), treated])
         assert summary_rows(summarize_baselines(cohort, [1], CMAP))[0].patient_id == "B"
         with pytest.raises(ValueError):
             summarize_baselines(cohort, [0, 1], CMAP)
@@ -538,7 +542,7 @@ def test_compute_features_end_to_end():
         ),
         patient(pid="P2", treatments=[radiation(date(2018, 1, 1))]),
     ]
-    feats, report = compute_features(Cohort.from_records(people), CMAP, END)
+    feats, report = compute_features(cohort_of(people), CMAP, END)
     assert report.included == ("P1", "P2")
     by_id = {f.patient_id: f for f in feats}
     assert by_id["P2"].sbp == 120.0  # cohort mean of the single observed value
@@ -950,7 +954,7 @@ class TestSinglePassMatchesReferences:
             p = patient(birth=p.birth_date, observations=p.observations,
                         diagnoses=p.diagnoses, medications=p.medications,
                         treatments=[chemo(index)])
-        want = reference_wanted(Cohort.from_records([p])[0], index, config)
+        want = reference_wanted(records_of(cohort_of([p]))[0], index, config)
         got = summary(p, config)
         for name in SUMMARY_FIELDS:
             value, expected = getattr(got, name), want[name]
@@ -965,14 +969,15 @@ class TestSinglePassMatchesReferences:
         # patients' events sit side by side in each column; any subset of the
         # treated rows, in any order, gets each row's own summary
         people = [replace(p, patient_id=f"P{i}") for i, p in enumerate(people)]
-        cohort = Cohort.from_records(people)
-        treated = [row for row, p in enumerate(cohort) if p.treatments]
+        cohort = cohort_of(people)
+        by_row = records_of(cohort)
+        treated = [row for row, p in enumerate(by_row) if p.treatments]
         rows = data.draw(st.permutations(treated)) if treated else []
         rows = rows[: data.draw(st.integers(0, len(rows)))]
         got = summary_rows(summarize_baselines(cohort, rows, CMAP, config))
         assert len(got) == len(rows)
         for row, raw in zip(rows, got):
-            p = cohort[row]
+            p = by_row[row]
             want = reference_wanted(p, reference_index(p), config)
             assert vars(raw) == want
 
@@ -982,7 +987,7 @@ class TestSinglePassMatchesReferences:
     def test_exclusions_of_many_patients_equal_references(self, people, end_shift):
         people = [replace(p, patient_id=f"P{i}") for i, p in enumerate(people)]
         end = INDEX + timedelta(days=end_shift)
-        report = apply_eligibility(Cohort.from_records(people), CMAP, end)
+        report = apply_eligibility(cohort_of(people), CMAP, end)
         want = {p.patient_id: reference_exclusion(p, CMAP, end) for p in people}
         assert report.included == tuple(pid for pid in sorted(want) if want[pid] is None)
         assert report.excluded == tuple(
@@ -992,7 +997,7 @@ class TestSinglePassMatchesReferences:
     @settings(max_examples=300, deadline=None)
     def test_exclusion_equals_reference(self, p, end_shift):
         end = INDEX + timedelta(days=end_shift)
-        report = apply_eligibility(Cohort.from_records([p]), CMAP, end)
+        report = apply_eligibility(cohort_of([p]), CMAP, end)
         want = reference_exclusion(p, CMAP, end)
         if want is None:
             assert (report.included, report.excluded) == ((p.patient_id,), ())
@@ -1010,7 +1015,7 @@ class TestSinglePassMatchesReferences:
         for order in (dxs, dxs[::-1]):
             p = patient(diagnoses=order, treatments=[chemo(INDEX)])
             assert reference_exclusion(p, CMAP, END) is ExclusionReason.PRIOR_CANCER
-            assert apply_eligibility(Cohort.from_records([p]), CMAP, END).excluded == (
+            assert apply_eligibility(cohort_of([p]), CMAP, END).excluded == (
                 ("P1", ExclusionReason.PRIOR_CANCER),)
 
 

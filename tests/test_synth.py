@@ -16,6 +16,8 @@ from cardiotox import cli, cohort, preprocess, synth
 from cardiotox.errors import InvalidSpecError
 from cardiotox.tableio import write_csv
 
+from records import records_of
+
 
 def raw_spec(**overrides):
     raw = {
@@ -65,7 +67,7 @@ class TestGenerate:
         patients = cohort.load_cohort(cohort.CohortPaths.in_dir(tmp_path))
         assert len(patients) == 100
         index = spec.layout.index_date
-        for p in patients:
+        for p in records_of(patients):
             pre_index_diabetes = [
                 d for d in p.diagnoses
                 if d.date < index
@@ -233,6 +235,45 @@ class TestSpecValidation:
                          "--n-mc", "100"])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error[INVALID_SPEC]: {line}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path,key,value,line", [
+        (("treatment_model",), "p_chemo", math.nan,
+         "treatment_model.p_chemo must be a finite number, got nan"),
+        (("covariates", 0), "mu", math.nan, "covariates[0].mu must be a finite number, got nan"),
+        (("covariates", 0), "sigma", math.nan,
+         "covariates[0].sigma must be a finite number, got nan"),
+        (("covariates", 0), "mu", math.inf, "covariates[0].mu must be a finite number, got inf"),
+        (("outcome_models", "CHF"), "intercept", math.nan,
+         "outcome model CHF coefficient 'intercept' must be a finite number, got nan"),
+    ], ids=["p_chemo", "mu", "sigma", "mu_infinity", "coefficient"])
+    def test_number_that_is_not_finite_exits_2(self, tmp_path, capsys, path, key, value, line):
+        # Python's json reads the literals NaN and Infinity, and every comparison with NaN
+        # is false, so no range check would catch one
+        raw = raw_spec()
+        target = raw
+        for step in path:
+            target = target[step]
+        target[key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o"),
+                         "--n-mc", "100"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error[INVALID_SPEC]: {line}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["20200615", "2020-W24-1"])
+    @pytest.mark.parametrize("key", ["index_date", "end_of_data"])
+    def test_layout_date_is_yyyy_mm_dd_on_every_python(self, tmp_path, capsys, key, text):
+        # Python 3.11's date.fromisoformat also reads these; 3.10's does not
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw_spec(event_layout={key: text})))
+        code = cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o"),
+                         "--n-mc", "100"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[INVALID_SPEC]: bad date in event_layout: Invalid isoformat string: '{text}'"]
         assert not (tmp_path / "o").exists()
 
     def test_no_event_layout_gives_the_default_layout(self):
