@@ -225,7 +225,7 @@ def bootstrap_effects(
     full_model, full_points = _fit_and_estimate(fm, arms_only, eliminate_alpha)
     if eliminate_alpha is None:
         residuals = fm.y - glm.predict_beta(full_model.beta, fm.X)
-        products = glm.pairwise_products(fm.X)
+        terms = glm.InformationTerms(fm.X)
 
     rng = SplitMix64(seed)
     draws: dict[tuple[str, str], list[np.ndarray]] = {key: [] for key in full_points}
@@ -241,7 +241,7 @@ def bootstrap_effects(
             counts = np.bincount(index.ravel(), minlength=block * fm.n)
             del index
             counts = counts.reshape(block, fm.n).astype(np.float64)
-            points, codes = _weighted_replicates(fm, counts, full_model, residuals, products,
+            points, codes = _weighted_replicates(fm, counts, full_model, residuals, terms,
                                                  arms_only)
         for code in codes:
             if code is not None:
@@ -280,7 +280,7 @@ def _weighted_replicates(
     counts: np.ndarray,
     full_model: glm.LogisticModel,
     residuals: np.ndarray,
-    products: np.ndarray,
+    terms: glm.InformationTerms,
     arms_only: bool,
 ) -> tuple[dict[tuple[str, str], np.ndarray], list[str | None]]:
     """Effects of the successful replicates in one block, and each one's error code.
@@ -297,7 +297,7 @@ def _weighted_replicates(
     if len(fitted) < len(counts):
         counts = counts[fitted]
     start = full_model.beta + ((counts * residuals) @ fm.X) @ full_model.covariance
-    betas, fit_codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+    betas, fit_codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, terms)
     for b, code in zip(fitted, fit_codes):
         codes[b] = code
     ok = np.array([code is None for code in fit_codes], dtype=bool)

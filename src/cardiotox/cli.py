@@ -212,7 +212,17 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int | None)
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
+        "blas": _blas_build(),
     })
+
+
+def _blas_build() -> dict | None:
+    """Name and version of the BLAS numpy was built with; None if its config has no entry."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (AttributeError, KeyError, TypeError):
+        return None
 
 
 def _load_features(cfg: RunConfig):

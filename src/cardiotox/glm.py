@@ -114,21 +114,46 @@ def fit_logistic(fm: FeatureMatrix, *, start: np.ndarray | None = None) -> Logis
     )
 
 
-def pairwise_products(X: np.ndarray) -> np.ndarray:
-    """Column products ``X[:, i] * X[:, j]`` for i <= j, in ``np.triu_indices`` order.
+class InformationTerms:
+    """``X.T @ diag(w) @ X`` for each row ``w`` of a weight block, from terms of ``X`` kept once.
 
-    A weight row times this matrix is the upper triangle of ``X.T @ diag(w) @ X``,
-    so one matrix product gives the information matrices of many fits.
-    Columns are written one at a time into one array to keep peak memory at
-    the size of the result.
+    An indicator column j (every value 0.0 or 1.0, not all ones) adds to the
+    information only on its rows where x_j = 1: row and column j are
+    ``w[rows_j] @ X[rows_j]``, kept as those rows and their row indices. The
+    other columns' entries come from their pairwise products, in
+    ``np.triu_indices`` order, so that one weight row times them is their upper
+    triangle. These are the dense sums without their zero terms; a design with no
+    indicator column keeps all its pairwise products.
     """
-    n, p = X.shape
-    rows, cols = np.triu_indices(p)
-    X = np.asfortranarray(X)
-    products = np.empty((n, len(rows)), order="F")
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        np.multiply(X[:, i], X[:, j], out=products[:, k])
-    return products
+
+    def __init__(self, X: np.ndarray):
+        n, self.p = X.shape
+        indicator = np.array([np.all((col == 0.0) | (col == 1.0)) and not np.all(col == 1.0)
+                              for col in X.T], dtype=bool)
+        dense = np.flatnonzero(~indicator)
+        rows, cols = np.triu_indices(len(dense))
+        self.rows, self.cols = dense[rows], dense[cols]
+        # columns written one at a time into one array keep peak memory at its size
+        self.products = np.empty((n, len(rows)), order="F")
+        for k, (i, j) in enumerate(zip(self.rows, self.cols)):
+            np.multiply(X[:, i], X[:, j], out=self.products[:, k])
+        self.indicators = []
+        for j in np.flatnonzero(indicator):
+            on = np.flatnonzero(X[:, j] == 1.0)
+            self.indicators.append((j, on, X[on]))
+
+    def __call__(self, weights: np.ndarray) -> np.ndarray:
+        """The (fits, p, p) information matrices of a (fits, n) weight block."""
+        info = np.empty((len(weights), self.p, self.p))
+        upper = weights @ self.products
+        info[:, self.rows, self.cols] = upper
+        info[:, self.cols, self.rows] = upper
+        # an entry of two indicator columns is set last by the later one, on both sides
+        for j, on, X_on in self.indicators:
+            line = weights[:, on] @ X_on
+            info[:, j, :] = line
+            info[:, :, j] = line
+        return info
 
 
 def fit_logistic_counts(
@@ -136,12 +161,12 @@ def fit_logistic_counts(
     y: np.ndarray,
     counts: np.ndarray,
     start: np.ndarray,
-    products: np.ndarray,
+    terms: InformationTerms,
 ) -> tuple[np.ndarray, list[str | None]]:
     """Fit one model per row of ``counts`` in lockstep (see ``_irls``); ``start`` is one
-    row or one row per fit, ``products`` is ``pairwise_products(X)``. Returns the
+    row or one row per fit, ``terms`` is ``InformationTerms(X)``. Returns the
     coefficients, NaN rows for failed fits, and each fit's error code or None."""
-    beta, _, _, _, failures = _irls(X, y, counts, start, products)
+    beta, _, _, _, failures = _irls(X, y, counts, start, terms)
     return beta, [None if failure is None else failure[0].code for failure in failures]
 
 
@@ -150,7 +175,7 @@ def _irls(
     y: np.ndarray,
     counts: np.ndarray,
     start: np.ndarray,
-    products: np.ndarray | None,
+    terms: InformationTerms | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
     """Fit one model per row of ``counts``, all in lockstep on the same ``X``.
 
@@ -162,8 +187,8 @@ def _irls(
     pass: iterations run out, separation on drawn rows, information not
     positive definite or singular.
 
-    ``products`` is ``pairwise_products(X)``, for a block's information in one
-    product. A blocked fit's last checks are those of the pass whose step met
+    ``terms`` is ``InformationTerms(X)``, for a block's information from stored
+    terms. A blocked fit's last checks are those of the pass whose step met
     the convergence test: its information there, and separation at the final
     coefficients at the start of the next pass, which factors no information
     for it. None is for one fit: ``(X * w).T @ X`` and ``logaddexp`` then keep
@@ -198,10 +223,8 @@ def _irls(
         raise DimensionMismatchError(f"start vector has shape {start.shape}, expected {expected}")
     C = counts if len(fit) == len(counts) else counts[fit]
     drawn = C > 0.0
-    blocked = products is not None
-    if blocked:
-        rows, cols = np.triu_indices(p)
-    else:
+    blocked = terms is not None
+    if not blocked:
         scaled = np.empty_like(X)
     beta = np.broadcast_to(start, (len(counts), p))[fit]
     eta = beta @ X.T
@@ -233,10 +256,7 @@ def _irls(
         weights *= prob
         weights *= C
         if blocked:
-            info = np.empty((len(fit), p, p))
-            upper = weights @ products
-            info[:, rows, cols] = upper
-            info[:, cols, rows] = upper
+            info = terms(weights)
         else:
             info = (np.multiply(X, weights.reshape(-1, 1), out=scaled).T @ X)[None]  # one fit
         chol, not_definite, ill_conditioned = _factor(info)
@@ -335,7 +355,8 @@ def predict_matrix(model: LogisticModel, X: np.ndarray) -> np.ndarray:
 
 def predict_beta(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``predict_matrix`` for bare coefficients; a (p, fits) ``beta`` gives one column per fit."""
-    prob = sigmoid(X @ beta)
+    # one coefficient vector: a reduction per row, so identical rows score identically
+    prob = sigmoid(np.einsum("ij,j->i", X, beta) if beta.ndim == 1 else X @ beta)
     return np.clip(prob, _PROB_FLOOR, _PROB_CEIL, out=prob)
 
 

@@ -24,6 +24,7 @@ from cardiotox.rng import SplitMix64
 from cardiotox.tableio import write_csv
 
 from test_acceptance import SCALE_SPEC
+from test_ingest import MEMORY_SPEC
 
 
 def sigmoid(x):
@@ -294,7 +295,7 @@ class TestLockstepMatchesRowCopies:
         assert np.max(np.abs(start)) > glm.SEPARATION_BETA_BOUND
         counts = np.ones((2, 301))
         counts[0, 300] = 0.0
-        betas, codes = glm.fit_logistic_counts(X, y, counts, start, glm.pairwise_products(X))
+        betas, codes = glm.fit_logistic_counts(X, y, counts, start, glm.InformationTerms(X))
         assert codes == [None, SeparationError.code]
         assert np.max(np.abs(betas[0] - start)) < 1e-9
         with pytest.raises(SeparationError):
@@ -361,13 +362,28 @@ def test_bootstrap_memory_does_not_grow_with_b():
     assert peaks[1000] < 1.1 * peaks[200]
 
 
+def test_information_terms_take_less_than_half_the_pairwise_products():
+    # 18 of the default design's 27 columns are indicators with prevalence 0.03-0.55;
+    # all n * p(p+1)/2 pairwise products take exactly 1.0 times the bound's unit
+    fm = causal.build_causal_matrix(synth.to_features(synth.generate(synth.parse_spec(
+        MEMORY_SPEC))), "CHF")
+    tracemalloc.start()
+    try:
+        terms = glm.InformationTerms(fm.X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fm.n, fm.p, len(terms.indicators)) == (20_000, 27, 18)
+    assert peak <= 0.45 * fm.n * fm.p * (fm.p + 1) / 2 * 8
+
+
 # ---------------------------------------------------------------------------
 # Blocked fits against a copy of the stop rule they used to have: a fit whose
 # step met the convergence test ran one more whole pass at its optimum, which
 # factored and checked its information again before it stopped.
 
 
-def reference_blocked_irls(X, y, counts, start, products):
+def reference_blocked_irls(X, y, counts, start, terms):
     """The blocked ``glm._irls`` of old: the coefficients and each fit's error code."""
     p = X.shape[1]
     beta_out = np.full((len(counts), p), np.nan)
@@ -383,7 +399,6 @@ def reference_blocked_irls(X, y, counts, start, products):
         return beta_out, codes
     C = counts[fit]
     drawn = C > 0.0
-    rows, cols = np.triu_indices(p)
 
     def log_likelihood(eta, C):
         softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
@@ -400,10 +415,7 @@ def reference_blocked_irls(X, y, counts, start, products):
         diverging = np.abs(beta).max(axis=1) > glm.SEPARATION_BETA_BOUND
         separated = (pinned & drawn).any(axis=1) & diverging
         weights = prob * (1.0 - prob) * C
-        info = np.empty((len(fit), p, p))
-        upper = weights @ products
-        info[:, rows, cols] = upper
-        info[:, cols, rows] = upper
+        info = terms(weights)
         chol, not_definite, ill_conditioned = glm._factor(info)
         stop = done | separated | not_definite | ill_conditioned
         if iteration == glm.MAX_ITERATIONS:
@@ -461,21 +473,21 @@ def replicate_blocks(feats, covariates, n_boot, seed):
 def compare_with_reference(feats, covariates, n_boot, seed):
     """Failure counts by code, after comparing every replicate with the old stop rule."""
     fm, start, blocks = replicate_blocks(feats, covariates, n_boot, seed)
-    products = glm.pairwise_products(fm.X)
+    terms = glm.InformationTerms(fm.X)
     failures = {}
     for counts in blocks:
-        # fitted alone, a replicate meets the same products under both rules
+        # fitted alone, a replicate meets the same terms under both rules
         for alone in counts[:, None, :]:
-            betas, codes = glm.fit_logistic_counts(fm.X, fm.y, alone, start, products)
+            betas, codes = glm.fit_logistic_counts(fm.X, fm.y, alone, start, terms)
             expected_betas, expected_codes = reference_blocked_irls(
-                fm.X, fm.y, alone, start, products)
+                fm.X, fm.y, alone, start, terms)
             assert codes == expected_codes
             assert np.array_equal(betas, expected_betas, equal_nan=True)
-        # In a block, fits now leave a pass sooner, and the BLAS may round a row's
-        # products differently once the block holds fewer rows (a few ulp, rarely).
-        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+        # In a block, fits now leave a pass sooner, and the BLAS may round a fit's
+        # information sums differently once the block holds fewer rows (a few ulp, rarely).
+        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, terms)
         expected_betas, expected_codes = reference_blocked_irls(
-            fm.X, fm.y, counts, start, products)
+            fm.X, fm.y, counts, start, terms)
         assert codes == expected_codes
         np.testing.assert_allclose(betas, expected_betas, rtol=1e-12, atol=1e-12)
         for code in codes:
@@ -510,13 +522,13 @@ class TestBlockedStopRule:
         monkeypatch.setattr(glm, "_factor", lambda info: factored.append(len(info)) or factor(info))
         make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES["plain"]
         fm, start, blocks = replicate_blocks(make(), covariates, n_boot, seed)
-        products = glm.pairwise_products(fm.X)
+        terms = glm.InformationTerms(fm.X)
         for counts in blocks:
             del factored[:]
-            _, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+            _, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, terms)
             now = sum(factored)
             del factored[:]
-            reference_blocked_irls(fm.X, fm.y, counts, start, products)
+            reference_blocked_irls(fm.X, fm.y, counts, start, terms)
             assert codes == [None] * len(counts)
             # each fit's information is factored once fewer: at its optimum
             assert sum(factored) - now == len(counts)
@@ -540,18 +552,18 @@ class TestOneStepStarts:
     def test_one_start_per_fit_matches_a_shared_start(self):
         make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES["plain"]
         fm, start, blocks = replicate_blocks(make(), covariates, n_boot, seed)
-        products = glm.pairwise_products(fm.X)
+        terms = glm.InformationTerms(fm.X)
         counts = blocks[0].copy()
         counts[0] = fm.y  # only events drawn: fails before any pass, so its start is unused
-        shared = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+        shared = glm.fit_logistic_counts(fm.X, fm.y, counts, start, terms)
         starts = np.repeat(start[None, :], len(counts), axis=0)
         starts[0] = np.nan
-        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, starts, products)
+        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, starts, terms)
         assert codes == shared[1] and codes[0] == DegenerateOutcomeError.code
         assert np.array_equal(betas, shared[0], equal_nan=True)
         with pytest.raises(DimensionMismatchError, match=rf"shape \({len(counts) + 1}, 4\), "
                            rf"expected \({len(counts)}, 4\)"):
-            glm.fit_logistic_counts(fm.X, fm.y, counts, np.vstack([starts, start]), products)
+            glm.fit_logistic_counts(fm.X, fm.y, counts, np.vstack([starts, start]), terms)
 
     def test_bootstrap_hands_each_fit_its_one_step_start(self, monkeypatch):
         make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES["plain"]
@@ -561,9 +573,9 @@ class TestOneStepStarts:
         calls, factored = [], []
         fit_counts, factor = glm.fit_logistic_counts, glm._factor
 
-        def recorded(X, y, counts, start, products):
+        def recorded(X, y, counts, start, terms):
             calls.append((counts, start))
-            return fit_counts(X, y, counts, start, products)
+            return fit_counts(X, y, counts, start, terms)
 
         monkeypatch.setattr(glm, "fit_logistic_counts", recorded)
         monkeypatch.setattr(glm, "_factor", lambda info: factored.append(len(info)) or factor(info))
@@ -576,8 +588,8 @@ class TestOneStepStarts:
                                        rtol=0, atol=1e-12)
 
         # the same bootstrap with every fit started at the full-sample optimum
-        monkeypatch.setattr(glm, "fit_logistic_counts", lambda X, y, counts, start, products:
-                            fit_counts(X, y, counts, full.beta, products))
+        monkeypatch.setattr(glm, "fit_logistic_counts", lambda X, y, counts, start, terms:
+                            fit_counts(X, y, counts, full.beta, terms))
         del factored[:]
         at_optimum = causal.bootstrap_effects(feats, "CHF", covariates, n_boot=n_boot, seed=seed)
         assert passes < len(factored)
@@ -592,15 +604,15 @@ class TestOneStepStarts:
     def test_same_failures_and_optimum_as_from_the_full_sample_optimum(self, case):
         make, covariates, n_boot, seed, _ = TestLockstepMatchesRowCopies.CASES[case]
         fm, start, blocks = replicate_blocks(make(), covariates, n_boot, seed)
-        products = glm.pairwise_products(fm.X)
+        terms = glm.InformationTerms(fm.X)
         full = glm.fit_logistic(fm)
         for counts in blocks:
             if not len(counts):
                 continue
             starts = one_step_starts(fm, full, counts)
-            betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, starts, products)
+            betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, starts, terms)
             expected_betas, expected_codes = glm.fit_logistic_counts(
-                fm.X, fm.y, counts, start, products)
+                fm.X, fm.y, counts, start, terms)
             assert codes == expected_codes
             ok = [code is None for code in codes]
             assert np.all(np.abs(betas[ok] - expected_betas[ok]) <= 1e-6 * full.se)

@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -319,7 +320,21 @@ def test_manifest_contents(synth_dir, tmp_path):
     assert manifest["command"] == "validate"
     assert manifest["seed"] == 4242
     assert set(manifest) == {"command", "config_sha256", "seed", "package_version",
-                             "numpy_version", "python_version"}
+                             "numpy_version", "python_version", "blas"}
+
+
+def test_manifest_names_the_blas_numpy_was_built_with(synth_dir, tmp_path, monkeypatch):
+    def manifest_blas(out):
+        assert cli.main(["validate", "--config", str(synth_dir / "run_config.json"),
+                         "--out", str(out)]) == 0
+        return json.loads((out / "run_manifest.json").read_text())["blas"]
+
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert manifest_blas(tmp_path / "o") == {"name": blas["name"], "version": blas["version"]}
+    assert blas["name"] and blas["version"]
+    # a numpy whose build config has no BLAS entry
+    monkeypatch.setattr(np.__config__, "CONFIG", {"Build Dependencies": {}})
+    assert manifest_blas(tmp_path / "p") is None
 
 
 def write_config(synth_dir, root, **overrides):

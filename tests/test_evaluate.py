@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardiotox import evaluate, glm
+from cardiotox import evaluate, glm, preprocess, synth
 from cardiotox.errors import (
     BadKError,
     DegenerateOutcomeError,
@@ -11,7 +11,8 @@ from cardiotox.errors import (
     OneClassError,
 )
 from cardiotox.preprocess import FeatureMatrix
-from cardiotox.rng import SplitMix64
+from cardiotox.rng import SplitMix64, derive_seed
+from test_acceptance import SCALE_SPEC
 
 
 def brute_force_auc(scores, labels):
@@ -362,3 +363,27 @@ class TestCrossValidation:
         rows = (tmp_path / "cv_report.csv").read_text().splitlines()
         assert rows[1:7] == [f"CHF,{fold},NA" for fold in range(5)] + ["CHF,MEAN,NA"]
         assert rows[7].startswith("CHF,POOLED,")
+
+
+def test_identical_held_out_rows_score_identically(monkeypatch):
+    # On bench seed 7 (spec seed 90217), X @ beta once scored the copies in 2 of
+    # the 508 groups of identical held-out MI rows differently.
+    features = synth.to_features(synth.generate(synth.parse_spec({**SCALE_SPEC, "seed": 90217})))
+    fm = preprocess.build_matrix(features, preprocess.FEATURE_SETS["OUTCOME_MODEL"], "MI")
+    held_out = []
+    predict = glm.predict_matrix
+
+    def recorded(model, X):
+        held_out.append((X, predict(model, X)))
+        return held_out[-1][1]
+
+    monkeypatch.setattr(glm, "predict_matrix", recorded)
+    seed = derive_seed(90217, preprocess.OUTCOME_NAMES.index("MI"))
+    evaluate.cv_report_and_scores(fm, 5, seed, alpha_stay=0.15)
+    groups = 0
+    for X, scores in held_out:
+        _, group, sizes = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+        for g in np.flatnonzero(sizes > 1):
+            groups += 1
+            assert len(set(scores[group.ravel() == g])) == 1
+    assert len(held_out) == 5 and groups == 508

@@ -154,6 +154,19 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             self.predict_prob(self.model([0.1, 0.2]), [1.0])
 
+    def test_identical_rows_score_identically(self):
+        # A BLAS matrix-vector product may round copies of one row differently by
+        # where they sit: X @ beta split the copies in 5 of these 400 matrices
+        # (OpenBLAS 0.3.31, Haswell kernels, one thread).
+        rng = np.random.default_rng(2)
+        for _ in range(400):
+            n, p = int(rng.integers(20, 4000)), int(rng.integers(2, 28))
+            X = rng.normal(size=(n, p))
+            beta = rng.normal(size=p)
+            copies = rng.choice(n, 16, replace=False)
+            X[copies] = X[copies[0]]
+            assert len(set(glm.predict_beta(beta, X)[copies])) == 1
+
 
 class TestWald:
     def model(self, beta, se):
@@ -279,8 +292,8 @@ class TestFitCounts:
         index = g.integers(fm.n, 5 * fm.n).reshape(5, fm.n)
         counts = np.stack([np.bincount(idx, minlength=fm.n) for idx in index])
         start = glm.fit_logistic(fm).beta
-        products = glm.pairwise_products(fm.X)
-        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, products)
+        terms = glm.InformationTerms(fm.X)
+        betas, codes = glm.fit_logistic_counts(fm.X, fm.y, counts, start, terms)
         assert codes == [None] * 5
         for idx, beta in zip(index, betas):
             expected = glm.fit_logistic(fm.subset_rows(idx), start=start).beta
@@ -292,18 +305,18 @@ class TestFitCounts:
         only_negatives = np.where(fm.y == 0.0, 2.0, 0.0)
         x = np.linspace(-2, 2, fm.n)
         separable = matrix(np.column_stack([np.ones(fm.n), x]), (x > 0).astype(float))
-        products = glm.pairwise_products(fm.X)
+        terms = glm.InformationTerms(fm.X)
         _, codes = glm.fit_logistic_counts(
-            fm.X, fm.y, np.stack([ones, only_negatives, ones]), np.zeros(2), products
+            fm.X, fm.y, np.stack([ones, only_negatives, ones]), np.zeros(2), terms
         )
         assert codes == [None, DegenerateOutcomeError.code, None]
         betas, codes = glm.fit_logistic_counts(
-            fm.X, fm.y, only_negatives[None, :], np.zeros(2), products
+            fm.X, fm.y, only_negatives[None, :], np.zeros(2), terms
         )
         assert codes == [DegenerateOutcomeError.code] and np.isnan(betas).all()
         _, codes = glm.fit_logistic_counts(
             separable.X, separable.y, ones[None, :], np.zeros(2),
-            glm.pairwise_products(separable.X),
+            glm.InformationTerms(separable.X),
         )
         assert codes == [SeparationError.code]
         with pytest.raises(SeparationError):
@@ -314,7 +327,7 @@ class TestFitCounts:
         X = np.column_stack([fm.X, rare])
         undrawn = np.where(rare == 0.0, 1.0, 0.0)
         betas, codes = glm.fit_logistic_counts(
-            X, fm.y, np.stack([ones, undrawn, ones]), np.zeros(3), glm.pairwise_products(X)
+            X, fm.y, np.stack([ones, undrawn, ones]), np.zeros(3), glm.InformationTerms(X)
         )
         assert codes == [None, SingularInformationError.code, None]
         assert np.isnan(betas[1]).all() and np.array_equal(betas[0], betas[2])
@@ -328,9 +341,111 @@ class TestFitCounts:
         with pytest.raises(NotConvergedError):
             glm.fit_logistic(fm)
         betas, codes = glm.fit_logistic_counts(
-            fm.X, fm.y, np.ones((1, fm.n)), np.zeros(fm.p), glm.pairwise_products(fm.X)
+            fm.X, fm.y, np.ones((1, fm.n)), np.zeros(fm.p), glm.InformationTerms(fm.X)
         )
         assert codes == [NotConvergedError.code] and np.isnan(betas).all()
+
+
+def dense_information(X, weights):
+    """``Xᵀ diag(w) X`` for each row w of ``weights``, one fit at a time."""
+    return np.stack([(X * w[:, None]).T @ X for w in weights])
+
+
+def pairwise_information(X, weights):
+    """The blocked information of old: each weight row times all pairwise column products."""
+    rows, cols = np.triu_indices(X.shape[1])
+    products = np.asfortranarray(np.column_stack([X[:, i] * X[:, j] for i, j in zip(rows, cols)]))
+    upper = weights @ products
+    info = np.empty((len(weights), X.shape[1], X.shape[1]))
+    info[:, rows, cols] = upper
+    info[:, cols, rows] = upper
+    return info
+
+
+def assert_information_within_bound(X, weights, info):
+    """Two float sums of the same n nonnegative-weighted products differ by at most
+    2·γₙ·(|X|ᵀ W |X|) entrywise, γₙ = n·u / (1 − n·u) with unit roundoff u = 2⁻⁵³."""
+    n = X.shape[0]
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    bound = 2.0 * gamma * dense_information(np.abs(X), weights)
+    assert np.all(np.abs(info - dense_information(X, weights)) <= bound)
+    assert np.array_equal(info, np.swapaxes(info, 1, 2))
+
+
+def indicator(g, n, prevalence):
+    return (g.uniform(n) < prevalence).astype(float)
+
+
+class TestInformationTerms:
+    def test_no_indicator_column_keeps_the_pairwise_products_bit_for_bit(self):
+        g = SplitMix64(51)
+        X = np.column_stack([np.ones(500), g.normal(500), g.normal(500), g.uniform(500)])
+        weights = g.uniform(16 * 500).reshape(16, 500)
+        info = glm.InformationTerms(X)(weights)
+        assert np.array_equal(info, pairwise_information(X, weights))
+        assert_information_within_bound(X, weights, info)
+
+    def test_every_column_but_the_intercept_an_indicator(self):
+        g = SplitMix64(52)
+        X = np.column_stack([np.ones(700)] + [indicator(g, 700, q) for q in (0.03, 0.2, 0.55, 0.9)])
+        terms = glm.InformationTerms(X)
+        assert [j for j, _, _ in terms.indicators] == [1, 2, 3, 4]
+        assert terms.products.shape == (700, 1)
+        weights = g.uniform(16 * 700).reshape(16, 700)
+        assert_information_within_bound(X, weights, terms(weights))
+
+    def test_all_ones_column_that_is_not_the_intercept_is_no_indicator(self):
+        g = SplitMix64(53)
+        X = np.column_stack([g.normal(300), np.ones(300), indicator(g, 300, 0.3)])
+        terms = glm.InformationTerms(X)
+        assert [j for j, _, _ in terms.indicators] == [2]
+        weights = g.uniform(5 * 300).reshape(5, 300)
+        assert_information_within_bound(X, weights, terms(weights))
+
+    def test_all_zero_indicator_column_is_singular_as_in_the_dense_form(self):
+        fm = simulate(54, 400, (-0.5, 0.6, -0.3))
+        X = np.column_stack([fm.X, np.zeros(fm.n), indicator(SplitMix64(55), fm.n, 0.2)])
+        terms = glm.InformationTerms(X)
+        assert len(terms.indicators[0][1]) == 0  # the all-zero column: no rows
+        weights = SplitMix64(56).uniform(4 * fm.n).reshape(4, fm.n)
+        assert_information_within_bound(X, weights, terms(weights))
+        counts = np.ones((2, fm.n))
+        codes = glm.fit_logistic_counts(X, fm.y, counts, np.zeros(5), terms)[1]
+        dense = glm.fit_logistic_counts(X, fm.y, counts, np.zeros(5),
+                                        lambda w: dense_information(X, w))[1]
+        assert codes == dense == [SingularInformationError.code] * 2
+
+    def test_block_of_one_fit(self):
+        g = SplitMix64(57)
+        X = np.column_stack([np.ones(600), g.normal(600), indicator(g, 600, 0.1)])
+        weights = g.uniform(600)[None, :]
+        assert_information_within_bound(X, weights, glm.InformationTerms(X)(weights))
+
+    def test_block_that_loses_fits_between_passes(self):
+        g = SplitMix64(58)
+        x, a, b = g.normal(800), indicator(g, 800, 0.25), indicator(g, 800, 0.6)
+        X = np.column_stack([np.ones(800), x, a, b])
+        y = (g.uniform(800) < glm.sigmoid(-0.5 + 0.8 * x + 0.7 * a - 0.4 * b)).astype(float)
+        index = g.integers(800, 6 * 800).reshape(6, 800)
+        counts = np.stack([np.bincount(idx, minlength=800) for idx in index]).astype(float)
+        # starts at growing distances from the optimum need more passes
+        start = glm.fit_logistic(matrix(X, y)).beta
+        starts = start + np.linspace(0.0, 2.0, 6)[:, None]
+        terms, sizes = glm.InformationTerms(X), []
+
+        def checked(weights):
+            sizes.append(len(weights))
+            info = terms(weights)
+            assert_information_within_bound(X, weights, info)
+            return info
+
+        betas, codes = glm.fit_logistic_counts(X, y, counts, starts, checked)
+        assert codes == [None] * 6 and sizes[0] == 6 and 0 < sizes[-1] < 6
+        expected, dense_codes = glm.fit_logistic_counts(X, y, counts, starts,
+                                                        lambda w: dense_information(X, w))
+        # the two paths may stop a pass apart, each within the stop rule's tolerance
+        assert dense_codes == codes
+        np.testing.assert_allclose(betas, expected, rtol=0, atol=1e-7)
 
 
 class TestNormalized:
