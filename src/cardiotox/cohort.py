@@ -254,21 +254,23 @@ def load_code_map(path: str | Path) -> CodeMap:
     Each row is checked for its code system, category, an empty prefix, then a
     prefix repeated within its code system, and the first fault is reported.
     """
-    path = Path(path)
-    entries: dict[CodeSystem, dict[str, DiagnosisCategory]] = {}
     first_line: dict[tuple[str, str], int] = {}
-    for lines, (systems, prefixes, categories) in _read_chunks(path, CSV_HEADERS["code_map"]):
+
+    def convert(lines, systems, prefixes, categories):
         system, system_check = _member(systems, CODE_SYSTEMS, "code_system")
         category, category_check = _member(categories, DIAGNOSIS_CATEGORIES, "category")
         repeated = _repeated(zip(systems, prefixes), first_line, lines)
-        _raise_first_fault(path, lines, [
+        return (system, np.array(prefixes, object), category), [
             system_check,
             category_check,
             _empty(prefixes, "code_prefix", "empty prefix"),
             (repeated, _malformed("code_prefix", lambda i: f"duplicate prefix '{prefixes[i]}'")),
-        ])
-        for s, prefix, c in zip(system.tolist(), prefixes, category.tolist()):
-            entries.setdefault(CODE_SYSTEMS[s], {})[prefix] = DIAGNOSIS_CATEGORIES[c]
+        ]
+
+    entries: dict[CodeSystem, dict[str, DiagnosisCategory]] = {}
+    columns = _load_table(Path(path), CSV_HEADERS["code_map"], convert)
+    for s, prefix, c in zip(*(column.tolist() for column in columns)):
+        entries.setdefault(CODE_SYSTEMS[s], {})[prefix] = DIAGNOSIS_CATEGORIES[c]
     return CodeMap(entries)
 
 
@@ -297,7 +299,7 @@ class CohortPaths:
 def _encode_observations(memo: dict, date_check, kinds, values):
     code, kind_check = _member(kinds, OBSERVATION_KINDS, "kind")
     value, value_check = _values(values)
-    return code, value, [value_check, date_check, kind_check]
+    return (code, value), [value_check, date_check, kind_check]
 
 
 def _encode_diagnoses(memo: dict, date_check, systems, codes):
@@ -307,20 +309,21 @@ def _encode_diagnoses(memo: dict, date_check, systems, codes):
         memo[pair] = len(memo)
     code = np.fromiter(map(memo.__getitem__, pairs), np.int32, len(pairs))
     _, system_check = _member(systems, CODE_SYSTEMS, "code_system")
-    return code, None, [_empty(codes, "code", "empty code"), date_check, system_check]
+    return (code,), [_empty(codes, "code", "empty code"), date_check, system_check]
 
 
 def _encode_member(members: tuple, column: str):
     """The encoder of a column that names one of ``members``."""
     def encode(memo: dict, date_check, texts):
         code, check = _member(texts, members, column)
-        return code, None, [date_check, check]
+        return (code,), [date_check, check]
     return encode
 
 
 # The event tables in EventRows field order: the field name (also the
 # CohortPaths field), the header and the encoder of the columns after patient_id
-# and date. It returns (code, value or None, the checks after the patient's).
+# and date. It returns the columns after patient and day (code, and an
+# observation's value) and the checks after the patient's.
 _EVENT_TABLES = (
     ("observations", ("patient_id", "date", "kind", "value"), _encode_observations),
     ("diagnoses", ("patient_id", "date", "code_system", "code"), _encode_diagnoses),
@@ -340,70 +343,64 @@ def load_cohort(paths: CohortPaths) -> Cohort:
     Codes are not classified here; that happens downstream with a code map.
     Tables are read in the order patients, observations, diagnoses,
     medications, treatments, and the first faulty row of a table in file
-    order is reported, with the fault its row parser names first.
+    order is reported, with the fault its table's checks list first.
     """
     day_memo: dict[str, int] = {}
-    ids, birth_day, sex = _load_patients(paths.patients, day_memo)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    patient_ids = tuple(ids[i] for i in order)
+    first_line: dict[str, int] = {}
+
+    def patients(lines, pids, births, sexes):
+        declared = _repeated(pids, first_line, lines)
+        day, birth_check = _date(births, day_memo, "birth_date")
+        sex, sex_check = _member(sexes, SEXES, "sex")
+        return (np.array(pids, object), day, sex), [
+            _empty(pids, "patient_id", "empty id"),
+            (declared, lambda i, file, line: DuplicatePatientError(pids[i], file, line)),
+            birth_check,
+            sex_check,
+        ]
+
+    ids, birth_day, sex = _load_table(paths.patients, CSV_HEADERS["patients"], patients)
+    order = np.argsort(ids, kind="stable")
+    patient_ids = tuple(ids[order].tolist())
     row_of = dict(zip(patient_ids, range(len(ids))))
 
     tables = []
-    for name, columns, encode in _EVENT_TABLES:
-        (patient, day, code, value), memo = _load_events(
-            getattr(paths, name), columns, encode, row_of, day_memo)
+    for name, header, encode in _EVENT_TABLES:
+        memo: dict = {}
+
+        def events(lines, pids, days, *fields):
+            patient = _rows(pids, row_of)
+            day, date_check = _date(days, day_memo, "date")
+            columns, checks = encode(memo, date_check, *fields)
+            unknown = (patient < 0, lambda i, file, line: UnknownPatientError(pids[i], file, line))
+            return (patient, day, *columns), [unknown, *checks]
+
+        patient, day, code, *value = _load_table(getattr(paths, name), header, events)
         if name == "diagnoses":
             pairs = sorted(memo)
             rank = np.empty(len(pairs), np.int32)
             rank[[memo[pair] for pair in pairs]] = np.arange(len(pairs), dtype=np.int32)
             code = rank[code]
             diagnosis_codes = tuple((CodeSystem(system), text) for system, text in pairs)
-        tables.append(EventTable.sorted(patient, day, code, value))
+        tables.append(EventTable.sorted(patient, day, code, *value))
 
     return Cohort(patient_ids, birth_day[order], sex[order], *tables, diagnosis_codes)
 
 
-def _table_chunks(path: Path, columns: Sequence[str]):
-    """The chunks of ``_read_chunks`` after one of no rows, which gives every
-    converted column its dtype even when the table has no rows."""
-    return chain([(range(0), ((),) * len(columns))], _read_chunks(path, columns))
+def _load_table(path: Path, header: Sequence[str], convert) -> list[np.ndarray]:
+    """The columns of the table at ``path``, converted chunk by chunk and joined.
 
-
-def _load_patients(path: Path, day_memo: dict[str, int]):
-    """Patient ids in file order, with birth day ordinals and sex codes."""
-    ids: list[str] = []
-    first_line: dict[str, int] = {}
-    days, sexes = [], []
-    for lines, (pids, births, sex_texts) in _table_chunks(path, CSV_HEADERS["patients"]):
-        declared = _repeated(pids, first_line, lines)
-        day, birth_check = _date(births, day_memo, "birth_date")
-        sex, sex_check = _member(sex_texts, SEXES, "sex")
-        _raise_first_fault(path, lines, [
-            _empty(pids, "patient_id", "empty id"),
-            (declared, lambda i, file, line: DuplicatePatientError(pids[i], file, line)),
-            birth_check,
-            sex_check,
-        ])
-        ids.extend(pids)
-        days.append(day)
-        sexes.append(sex)
-    return ids, np.concatenate(days), np.concatenate(sexes)
-
-
-def _load_events(path, columns, encode, row_of, day_memo):
-    """The table's columns (patient, day, code, value) in file order, and its memo."""
-    memo: dict = {}
+    ``convert(lines, *fields)`` turns one chunk's text columns into its
+    converted columns and its ordered checks; the chunk's first fault is raised
+    before the next chunk is read. A leading chunk of no rows gives every
+    column its dtype even when the table has no rows.
+    """
     parts = []
-    for lines, (pids, days, *fields) in _table_chunks(path, columns):
-        patient = _rows(pids, row_of)
-        day, date_check = _date(days, day_memo, "date")
-        code, value, checks = encode(memo, date_check, *fields)
-        unknown = (patient < 0, lambda i, file, line: UnknownPatientError(pids[i], file, line))
-        _raise_first_fault(path, lines, [unknown, *checks])
-        parts.append((patient, day, code, value))
-    patient, day, code, value = zip(*parts)
-    columns = [np.concatenate(c) for c in (patient, day, code)]
-    return (*columns, None if value[0] is None else np.concatenate(value)), memo
+    for lines, fields in chain([(range(0), ((),) * len(header))], _read_chunks(path, header)):
+        columns, checks = convert(lines, *fields)
+        _raise_first_fault(path, lines, checks)
+        parts.append(columns)
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _raise_first_fault(path, lines: Sequence[int], checks) -> None:
@@ -500,7 +497,7 @@ def _read_chunks(path: str | Path, columns: Sequence[str]):
     """
     path = Path(path)
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")  # a leading BOM is not data
     except FileNotFoundError:
         raise MalformedRowError(str(path), 0, "", "file does not exist") from None
     except OSError as err:  # a directory, or a file this process may not read

@@ -127,6 +127,10 @@ class OneClassError(StatisticalError):
     code = "ONE_CLASS_ONLY"
 
 
+class BadLabelError(StatisticalError):
+    code = "BAD_LABEL"
+
+
 class NonFiniteScoreError(StatisticalError):
     code = "NON_FINITE_SCORE"
 

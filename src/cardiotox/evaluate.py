@@ -14,6 +14,7 @@ import numpy as np
 from . import glm
 from .errors import (
     BadKError,
+    BadLabelError,
     DegenerateOutcomeError,
     DimensionMismatchError,
     NonFiniteScoreError,
@@ -39,8 +40,12 @@ class CvReport:
 
 
 def _check_two_classes(labels: np.ndarray) -> tuple[int, int]:
+    """The counts of labels 1 and 0; raise unless every label is one of them and both occur."""
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
+    if n_pos + n_neg != labels.size:
+        bad = labels[(labels != 1) & (labels != 0)][0]
+        raise BadLabelError(f"labels must be 0 or 1, got {bad}")
     if n_pos == 0 or n_neg == 0:
         raise OneClassError("need both classes to rank")
     return n_pos, n_neg

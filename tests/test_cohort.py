@@ -2,11 +2,12 @@ import csv
 from datetime import date
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cardiotox import cohort as cohort_module
-from cardiotox import synth
+from cardiotox import preprocess, synth
 from cardiotox.cohort import (
     CodeMap,
     CodeSystem,
@@ -295,3 +296,54 @@ def test_fault_after_a_quoted_line_break_names_the_line_its_row_starts_on(
         with pytest.raises(MalformedRowError) as err:
             load_code_map(path) if table == "code_map" else load_cohort(paths)
     assert (err.value.file, err.value.line, err.value.column) == (str(path), line, column)
+
+
+def header_only(directory, tables=TABLES + ("code_map",)):
+    """Write each table of ``tables`` into ``directory`` as its golden header line alone."""
+    for name in tables:
+        header = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8").splitlines()[0]
+        (directory / f"{name}.csv").write_text(header + "\n", encoding="utf-8")
+
+
+def test_header_only_tables_load_an_empty_cohort_with_every_dtype(tmp_path):
+    header_only(tmp_path)
+    cohort = load_cohort(CohortPaths.in_dir(tmp_path))
+    assert len(cohort) == 0 and list(cohort) == []
+    assert cohort.patient_ids == () and cohort.diagnosis_codes == ()
+    assert (cohort.birth_day.dtype, cohort.sex.dtype) == (np.int32, np.int8)
+    for name, table in zip(EventRows._fields, cohort.tables()):
+        assert (table.patient.dtype, table.day.dtype) == (np.int32, np.int32), name
+        assert table.code.dtype == (np.int32 if name == "diagnoses" else np.int8), name
+        assert len(table.patient) == len(table.day) == len(table.code) == 0, name
+    assert cohort.observations.value.dtype == np.float64 and len(cohort.observations.value) == 0
+    assert all(t.value is None for t in cohort.tables()[1:])
+    assert load_code_map(tmp_path / "code_map.csv") == CodeMap({})
+
+
+def test_header_only_tables_give_empty_features(tmp_path):
+    header_only(tmp_path)
+    cohort = load_cohort(CohortPaths.in_dir(tmp_path))
+    features, report = preprocess.compute_features(
+        cohort, load_code_map(tmp_path / "code_map.csv"), date(2020, 12, 31))
+    assert len(features) == 0 and list(features) == []
+    assert (report.included, report.excluded) == ((), ())
+
+
+@pytest.mark.parametrize("table", TABLES + ("code_map",))
+def test_a_table_starting_with_a_byte_order_mark_loads_as_without_it(tmp_path, table):
+    for name in TABLES + ("code_map",):
+        data = (GOLDEN / f"{name}.csv").read_bytes()
+        (tmp_path / f"{name}.csv").write_bytes(b"\xef\xbb\xbf" * (name == table) + data)
+    assert load_cohort(CohortPaths.in_dir(tmp_path)) == load_cohort(CohortPaths.in_dir(GOLDEN))
+    assert load_code_map(tmp_path / "code_map.csv") == load_code_map(GOLDEN / "code_map.csv")
+
+
+def test_only_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # one in a later cell is data: an id, here one distinct from P1
+    paths = write_cohort_files(tmp_path, patients="\ufeff" + PATIENTS + "\ufeffP1,1970-01-01,M\n")
+    assert load_cohort(paths).patient_ids == ("P1", "P2", "\ufeffP1")
+    # a second one at the start of the file is part of the header
+    (tmp_path / "patients.csv").write_text("\ufeff\ufeff" + PATIENTS, encoding="utf-8")
+    with pytest.raises(MalformedRowError, match="header") as err:
+        load_cohort(paths)
+    assert (err.value.line, err.value.column) == (1, "")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from cardiotox import evaluate, glm, preprocess, synth
 from cardiotox.errors import (
     BadKError,
+    BadLabelError,
     DegenerateOutcomeError,
     DimensionMismatchError,
     NonFiniteScoreError,
@@ -129,6 +130,20 @@ class TestAuc:
             evaluate.auc([0.1, 0.2, 0.3], [0, 1])
         with pytest.raises(DimensionMismatchError):
             evaluate.roc_curve([0.1, 0.2, 0.3], [0, 1])
+
+    @pytest.mark.parametrize("bad", [2, np.nan])
+    def test_label_not_0_or_1_is_typed(self, bad):
+        # the one positive ranks below the one negative; the bad row is no class
+        with pytest.raises(BadLabelError, match="labels must be 0 or 1"):
+            evaluate.auc([0.9, 0.5, 0.1], [0, 1, bad])
+        with pytest.raises(BadLabelError) as err:
+            evaluate.roc_curve([0.9, 0.5, 0.1], [0, 1, bad])
+        assert (err.value.code, err.value.exit_code) == ("BAD_LABEL", 3)
+
+    def test_boolean_labels_rank(self):
+        labels = np.array([False, True, False])
+        assert evaluate.auc([0.9, 0.5, 0.1], labels) == 0.5
+        assert trapezoid(evaluate.roc_curve([0.9, 0.5, 0.1], labels).points) == 0.5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_is_typed(self, bad):
