@@ -183,7 +183,7 @@ def read_json_object(path: str | Path, what: str, error: type[PipelineError]) ->
     """
     try:
         data = Path(path).read_bytes()
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is not JSON
     except (OSError, ValueError) as err:  # ValueError: a NUL in the path, or not UTF-8
         raise error(f"cannot read {what} {path}: {err}") from None
 

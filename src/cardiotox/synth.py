@@ -373,19 +373,13 @@ def _sample_treatments(
 def _arm_probabilities(
     model: TreatmentModel, values: dict[str, np.ndarray], n: int
 ) -> dict[Treatment, np.ndarray]:
+    """Per draw, the probability of each treated arm; radiation takes the rest."""
     if model.kind == "randomized":
-        return {
-            Treatment.CHEMOTHERAPY: np.full(n, model.p_chemo),
-            Treatment.TARGETED: np.full(n, model.p_targeted),
-            Treatment.RADIATION: np.full(n, 1.0 - model.p_chemo - model.p_targeted),
-        }
+        return {Treatment.CHEMOTHERAPY: np.full(n, model.p_chemo),
+                Treatment.TARGETED: np.full(n, model.p_targeted)}
     p_chemo, p_targ_given_rest = _assignment_probabilities(model, values, n)
-    p_targeted = (1.0 - p_chemo) * p_targ_given_rest
-    return {
-        Treatment.CHEMOTHERAPY: p_chemo,
-        Treatment.TARGETED: p_targeted,
-        Treatment.RADIATION: 1.0 - p_chemo - p_targeted,
-    }
+    return {Treatment.CHEMOTHERAPY: p_chemo,
+            Treatment.TARGETED: (1.0 - p_chemo) * p_targ_given_rest}
 
 
 def generate(spec: SyntheticSpec) -> SyntheticCohort:
@@ -540,38 +534,46 @@ def _treatment_key(treatment: str | Treatment) -> str:
     return key
 
 
-def _mc_effect(
-    spec: SyntheticSpec, treatment: str, outcome: str, n_mc: int, estimand: str
-) -> tuple[float, float] | None:
-    coefs = _require_outcome(spec, outcome)
-    b_t = coefs.get(treatment, 0.0)
-    b_0 = coefs.get("intercept", 0.0)
-    rng = SplitMix64(derive_seed(spec.seed, _TRUTH_COV_TAG))
-    values = _sample_covariates(spec, rng, n_mc)
-    weights = _arm_probabilities(spec.treatment_model, values, n_mc)[Treatment(treatment)]
-    w_mean = float(np.mean(weights))
-    if estimand == "ATT" and w_mean <= 0.0:
-        return None  # ATT undefined: the arm is never assigned
-    if all(key in ("intercept",) + TREATMENT_KEYS for key in coefs):  # no covariates
-        value = float(sigmoid(np.array([b_0 + b_t]))[0] - sigmoid(np.array([b_0]))[0])
-        return value, 0.0
+def _effect_rows(spec: SyntheticSpec, outcomes, treatments, estimands, n_mc: int) -> list[tuple]:
+    """truth.csv rows of ``estimands`` per outcome and arm vs radiation, from one covariate draw.
 
-    eta_base = _linear_predictor(coefs, values, n_mc)
-    with np.errstate(over="ignore"):  # checked by _finite
-        diff = sigmoid(_finite(eta_base + b_t)) - sigmoid(eta_base)
-
-    if estimand == "ATE":
-        return float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(n_mc))
-    value = float(np.mean(weights * diff) / w_mean)
-    resid = weights * (diff - value) / w_mean
-    return value, float(np.std(resid, ddof=1) / math.sqrt(n_mc))
+    Exact for an outcome model without covariates. ATE and ATT of an arm share its
+    counterfactual difference; an arm that is never assigned has no ATT row.
+    """
+    models = [(outcome, _require_outcome(spec, outcome)) for outcome in outcomes]
+    values = _sample_covariates(spec, SplitMix64(derive_seed(spec.seed, _TRUTH_COV_TAG)), n_mc)
+    arms = _arm_probabilities(spec.treatment_model, values, n_mc)
+    rows: list[tuple] = []
+    for outcome, coefs in models:
+        b_0, eta_base = coefs.get("intercept", 0.0), None
+        for treatment in treatments:
+            b_t, weights = coefs.get(treatment, 0.0), arms[Treatment(treatment)]
+            w_mean = float(np.mean(weights))
+            kept = [estimand for estimand in estimands if estimand == "ATE" or w_mean > 0.0]
+            if not kept:
+                continue  # the ATT alone was asked for, of an arm never assigned
+            if all(key in ("intercept",) + TREATMENT_KEYS for key in coefs):  # no covariates
+                value = float(sigmoid(np.array([b_0 + b_t]))[0] - sigmoid(np.array([b_0]))[0])
+                rows += [(estimand, treatment, outcome, value, 0.0) for estimand in kept]
+                continue
+            if eta_base is None:
+                eta_base = _linear_predictor(coefs, values, n_mc)
+            with np.errstate(over="ignore"):  # checked by _finite
+                diff = sigmoid(_finite(eta_base + b_t)) - sigmoid(eta_base)
+            for estimand in kept:
+                ate = estimand == "ATE"
+                value = float(np.mean(diff) if ate else np.mean(weights * diff) / w_mean)
+                resid = diff if ate else weights * (diff - value) / w_mean
+                rows.append((estimand, treatment, outcome, value,
+                             float(np.std(resid, ddof=1) / math.sqrt(n_mc))))
+    return rows
 
 
 def true_ate(
     spec: SyntheticSpec, treatment: str | Treatment, outcome: str, n_mc: int = 200_000
 ) -> float:
     """Generative-truth ATE of one treatment vs radiation; exact when no covariates."""
-    return _mc_effect(spec, _treatment_key(treatment), outcome, n_mc, "ATE")[0]
+    return _effect_rows(spec, (outcome,), (_treatment_key(treatment),), ("ATE",), n_mc)[0][3]
 
 
 def true_att(
@@ -579,27 +581,30 @@ def true_att(
 ) -> float:
     """Generative-truth ATT: the same contrast averaged over the treated arm."""
     key = _treatment_key(treatment)
-    effect = _mc_effect(spec, key, outcome, n_mc, "ATT")
-    if effect is None:
+    rows = _effect_rows(spec, (outcome,), (key,), ("ATT",), n_mc)
+    if not rows:
         raise InvalidSpecError(f"treatment model never assigns arm '{key}'")
-    return effect[0]
+    return rows[0][3]
 
 
 def true_auc(spec: SyntheticSpec, outcome: str, n_mc: int = 200_000) -> float:
     """Monte Carlo AUC of the true linear predictor against simulated outcomes."""
-    return _mc_auc(spec, outcome, n_mc)[0]
+    return _mc_auc(_require_outcome(spec, outcome), *_auc_draws(spec, n_mc))[0]
 
 
-def _mc_auc(spec: SyntheticSpec, outcome: str, n_mc: int) -> tuple[float, float]:
-    coefs = _require_outcome(spec, outcome)
+def _auc_draws(spec: SyntheticSpec, n_mc: int) -> tuple:
+    """The AUC oracles' stream: covariates, arms, and the uniforms that draw each outcome."""
     rng = SplitMix64(derive_seed(spec.seed, _TRUTH_AUC_TAG))
     values = _sample_covariates(spec, rng, n_mc)
-    treatments = _sample_treatments(spec.treatment_model, values, rng, n_mc)
-    eta = _linear_predictor(coefs, values, n_mc, treatments)
-    y = rng.uniform(n_mc) < sigmoid(eta)
+    return values, _sample_treatments(spec.treatment_model, values, rng, n_mc), rng.uniform(n_mc)
+
+
+def _mc_auc(coefs: dict[str, float], values, treatments, u: np.ndarray) -> tuple[float, float]:
+    eta = _linear_predictor(coefs, values, len(u), treatments)
+    y = u < sigmoid(eta)
     value = evaluate.auc(eta, y.astype(np.int64))
     n1 = int(np.sum(y))
-    n0 = n_mc - n1
+    n0 = len(u) - n1
     # Hanley-McNeil variance for the standard error of an empirical AUC
     q1 = value / (2.0 - value)
     q2 = 2.0 * value**2 / (1.0 + value)
@@ -610,24 +615,15 @@ def _mc_auc(spec: SyntheticSpec, outcome: str, n_mc: int) -> tuple[float, float]
 
 
 def truth_rows(spec: SyntheticSpec, n_mc: int = 200_000) -> list[tuple]:
-    """Rows for truth.csv: every effect estimand plus per-outcome AUC."""
-    rows: list[tuple] = []
-    for outcome in OUTCOME_NAMES:
-        if outcome not in spec.outcome_models:
-            continue
-        for treatment in TREATMENT_KEYS:
-            for estimand in ("ATE", "ATT"):
-                effect = _mc_effect(spec, treatment, outcome, n_mc, estimand)
-                if effect is not None:  # ATT undefined for an arm that is never assigned
-                    rows.append((estimand, treatment, outcome, *effect))
-    for outcome in OUTCOME_NAMES:
-        if outcome not in spec.outcome_models:
-            continue
+    """Rows for truth.csv: every effect estimand, then per-outcome AUC, each stream drawn once."""
+    outcomes = [outcome for outcome in OUTCOME_NAMES if outcome in spec.outcome_models]
+    rows = _effect_rows(spec, outcomes, TREATMENT_KEYS, ("ATE", "ATT"), n_mc)
+    draws = _auc_draws(spec, n_mc)
+    for outcome in outcomes:
         try:
-            value, se = _mc_auc(spec, outcome, n_mc)
+            rows.append(("AUC", "", outcome, *_mc_auc(spec.outcome_models[outcome], *draws)))
         except OneClassError:
             continue  # AUC undefined: every draw has one outcome
-        rows.append(("AUC", "", outcome, value, se))
     return rows
 
 

@@ -593,6 +593,47 @@ def test_manifest_hash_is_that_of_the_settings_files_bytes(tmp_path):
         assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+def test_settings_files_starting_with_a_byte_order_mark_read_as_without_it(tmp_path, capsys):
+    # a run config and a synth spec, each without and with a leading mark
+    outputs = {}
+    for mark in (b"", BOM):
+        run = tmp_path / f"mark{len(mark)}"
+        run.mkdir()
+        (run / "config.json").write_bytes(mark + json.dumps(golden_config()).encode())
+        (run / "spec.json").write_bytes(mark + json.dumps(SPEC).encode())
+        assert cli.main(["validate", "--config", str(run / "config.json"),
+                         "--out", str(run / "v")]) == 0
+        line = capsys.readouterr().out
+        assert cli.main(["synth", "--spec", str(run / "spec.json"), "--out", str(run / "s"),
+                         "--n-mc", "100"]) == 0
+        capsys.readouterr()  # synth's line names its output directory
+        outputs[mark] = line, {p.name: p.read_bytes() for p in sorted((run / "s").glob("*.csv"))}
+        # the manifest hashes the bytes on disk, the mark included
+        for out, settings in (("v", "config.json"), ("s", "spec.json")):
+            manifest = json.loads((run / out / "run_manifest.json").read_text())
+            digest = hashlib.sha256((run / settings).read_bytes()).hexdigest()
+            assert manifest["config_sha256"] == digest
+    assert "truth.csv" in outputs[BOM][1]
+    assert outputs[BOM] == outputs[b""]
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["validate", "--config"], 4, "error[CONFIG]: config is not valid JSON: Unexpected UTF-8"),
+    (["synth", "--spec"], 2, "error[INVALID_SPEC]: spec is not valid JSON: Unexpected UTF-8"),
+], ids=["config", "spec"])
+def test_a_second_byte_order_mark_is_an_error(tmp_path, capsys, argv, code, line):
+    path = tmp_path / "settings.json"
+    settings = SPEC if argv[0] == "synth" else golden_config()
+    path.write_bytes(BOM + BOM + json.dumps(settings).encode())
+    assert cli.main([*argv, str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line), err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv,code,line", [
     (["validate", "--config"], 4, "error[CONFIG]: cannot read config {}: embedded null byte"),
     (["synth", "--spec"], 2, "error[INVALID_SPEC]: cannot read spec {}: embedded null byte"),

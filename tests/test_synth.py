@@ -13,10 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cardiotox import cli, cohort, preprocess, synth
-from cardiotox.errors import InvalidSpecError
+from cardiotox.errors import InvalidSpecError, OneClassError
 from cardiotox.tableio import write_csv
 
 from records import records_of
+
+
+TRUTH_DATA = Path(__file__).parent / "data" / "truth"
 
 
 def raw_spec(**overrides):
@@ -465,6 +468,54 @@ class TestOracles:
         assert ("ATE", "CHEMOTHERAPY", "CHF") in estimands
         assert ("ATT", "TARGETED", "CHF") in estimands
         assert ("AUC", "", "CHF") in estimands
+
+    def test_auc_of_draws_with_one_outcome_class_raises_and_is_left_out(self):
+        # sigmoid(-1000) is 0.0: no draw has CHF, while CM still has both classes
+        spec = base_spec(outcome_models={"CHF": {"intercept": -1000.0, "hba1c": 0.1},
+                                         "CM": {"intercept": -1.0, "hba1c": 0.3}})
+        with pytest.raises(OneClassError, match="^need both classes to rank$"):
+            synth.true_auc(spec, "CHF", 500)
+        rows = {(r[0], r[1], r[2]) for r in synth.truth_rows(spec, 500)}
+        assert ("AUC", "", "CHF") not in rows
+        assert {("ATE", "CHEMOTHERAPY", "CHF"), ("AUC", "", "CM")} <= rows
+
+    @pytest.mark.parametrize("oracle", [synth.true_ate, synth.true_att])
+    def test_an_unknown_treatment_is_reported_before_an_unknown_outcome(self, oracle):
+        spec = base_spec()
+        with pytest.raises(InvalidSpecError, match=r"^treatment must be one of \('CHEMOTHERAPY', "
+                                                   r"'TARGETED'\), got 'RADIATION'$"):
+            oracle(spec, "RADIATION", "MI", 100)
+        with pytest.raises(InvalidSpecError, match="^spec defines no outcome model for 'MI'$"):
+            oracle(spec, "TARGETED", "MI", 100)
+        with pytest.raises(InvalidSpecError, match="^spec defines no outcome model for 'MI'$"):
+            synth.true_auc(spec, "MI", 100)
+
+    def test_truth_rows_reject_a_linear_predictor_beyond_the_float_range(self):
+        # age * 1e308 overflows to inf and hba1c * -1e308 to -inf; CHF before it is finite
+        spec = base_spec(
+            covariates=[{"name": "age", "dist": "normal", "mu": 57.5, "sigma": 12.0},
+                        {"name": "hba1c", "dist": "normal", "mu": 6.0, "sigma": 0.9}],
+            outcome_models={"CHF": {"intercept": -1.0, "hba1c": 0.2},
+                            "MI": {"intercept": -2.9, "age": 1e308, "hba1c": -1e308}})
+        with pytest.raises(InvalidSpecError,
+                           match="^a model's linear predictor overflows the float range$"):
+            synth.truth_rows(spec, 100)
+
+    def test_truth_rows_draw_each_oracle_stream_once(self):
+        spec = base_spec(outcome_models={outcome: {"intercept": -1.5, "hba1c": 0.2}
+                                         for outcome in preprocess.OUTCOME_NAMES})
+        with mock.patch.object(synth, "_sample_covariates",
+                               wraps=synth._sample_covariates) as sample:
+            rows = synth.truth_rows(spec, 200)
+        assert sample.call_count == 2  # the effect stream, then the AUC stream
+        assert len(rows) == 4 * (2 * 2 + 1)
+
+    def test_truth_csv_equals_the_golden_file(self, tmp_path):
+        # the spec declares covariates, never assigns TARGETED (sigmoid(-800) is 0.0),
+        # and has a closed-form outcome (CHF) besides a Monte Carlo one (CM)
+        spec = synth.load_spec(TRUTH_DATA / "spec.json")
+        synth.write_truth_csv(tmp_path / "truth.csv", spec, 5000)
+        assert (tmp_path / "truth.csv").read_bytes() == (TRUTH_DATA / "truth.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
